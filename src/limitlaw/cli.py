@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--threads",
             type=int,
-            default=int(os.environ.get("LIMITLAW_THREADS", "1")),
+            default=None,
             help="internal parallelism (default 1, or LIMITLAW_THREADS)",
         )
 
@@ -462,6 +462,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse: 2 on usage error, 0 on --help
         return int(exc.code or 0)
+    if args.threads is None:
+        text = os.environ.get("LIMITLAW_THREADS", "1")
+        try:
+            args.threads = int(text)
+        except ValueError:
+            print(f"error: LIMITLAW_THREADS must be an integer, got {text!r}", file=sys.stderr)
+            return 2
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2

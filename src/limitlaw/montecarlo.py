@@ -7,8 +7,8 @@ Stream-splitting rule
 Sampling is chunked in fixed blocks of 65536 draws.  Chunk i uses the PCG64
 generator seeded from ``numpy.random.SeedSequence(seed).spawn(...)[i]``, and
 within a chunk the draw order is fixed by the algorithm.  Chunk boundaries
-depend only on n, never on the thread count, and all reductions go through
-``math.fsum`` (exact summation, hence order-independent), so identical
+depend only on n, never on the thread count, and every reduction is an exact
+sum rounded once (``_ExactSum``, hence order-independent), so identical
 (seed, parameters) produce bit-identical summaries at any parallelism.
 """
 
@@ -44,6 +44,82 @@ __all__ = [
 
 _CHUNK = 1 << 16
 _TINY = np.finfo(float).tiny
+# np.frexp exponents of finite doubles lie in -1073..1024, so exponent + 1074
+# is a nonnegative bin index, and every double is an integer multiple of
+# 2**-(1074 + 53) = 1 / _SUM_SCALE.
+_EXP_OFFSET = 1074
+_SUM_SCALE = 1 << (_EXP_OFFSET + 53)
+
+
+def _binned_sum(block: np.ndarray) -> int:
+    """Exact sum of at most _CHUNK doubles, in units of 1 / _SUM_SCALE.
+
+    Each value is mant * 2**exp with the 53-bit integer mantissa
+    mant * 2**53 split into hi = floor(mant * 2**27) and a 26-bit remainder
+    lo.  np.bincount adds the hi and lo parts of equal exponent in float64.
+    Those bin totals are exact: a block has at most 2**16 values, so every bin
+    stays below 2**43 (in units of 2**-26 for lo), far inside the 53 bits of
+    a double.  The nonzero bins then merge into one Python int.
+    """
+    mant, exp = np.frexp(block)
+    mant *= 2.0**27
+    hi = np.floor(mant)
+    mant -= hi  # lo / 2**26, in [0, 1)
+    exp += _EXP_OFFSET
+    hi_bins = np.bincount(exp, weights=hi)
+    if not math.isfinite(hi_bins.sum()):  # inf and nan poison their bin
+        raise OverflowError("exact sum of non-finite values")
+    lo_bins = np.bincount(exp, weights=mant) * 2.0**26
+    total = 0
+    for b in np.flatnonzero(hi_bins).tolist():
+        total += int(hi_bins[b]) << (b + 26)
+    for b in np.flatnonzero(lo_bins).tolist():
+        total += int(lo_bins[b]) << b
+    return total
+
+
+class _ExactSum:
+    """Running exact sum of finite doubles, rounded once at the end.
+
+    This is the small superaccumulator of Neal, "Fast exact summation using
+    small and large superaccumulators" (arXiv:1505.05571), built from
+    np.frexp and np.bincount.  The result is the correctly rounded exact sum,
+    the same double that ``math.fsum`` returns, and it does not depend on
+    how the values are split between ``add`` calls.  ``value`` raises
+    OverflowError when the sum is too large for a double, as fsum does.
+    """
+
+    def __init__(self):
+        self._total = 0
+
+    def add(self, values: np.ndarray) -> None:
+        for start in range(0, values.size, _CHUNK):
+            self._total += _binned_sum(values[start : start + _CHUNK])
+
+    def value(self) -> float:
+        return self._total / _SUM_SCALE  # int / int rounds correctly
+
+
+def _mean_and_se(values: np.ndarray, f, name: str) -> tuple[float, float]:
+    """Mean of f(values) and its standard error sd/sqrt(n), from exact sums
+    of f and f**2 over _CHUNK blocks, so temporaries stay one block long.
+    Raises OverflowError naming ``name`` when either sum is not finite."""
+    n = values.size
+    total, total_sq = _ExactSum(), _ExactSum()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            for start in range(0, n, _CHUNK):
+                v = f(values[start : start + _CHUNK])
+                total.add(v)
+                total_sq.add(v * v)
+        mean = total.value() / n
+        mean_sq = total_sq.value() / n
+    except OverflowError:
+        raise OverflowError(
+            f"{name} is not finite: a value, its square or a sum overflows"
+        ) from None
+    var = max(mean_sq - mean * mean, 0.0)
+    return mean, (math.sqrt(var / (n - 1)) if n > 1 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -166,8 +242,11 @@ def summarize(
 ) -> SampleSummary:
     """Empirical moments up to order s_max with standard errors.
 
-    Power sums are accumulated with exact (fsum) summation; naive
-    accumulation loses digits in fourth moments at n = 1e6.
+    For each order s the sums of X**s and X**(2s) = (X**s)**2 are exact
+    (``_ExactSum``: exponent-binned integer mantissas, rounded once), taken
+    block by block over _CHUNK values; naive accumulation loses digits in
+    fourth moments at n = 1e6.  Raises OverflowError naming the first order
+    whose power, squared power or sum is not finite.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -180,12 +259,7 @@ def summarize(
     errors = np.zeros(s_max + 1)
     moments[0] = 1.0
     for s in range(1, s_max + 1):
-        pw = values**s
-        m = math.fsum(pw) / n
-        moments[s] = m
-        if n > 1:
-            var = max(math.fsum(pw * pw) / n - m * m, 0.0)
-            errors[s] = math.sqrt(var / (n - 1))
+        moments[s], errors[s] = _mean_and_se(values, lambda x: x**s, f"moment of order {s}")
     return SampleSummary(
         sampler=sampler,
         n=n,
@@ -271,14 +345,19 @@ class SplitKernel:
         header row is skipped.  Missing (n, k) pairs default to probability 0."""
         rows: dict[int, dict[int, float]] = {}
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            for line, row in enumerate(csv.reader(fh), 1):
                 if not row or row[0].strip().startswith("#"):
                     continue
                 try:
                     size = int(row[0])
                 except ValueError:
                     continue  # header row
-                k, prob = int(row[1]), float(row[2])
+                try:
+                    k, prob = int(row[1]), float(row[2])
+                except (IndexError, ValueError):
+                    raise ValueError(
+                        f"kernel row {line} {','.join(row)!r}: expected n,k,probability"
+                    ) from None
                 if not 1 <= k <= size - 1:
                     raise ValueError(f"size {size}: split k={k} outside 1..{size - 1}")
                 entries = rows.setdefault(size, {})
@@ -443,10 +522,7 @@ def stable_laplace_check(
     devs = []
     detail = {}
     for lam in lambdas:
-        vals = np.exp(-float(lam) * s)
-        emp = math.fsum(vals) / n
-        var = max(math.fsum(vals * vals) / n - emp * emp, 0.0)
-        se = math.sqrt(var / (n - 1)) if n > 1 else 0.0
+        emp, se = _mean_and_se(s, lambda x: np.exp(-float(lam) * x), f"exp(-{lam:g} S)")
         target = math.exp(-float(lam) ** alpha)
         dev = abs(emp - target) / se if se > 0.0 else (0.0 if emp == target else math.inf)
         devs.append(dev)

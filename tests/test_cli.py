@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: flags, output formats,
 exit codes, and byte-level reproducibility."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -265,6 +266,18 @@ class TestSampleCommand:
         payload = json.loads(out)
         assert payload["summary"]["moments"][1] == 4.0  # deterministic chain, a = 0
 
+    def test_short_kernel_row_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "kernel.csv"
+        path.write_text("n,k,probability\n2,1,1.0\n3,1\n")
+        code, out, err = run_cli(
+            capsys,
+            "sample", "--sampler", "tree", "--n", "3", "--reps", "10",
+            "--kernel-file", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: kernel row 3 '3,1': expected n,k,probability\n"
+
     def test_missing_kernel_file_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys,
@@ -283,6 +296,50 @@ class TestSampleCommand:
         header, rows = csv_rows(out)
         assert header == ["s", "moment", "standard_error"]
         assert len(rows) == 5
+
+    def test_non_finite_summary_exits_2(self, capsys):
+        # alpha = 0.1 stable draws reach ~1e60, so (S**3)**2 overflows
+        code, out, err = run_cli(
+            capsys,
+            "sample", "--sampler", "stable", "--alpha", "0.1", "--n", "100000", "--seed", "7",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: moment of order 3 is not finite")
+
+    # stdout digests recorded with the earlier math.fsum reductions: summation
+    # is exact and correctly rounded, so a flipped last bit fails here
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("sample", "--sampler", "rayleigh", "--n", "200000", "--seed", "42",
+                 "--check-against", "fkp:0.5"),
+                "9f285bfb0195d429c3950951062ab72772ba3502da92b42bdf4495390a94b4f6",
+            ),
+            (
+                ("sample", "--sampler", "mittag-leffler", "--alpha", "0.5", "--n", "150000",
+                 "--seed", "9", "--smax", "8", "--threads", "2"),
+                "787ae9cf939f852bb8948e56b3ee2a27e9b90dea81df3398c72a99434ef29418",
+            ),
+            (
+                ("sample", "--sampler", "tree", "--n", "1000", "--reps", "20000", "--seed", "5",
+                 "--toll-exponent", "0.5"),
+                "102a6b8cd6bf86ffb0243612e537d3b0b62d70be5fa14cc333ebb5e55ead5607",
+            ),
+            (
+                ("sample", "--sampler", "rayleigh", "--n", "65537", "--seed", "11", "--smax", "6",
+                 "--format", "csv"),
+                "b9e162b25c93de994ead86d697e10152959315a386d5980580c6899292015a3f",
+            ),
+        ],
+        ids=["rayleigh-check", "mittag-leffler-threads", "tree", "rayleigh-csv"],
+    )
+    def test_pinned_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestPlumbing:
@@ -322,6 +379,20 @@ class TestPlumbing:
         )
         assert code == 0
         assert json.loads(out)["manifest"]["arguments"]["threads"] == 3
+
+    def test_non_integer_threads_env_var_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("LIMITLAW_THREADS", "x")
+        code, out, err = run_cli(capsys, "moments", "--which", "fkp", "--a-prime", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: LIMITLAW_THREADS must be an integer, got 'x'\n"
+
+    def test_threads_flag_overrides_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("LIMITLAW_THREADS", "x")
+        code, _, _ = run_cli(
+            capsys, "moments", "--which", "fkp", "--a-prime", "0.5", "--threads", "2"
+        )
+        assert code == 0
 
     def test_invalid_threads_exit_2(self, capsys):
         code, _, _ = run_cli(

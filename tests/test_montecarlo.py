@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import erf
 
@@ -29,6 +31,7 @@ from limitlaw import (
     summarize,
     tree_cost_samples,
 )
+from limitlaw.montecarlo import _ExactSum
 
 RAYLEIGH_SEED = 20260810
 ML_SEED = 424242
@@ -72,6 +75,94 @@ class TestDeterminism:
         assert not np.array_equal(a.moments, b.moments)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals, +-0.0, +-1.8e308
+BLOCK_EDGE_LENGTHS = (1, 65535, 65536, 65537, 3 * 65536 + 1)
+
+
+def exact_reference(xs):
+    """Correctly rounded exact sum from float.as_integer_ratio, or None when
+    it overflows a double."""
+    unit = 1 << 1074  # every double is an integer multiple of 2**-1074
+    total = sum(p * (unit // q) for p, q in map(float.as_integer_ratio, xs))
+    try:
+        return total / unit
+    except OverflowError:
+        return None
+
+
+def assert_matches_fsum(xs):
+    x = np.array(xs, dtype=float)
+    acc = _ExactSum()
+    acc.add(x)
+    try:
+        got = acc.value()
+    except OverflowError:
+        got = None
+    try:
+        expected = math.fsum(x.tolist())
+    except OverflowError:
+        # fsum also overflows when a partial sum leaves the double range but
+        # the exact total does not; the exact sum then still holds
+        expected = exact_reference(x.tolist())
+    assert (None if got is None else got.hex()) == (
+        None if expected is None else expected.hex()
+    )
+
+
+class TestExactSum:
+    @given(st.lists(FINITE, min_size=1, max_size=60))
+    @example([5e-324])
+    @example([-0.0])
+    @example([-0.0, -0.0, 0.0])
+    @example([5e-324, -5e-324, 2.2250738585072014e-308, -1e-320])
+    @example([1e308, 1e308])
+    @example([-1e308, -1e308])
+    @example([1e308, 1e308, -1e308])
+    @example([1.7976931348623157e308, 9.979201547673598e291])
+    @example([1.7976931348623157e308, 9.979201547673599e291])
+    @example([1.0, 1e100, 1.0, -1e100])
+    @settings(max_examples=300)
+    def test_matches_fsum(self, xs):
+        assert_matches_fsum(xs)
+
+    @given(
+        pool=st.lists(FINITE, min_size=1, max_size=6),
+        length=st.sampled_from(BLOCK_EDGE_LENGTHS),
+        emin=st.integers(-1074, 1023),
+        width=st.integers(0, 2100),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_fsum_across_block_edges(self, pool, length, emin, width, seed):
+        rng = np.random.default_rng(seed)
+        exps = rng.integers(emin, min(emin + width, 1023), endpoint=True, size=length)
+        x = np.ldexp(rng.uniform(-1.0, 1.0, length), exps)  # mixed signs
+        picked = rng.random(length) < 0.25
+        x[picked] = rng.choice(np.array(pool), int(picked.sum()))
+        assert_matches_fsum(x)
+
+    @pytest.mark.parametrize("s", [1, 2, 4, 8, 16])
+    def test_powers_of_a_sample(self, s):
+        x = rayleigh_samples(1.0, 3 * 65536 + 1, RAYLEIGH_SEED) ** s
+        assert_matches_fsum(x)
+        assert_matches_fsum(x * x)
+
+    def test_split_between_adds_does_not_matter(self):
+        x = np.ldexp(np.random.default_rng(3).uniform(-1.0, 1.0, 70_000), 40)
+        whole, parts = _ExactSum(), _ExactSum()
+        whole.add(x)
+        for piece in np.array_split(x, [1, 300, 65_000]):
+            parts.add(piece)
+        assert whole.value() == parts.value() == math.fsum(x)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_values(self, bad):
+        acc = _ExactSum()
+        with pytest.raises(OverflowError):
+            acc.add(np.array([1.0, bad, 2.0]))
+
+
 class TestSummarize:
     def test_matches_numpy_reference(self):
         rng = np.random.default_rng(17)
@@ -92,6 +183,15 @@ class TestSummarize:
         summary = summarize(np.array([2.0]), 2, 0, "single")
         assert summary.moments[1] == 2.0
         assert summary.standard_errors[1] == 0.0
+
+    def test_non_finite_summary_names_first_order(self):
+        # (1e100**2)**2 overflows, so order 2 has no finite standard error
+        with pytest.raises(OverflowError, match="order 2"):
+            summarize(np.array([1e100, 2.0]), 4, 0, "huge")
+
+    def test_overflowing_sum_names_its_order(self):
+        with pytest.raises(OverflowError, match="order 1"):
+            summarize(np.full(3, 1.5e308), 1, 0, "huge")
 
 
 class TestRayleigh:
@@ -214,6 +314,13 @@ class TestSplitKernel:
         path = tmp_path / "bad.csv"
         path.write_text("n,k,probability\n3,3,1.0\n")
         with pytest.raises(ValueError, match="outside"):
+            SplitKernel.from_csv(path)
+
+    @pytest.mark.parametrize("row", ["3,1", "3", "3,1,x"])
+    def test_csv_rejects_malformed_row(self, tmp_path, row):
+        path = tmp_path / "short.csv"
+        path.write_text(f"n,k,probability\n2,1,1.0\n{row}\n")
+        with pytest.raises(ValueError, match=f"kernel row 3 '{row}'"):
             SplitKernel.from_csv(path)
 
     def test_draw_stays_in_support(self):
