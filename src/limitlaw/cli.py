@@ -6,14 +6,17 @@ inverse-Mellin reconstruction, and ``sample`` runs the seeded Monte Carlo
 samplers.  Exit codes: 0 success / all checks pass, 1 a check or
 reconstruction failed, 2 usage or parameter error.
 
-Every run is a pure function of its flags and seed; CSV uses 17 significant
-digits and JSON uses the shortest round-trip float representation, so
-repeated invocations produce byte-identical output.
+Every run is a pure function of its flags and seed, so repeated invocations
+produce byte-identical output.  ``_write`` alone renders and writes it: CSV
+with 17 significant digits and comma-containing fields quoted, and strict JSON
+with shortest round-trip floats (a non-finite value exits 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -47,7 +50,6 @@ from .moments import (
 from .montecarlo import (
     SplitKernel,
     sample_mittag_leffler,
-    sample_positive_stable,
     sample_rayleigh,
     scale_free_ratio_check,
     simulate_tree_cost,
@@ -71,8 +73,8 @@ _DEFAULT_TOLS = {
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive value, got {text!r}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive value, got {text!r}")
     return value
 
 
@@ -151,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_smp = sub.add_parser("sample", help="seeded Monte Carlo samplers")
     p_smp.add_argument(
-        "--sampler", required=True, choices=("rayleigh", "stable", "mittag-leffler", "tree")
+        "--sampler", required=True, choices=("rayleigh", "mittag-leffler", "tree")
     )
     p_smp.add_argument("--n", type=int, required=True)
     p_smp.add_argument("--reps", type=int, default=None, help="replicates for the tree sampler")
@@ -183,7 +185,36 @@ def _manifest(args) -> dict:
     return {"tool": "limitlaw", "version": __version__, "arguments": resolved}
 
 
-def _emit(args, text: str) -> None:
+def _write(args, table, payload) -> None:
+    """Render the output in ``args.format`` and write it to --output or stdout.
+
+    ``table()`` returns ``(comments, header, rows)`` or a finished CSV string;
+    ``payload()`` returns a JSON object, or a list of objects for JSON lines.
+    Only the requested format is built.  The manifest is the first CSV comment,
+    the first JSON line, or the ``"manifest"`` key of a single JSON object.
+    CSV floats get 17 significant digits and None an empty field.
+    """
+    manifest = _manifest(args) if args.manifest else None
+    if args.format == "csv":
+        text = table()
+        if not isinstance(text, str):
+            comments, header, rows = text
+            buf = io.StringIO()
+            buf.writelines(f"# {line}\n" for line in comments)
+            csv.writer(buf, lineterminator="\n").writerows(
+                [format(v, ".17g") if isinstance(v, float) else v for v in row]
+                for row in [header, *rows]
+            )
+            text = buf.getvalue()
+        if manifest is not None:
+            text = "# manifest=" + json.dumps(manifest, allow_nan=False) + "\n" + text
+    else:
+        body = payload()
+        if isinstance(body, list):
+            objects = body if manifest is None else [{"manifest": manifest}, *body]
+        else:
+            objects = [body if manifest is None else {**body, "manifest": manifest}]
+        text = "".join(json.dumps(obj, allow_nan=False) + "\n" for obj in objects)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -219,20 +250,11 @@ def cmd_moments(args) -> int:
             raise ValueError("--which mittag-leffler requires --alpha")
         seq = mittag_leffler_moments(args.alpha, args.smax)
 
-    if args.format == "csv":
-        lines = []
-        if args.manifest:
-            lines.append("# manifest=" + json.dumps(_manifest(args)))
-        lines.append(f"# label={seq.label}")
-        lines.append("s,value")
-        lines.extend(f"{s},{v:.17g}" for s, v in enumerate(seq.values))
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        payload = seq.to_dict()
-        payload["rows"] = [[s, float(v)] for s, v in enumerate(seq.values)]
-        if args.manifest:
-            payload["manifest"] = _manifest(args)
-        _emit(args, json.dumps(payload) + "\n")
+    _write(
+        args,
+        lambda: ([f"label={seq.label}"], ("s", "value"), enumerate(seq.values)),
+        lambda: {**seq.to_dict(), "rows": [[s, float(v)] for s, v in enumerate(seq.values)]},
+    )
     return 0
 
 
@@ -318,41 +340,21 @@ def cmd_check(args) -> int:
 
     if identity == "phi-adjudicate":
         results = [adjudicate_phi_convention(a, args.smax, tol) for a in a_primes]
-        if args.format == "json":
-            lines = [json.dumps(r.to_dict()) for r in results]
-            if args.manifest:
-                lines.insert(0, json.dumps({"manifest": _manifest(args)}))
-        else:
-            lines = []
-            if args.manifest:
-                lines.append("# manifest=" + json.dumps(_manifest(args)))
-            lines.append("a_prime,convention,max_deviation,log10_slope,pass")
-            for r in results:
-                for conv, rep in r.reports.items():
-                    slope = r.slopes[conv]
-                    lines.append(
-                        f"{r.a_prime:.17g},{conv},{rep.max_deviation:.17g},"
-                        f"{'' if slope is None else format(slope, '.17g')},{rep.passed}"
-                    )
-        _emit(args, "\n".join(lines) + "\n")
+        header = ("a_prime", "convention", "max_deviation", "log10_slope", "pass")
+        rows = (
+            (r.a_prime, conv, rep.max_deviation, r.slopes[conv], rep.passed)
+            for r in results
+            for conv, rep in r.reports.items()
+        )
+        _write(args, lambda: ([], header, rows), lambda: [r.to_dict() for r in results])
         return 0  # diagnostic only, never a failure
 
     reports = _identity_reports(identity, alphas, betas, a_primes, args.smax, tol)
-    if args.format == "json":
-        lines = [json.dumps(r.to_dict()) for r in reports]
-        if args.manifest:
-            lines.insert(0, json.dumps({"manifest": _manifest(args)}))
-    else:
-        lines = []
-        if args.manifest:
-            lines.append("# manifest=" + json.dumps(_manifest(args)))
-        lines.append("identity,label_a,label_b,max_deviation,tolerance,pass")
-        lines.extend(
-            f"{identity},{r.label_a},{r.label_b},{r.max_deviation:.17g},"
-            f"{r.tolerance:.17g},{r.passed}"
-            for r in reports
-        )
-    _emit(args, "\n".join(lines) + "\n")
+    header = ("identity", "label_a", "label_b", "max_deviation", "tolerance", "pass")
+    rows = (
+        (identity, r.label_a, r.label_b, r.max_deviation, r.tolerance, r.passed) for r in reports
+    )
+    _write(args, lambda: ([], header, rows), lambda: [r.to_dict() for r in reports])
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -380,16 +382,7 @@ def cmd_density(args) -> int:
         grid = default_grid(spec, points)
 
     table = invert(spec, grid, threads=args.threads)
-    if args.format == "csv":
-        text = table.to_csv()
-        if args.manifest:
-            text = "# manifest=" + json.dumps(_manifest(args)) + "\n" + text
-    else:
-        payload = table.to_dict()
-        if args.manifest:
-            payload["manifest"] = _manifest(args)
-        text = json.dumps(payload) + "\n"
-    _emit(args, text)
+    _write(args, table.to_csv, table.to_dict)
     return 0
 
 
@@ -404,10 +397,6 @@ def cmd_sample(args) -> int:
     sampler = args.sampler
     if sampler == "rayleigh":
         summary = sample_rayleigh(args.sigma, args.n, args.seed, args.smax, args.threads)
-    elif sampler == "stable":
-        if args.alpha is None:
-            raise ValueError("--sampler stable requires --alpha")
-        summary = sample_positive_stable(args.alpha, args.n, args.seed, args.smax, args.threads)
     elif sampler == "mittag-leffler":
         if args.alpha is None:
             raise ValueError("--sampler mittag-leffler requires --alpha")
@@ -423,37 +412,28 @@ def cmd_sample(args) -> int:
             kernel, args.toll_exponent, args.n, reps, args.seed, args.smax, args.threads
         )
 
-    check_report = None
+    check = None
     if args.check_against is not None:
-        check_report = scale_free_ratio_check(summary, _parse_check_against(args.check_against))
+        check = scale_free_ratio_check(summary, _parse_check_against(args.check_against))
 
-    if args.format == "json":
-        payload = {"summary": summary.to_dict()}
-        if check_report is not None:
-            payload["check"] = check_report.to_dict()
-        if args.manifest:
-            payload["manifest"] = _manifest(args)
-        _emit(args, json.dumps(payload) + "\n")
-    else:
-        lines = []
-        if args.manifest:
-            lines.append("# manifest=" + json.dumps(_manifest(args)))
-        lines.append(f"# sampler={summary.sampler} n={summary.n} seed={summary.seed}")
-        if check_report is not None:
-            lines.append(
-                f"# check={check_report.label_b} max_deviation="
-                f"{check_report.max_deviation:.17g} pass={check_report.passed}"
+    def table():
+        comments = [f"sampler={summary.sampler} n={summary.n} seed={summary.seed}"]
+        if check is not None:
+            comments.append(
+                f"check={check.label_b} max_deviation={check.max_deviation:.17g}"
+                f" pass={check.passed}"
             )
-        lines.append("s,moment,standard_error")
-        lines.extend(
-            f"{s},{m:.17g},{se:.17g}"
-            for s, (m, se) in enumerate(zip(summary.moments, summary.standard_errors))
-        )
-        _emit(args, "\n".join(lines) + "\n")
+        rows = zip(range(summary.max_order + 1), summary.moments, summary.standard_errors)
+        return comments, ("s", "moment", "standard_error"), rows
 
-    if check_report is not None and not check_report.passed:
-        return 1
-    return 0
+    def payload():
+        out = {"summary": summary.to_dict()}
+        if check is not None:
+            out["check"] = check.to_dict()
+        return out
+
+    _write(args, table, payload)
+    return 0 if check is None or check.passed else 1
 
 
 def main(argv=None) -> int:

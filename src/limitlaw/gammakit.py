@@ -47,37 +47,6 @@ _STIRLING_COEFFS = (
 _STIRLING_CUTOVER = 20.0
 
 
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """Exact product a*b = p + err in double precision (Dekker)."""
-    p = a * b
-    a_hi = (a * _SPLIT) - ((a * _SPLIT) - a)
-    a_lo = a - a_hi
-    b_hi = (b * _SPLIT) - ((b * _SPLIT) - b)
-    b_lo = b - b_hi
-    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return p, err
-
-
-def _log_dd(x: float) -> tuple[float, float]:
-    """ln(x) as a head/tail pair, accurate to ~1e-17 absolute."""
-    m, e = math.frexp(x)  # x = m * 2**e with m in [0.5, 1)
-    return e * _LN2_HI, e * _LN2_LO + math.log(m)
-
-
-def _log_gamma_stirling(x: float) -> float:
-    lx_hi, lx_lo = _log_dd(x)
-    xm = x - 0.5  # exact for x >= 1
-    p_hi, p_lo = _two_prod(xm, lx_hi)
-    pieces = [p_hi, p_lo, xm * lx_lo, -x, _HALF_LN_2PI_HI, _HALF_LN_2PI_LO]
-    inv = 1.0 / x
-    inv2 = inv * inv
-    t = inv
-    for c in _STIRLING_COEFFS:
-        pieces.append(c * t)
-        t *= inv2
-    return math.fsum(pieces)
-
-
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for real x > 0.
 
@@ -93,7 +62,7 @@ def log_gamma(x: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"log_gamma requires a finite x > 0, got {x!r}")
     if x >= _STIRLING_CUTOVER:
-        return _log_gamma_stirling(x)
+        return float(_log_gamma_stirling_vec(np.float64(x)))
     return float(special.gammaln(x))
 
 
@@ -112,11 +81,12 @@ def _two_prod_vec(a, b):
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _log_gamma_stirling_vec(x: np.ndarray) -> np.ndarray:
-    m, e = np.frexp(x)
-    lx_hi = e * _LN2_HI
+def _log_gamma_stirling_vec(x):
+    """Stirling series for x >= _STIRLING_CUTOVER, scalar or ndarray."""
+    m, e = np.frexp(x)  # x = m * 2**e with m in [0.5, 1)
+    lx_hi = e * _LN2_HI  # ln(x) as a head/tail pair, ~1e-17 absolute
     lx_lo = e * _LN2_LO + np.log(m)
-    xm = x - 0.5
+    xm = x - 0.5  # exact for x >= 1
     p_hi, p_lo = _two_prod_vec(xm, lx_hi)
     inv = 1.0 / x
     inv2 = inv * inv
@@ -143,7 +113,8 @@ def log_gamma_array(x) -> np.ndarray:
         If any entry is non-finite or non-positive.
     """
     arr = np.asarray(x, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
+    # one min/max pass each; a NaN entry fails the comparison as well
+    if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):
         raise ValueError("log_gamma_array requires finite entries > 0")
     small = arr < _STIRLING_CUTOVER
     n_small = int(np.count_nonzero(small))

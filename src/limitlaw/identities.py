@@ -4,6 +4,7 @@ the Laplace-exponent convention adjudication, and moment-problem diagnostics
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,11 @@ __all__ = [
 _DENOM_EPS = 1e-300
 
 
+def _finite_or_none(value) -> float | None:
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     """Elementwise relative deviation between two equally long sequences."""
@@ -47,12 +53,14 @@ class ComparisonReport:
         object.__setattr__(self, "deviations", devs)
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; a non-finite deviation (zero standard error in a
+        Monte Carlo check) becomes None, i.e. JSON null."""
         return {
             "label_a": self.label_a,
             "label_b": self.label_b,
             "tolerance": float(self.tolerance),
-            "per_s_deviations": [float(d) for d in self.deviations],
-            "max_deviation": float(self.max_deviation),
+            "per_s_deviations": [_finite_or_none(d) for d in self.deviations],
+            "max_deviation": _finite_or_none(self.max_deviation),
             "pass": bool(self.passed),
             "params": dict(self.params),
         }

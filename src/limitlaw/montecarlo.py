@@ -33,7 +33,6 @@ __all__ = [
     "mittag_leffler_samples",
     "tree_cost_samples",
     "sample_rayleigh",
-    "sample_positive_stable",
     "sample_mittag_leffler",
     "simulate_tree_cost",
     "enumerate_tree_costs",
@@ -275,13 +274,6 @@ def sample_rayleigh(
 ) -> SampleSummary:
     x = rayleigh_samples(sigma, n, seed, threads)
     return summarize(x, s_max, seed, "rayleigh", {"sigma": float(sigma)})
-
-
-def sample_positive_stable(
-    alpha: float, n: int, seed: int, s_max: int = 4, threads: int = 1
-) -> SampleSummary:
-    x = positive_stable_samples(alpha, n, seed, threads)
-    return summarize(x, s_max, seed, "stable", {"alpha": float(alpha)})
 
 
 def sample_mittag_leffler(

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: flags, output formats,
 exit codes, and byte-level reproducibility."""
 
+import csv
 import hashlib
 import json
 import math
@@ -150,6 +151,20 @@ class TestCheckCommand:
         code, _, _ = run_cli(capsys, "check", "--identity", "tilt", "--tol", "-1")
         assert code == 2
 
+    # labels such as "scale(tilted(alpha=0.5, beta=0.5), 0.707107)" contain
+    # commas, so they must be quoted for every row to keep the header's width
+    @pytest.mark.parametrize(
+        "identity",
+        ["tilt", "corollary", "mittag-leffler", "exp-functional", "phi-adjudicate",
+         "t-independence"],
+    )
+    def test_csv_rows_match_header_width(self, capsys, identity):
+        code, out, _ = run_cli(capsys, "check", "--identity", identity, "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(out.splitlines())
+        assert rows
+        assert all(len(row) == len(header) for row in rows)
+
 
 class TestDensityCommand:
     def test_mittag_leffler_half_density_at_one(self, capsys):
@@ -243,9 +258,15 @@ class TestSampleCommand:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
-    def test_stable_requires_alpha(self, capsys):
-        code, _, _ = run_cli(capsys, "sample", "--sampler", "stable", "--n", "100")
+    def test_stable_sampler_is_rejected(self, capsys):
+        # one-sided stable laws have no integer moments, so there is nothing
+        # to summarise
+        code, out, err = run_cli(
+            capsys, "sample", "--sampler", "stable", "--alpha", "0.5", "--n", "100"
+        )
         assert code == 2
+        assert out == ""
+        assert "invalid choice: 'stable'" in err
 
     def test_bad_check_against_syntax_exits_2(self, capsys):
         code, _, _ = run_cli(
@@ -298,15 +319,33 @@ class TestSampleCommand:
         assert len(rows) == 5
 
     def test_non_finite_summary_exits_2(self, capsys):
-        # alpha = 0.1 stable draws reach ~1e60, so (S**3)**2 overflows
+        # sigma = 1e100 draws reach ~1e100, so (X**2)**2 overflows
         code, out, err = run_cli(
             capsys,
-            "sample", "--sampler", "stable", "--alpha", "0.1", "--n", "100000", "--seed", "7",
+            "sample", "--sampler", "rayleigh", "--sigma", "1e100", "--n", "1000", "--seed", "1",
         )
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
-        assert err.startswith("error: moment of order 3 is not finite")
+        assert err.startswith("error: moment of order 2 is not finite")
+
+    def test_zero_standard_error_check_is_strict_json(self, capsys):
+        # n = 2 trees all cost 2, so the ratio standard errors are zero and the
+        # deviations infinite; JSON carries them as null
+        code, out, _ = run_cli(
+            capsys,
+            "sample", "--sampler", "tree", "--n", "2", "--reps", "50",
+            "--check-against", "fkp:0.5", "--format", "json",
+        )
+        assert code == 1
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        check = json.loads(out, parse_constant=reject)["check"]
+        assert check["per_s_deviations"] == [None, None]
+        assert check["max_deviation"] is None
+        assert check["pass"] is False
 
     # stdout digests recorded with the earlier math.fsum reductions: summation
     # is exact and correctly rounded, so a flipped last bit fails here
@@ -343,6 +382,90 @@ class TestSampleCommand:
 
 
 class TestPlumbing:
+    # stdout digests recorded before the CLI's output code was unified
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "10"),
+                "0bd6162252efb1596d8832594f6be2a964e27c2724356b30d12d9b882b2f4617",
+            ),
+            (
+                ("moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "10", "--manifest"),
+                "6d9b022e751d511e0e397615057a81dc1a674ae6171d45de64d25a24736362c2",
+            ),
+            (
+                ("moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "10",
+                 "--format", "json"),
+                "1d9a19a0393c3a71c5d379b57acd5f0c6d636d72daa836b0439327198b39dff7",
+            ),
+            (
+                ("moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "10",
+                 "--format", "json", "--manifest"),
+                "70523091f06268b1095e78978d22754d8b1bdba0b2a358ca1a4b338ac8a02a05",
+            ),
+            (
+                ("check", "--identity", "phi-adjudicate", "--format", "csv"),
+                "f6780b8f16f5d54ce6882e9ee647ca6f45c00510c766d7377d6980c1faae3462",
+            ),
+            (
+                ("check", "--identity", "phi-adjudicate"),
+                "80a3c0b5244d1ca67765302ee826cad27f0b4ffd6f5d4c9f40c0f6adeed851fa",
+            ),
+            (
+                ("check", "--identity", "tilt", "--manifest"),
+                "dbf45d80c569fe6adcffc11c22b9b499f7d22876b1381148a9492b0b771318f4",
+            ),
+            (
+                ("density", "--spec", "mittag-leffler", "--alpha", "0.5",
+                 "--grid-min", "0.01", "--grid-max", "8", "--grid-points", "41"),
+                "40e49a84b914817061115de68d9e2c26299b4da5ee3a4074dd1db2fe4da83b77",
+            ),
+            (
+                ("density", "--spec", "mittag-leffler", "--alpha", "0.5",
+                 "--grid-min", "0.01", "--grid-max", "8", "--grid-points", "41",
+                 "--format", "json"),
+                "ad2e13201d0a90b196aae8f20b41c72336eea9809df7e1a95919865dc46c238c",
+            ),
+            (
+                ("sample", "--sampler", "rayleigh", "--n", "200000", "--seed", "42",
+                 "--check-against", "fkp:0.5", "--format", "csv"),
+                "1cae466890a6ef60856358e46c8de970160b8b8170dba089999d607fc8d8f7bc",
+            ),
+        ],
+        ids=[
+            "moments-csv", "moments-csv-manifest", "moments-json", "moments-json-manifest",
+            "phi-adjudicate-csv", "phi-adjudicate-json", "check-json-manifest",
+            "density-csv", "density-json", "sample-csv-check",
+        ],
+    )
+    def test_pinned_stdout_digest(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.delenv("LIMITLAW_THREADS", raising=False)  # the manifest records threads
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("moments", "--which", "fkp", "--a-prime", "0.5", "--format", "json", "--manifest"),
+            ("check", "--identity", "corollary", "--format", "csv", "--manifest"),
+            (
+                "density", "--spec", "mittag-leffler", "--alpha", "0.5",
+                "--grid-min", "0.01", "--grid-max", "8", "--grid-points", "41", "--manifest",
+            ),
+            ("sample", "--sampler", "rayleigh", "--n", "1000", "--seed", "1",
+             "--check-against", "fkp:0.5"),
+        ],
+        ids=["moments", "check", "density", "sample"],
+    )
+    def test_output_file_matches_stdout(self, capsys, tmp_path, argv):
+        _, out, _ = run_cli(capsys, *argv)
+        path = tmp_path / "out"
+        code, file_out, _ = run_cli(capsys, *argv, "--output", str(path))
+        assert code == 0
+        assert file_out == ""
+        assert path.read_bytes() == out.encode()
     def test_manifest_in_json(self, capsys):
         code, out, _ = run_cli(
             capsys,

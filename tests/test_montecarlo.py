@@ -23,7 +23,6 @@ from limitlaw import (
     positive_stable_samples,
     rayleigh_samples,
     sample_mittag_leffler,
-    sample_positive_stable,
     sample_rayleigh,
     scale_free_ratio_check,
     simulate_tree_cost,
@@ -242,7 +241,7 @@ class TestPositiveStable:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.3])
     def test_boundary_alpha_rejected(self, alpha):
         with pytest.raises(ValueError):
-            sample_positive_stable(alpha, 100, 0)
+            positive_stable_samples(alpha, 100, 0)
 
 
 class TestMittagLeffler:
