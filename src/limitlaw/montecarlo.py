@@ -14,9 +14,9 @@ sum rounded once (``_ExactSum``, hence order-independent), so identical
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -283,16 +283,50 @@ def sample_mittag_leffler(
     return summarize(x, s_max, seed, "mittag-leffler", {"alpha": float(alpha)})
 
 
+# One parsed kernel CSV row.
+_KERNEL_ROW = np.dtype([("n", np.int64), ("k", np.int64), ("p", np.float64)])
+
+
+def _kernel_lines(fh):
+    """(line number, text, fields) of each kernel CSV line that holds data,
+    split the way ``np.loadtxt`` splits it: ``#`` starts a comment, and a line
+    left empty is skipped."""
+    for number, line in enumerate(fh, 1):
+        text = line.rstrip("\r\n")
+        data = text.partition("#")[0]
+        if data:
+            yield number, text, data.split(",")
+
+
+def _parses(fields, types) -> bool:
+    """Whether the first len(types) fields convert with ``types``; later
+    fields are ignored, as ``np.loadtxt`` ignores columns outside ``usecols``."""
+    try:
+        for i, convert in enumerate(types):
+            convert(fields[i])
+    except (IndexError, ValueError):
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class SplitKernel:
     """Distribution family of the split size K_n on {1..n-1}.
 
     family "uniform" covers every size; family "table" carries explicit
     probability vectors per size (row n gives P(K_n = k) for k = 1..n-1).
+    A table kernel also keeps every row's CDF (``np.cumsum`` of the row) as
+    one flat array of complex keys size + 1j * cdf, ordered by size, and the
+    offset of each size's segment in it.  numpy orders complex values
+    lexicographically, so one ``searchsorted`` over the keys finds each
+    draw's split inside its own size's segment, comparing u with the same
+    CDF doubles as a per-size search.
     """
 
     family: str
     table: dict | None = None
+    _keys: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _start: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in ("uniform", "table"):
@@ -311,6 +345,8 @@ class SplitKernel:
                         f"size {size} needs {size - 1} probabilities for k=1..{size - 1}, "
                         f"got {p.size}"
                     )
+                if not np.isfinite(p).all():
+                    raise ValueError(f"size {size}: probabilities must be finite")
                 if np.any(p < 0.0):
                     raise ValueError(f"size {size}: probabilities must be nonnegative")
                 if abs(float(p.sum()) - 1.0) > 1e-12:
@@ -319,7 +355,18 @@ class SplitKernel:
                     )
                 p.flags.writeable = False
                 clean[size] = p
+            sizes = sorted(clean)
+            lengths = np.array(sizes, dtype=np.int64) - 1
+            # -1 marks a size without a row; the last entry stands for every
+            # size above the largest, where draw clips its lookups
+            start = np.full(sizes[-1] + 2, -1, dtype=np.int64)
+            start[sizes] = np.cumsum(lengths) - lengths
+            keys = np.empty(int(lengths.sum()), dtype=complex)
+            keys.real = np.repeat(np.array(sizes, dtype=float), lengths)
+            keys.imag = np.concatenate([np.cumsum(clean[size]) for size in sizes])
             object.__setattr__(self, "table", clean)
+            object.__setattr__(self, "_keys", keys)
+            object.__setattr__(self, "_start", start)
         elif self.table is not None:
             raise ValueError("uniform kernel takes no table")
 
@@ -333,34 +380,47 @@ class SplitKernel:
 
     @classmethod
     def from_csv(cls, path) -> "SplitKernel":
-        """Load a table kernel from CSV rows (n, k, probability); an optional
-        header row is skipped.  Missing (n, k) pairs default to probability 0."""
-        rows: dict[int, dict[int, float]] = {}
-        with open(path, newline="") as fh:
-            for line, row in enumerate(csv.reader(fh), 1):
-                if not row or row[0].strip().startswith("#"):
-                    continue
-                try:
-                    size = int(row[0])
-                except ValueError:
-                    continue  # header row
-                try:
-                    k, prob = int(row[1]), float(row[2])
-                except (IndexError, ValueError):
-                    raise ValueError(
-                        f"kernel row {line} {','.join(row)!r}: expected n,k,probability"
-                    ) from None
-                if not 1 <= k <= size - 1:
-                    raise ValueError(f"size {size}: split k={k} outside 1..{size - 1}")
-                entries = rows.setdefault(size, {})
-                entries[k] = entries.get(k, 0.0) + prob
-        table = {}
-        for size, entries in rows.items():
-            p = np.zeros(size - 1)
-            for k, prob in entries.items():
-                p[k - 1] = prob
-            table[size] = p
-        return cls.from_table(table)
+        """Load a table kernel from CSV rows n,k,probability.
+
+        ``#`` starts a comment and empty lines are skipped.  The first row
+        left is a header when its first field is not an integer; every other
+        row must parse.  Rows repeating an (n, k) pair add up in file order,
+        and missing (n, k) pairs have probability 0.
+        """
+        with open(path) as fh:
+            first = next(_kernel_lines(fh), None)
+            header = first[0] if first and not _parses(first[2], (int,)) else 0
+            fh.seek(0)
+            try:
+                with warnings.catch_warnings():
+                    # a file without data rows fails below as an empty table
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(
+                        fh, dtype=_KERNEL_ROW, delimiter=",", skiprows=header,
+                        usecols=(0, 1, 2), ndmin=1,
+                    )
+            except ValueError:
+                fh.seek(0)
+                for number, text, fields in _kernel_lines(fh):
+                    if number > header and not _parses(fields, (int, int, float)):
+                        raise ValueError(
+                            f"kernel row {number} {text!r}: expected n,k,probability"
+                        ) from None
+                raise  # a field Python parses but numpy does not, such as 1_0
+        n, k = rows["n"], rows["k"]
+        outside = np.flatnonzero((k < 1) | (k > n - 1))
+        if outside.size:
+            size, split = int(n[outside[0]]), int(k[outside[0]])
+            raise ValueError(f"size {size}: split k={split} outside 1..{size - 1}")
+        sizes, row_size = np.unique(n, return_inverse=True)
+        lengths = sizes - 1
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        flat = np.zeros(int(lengths.sum()))
+        np.add.at(flat, starts[row_size] + k - 1, rows["p"])
+        return cls.from_table(
+            {int(size): flat[lo:hi] for size, lo, hi in zip(sizes, starts, ends)}
+        )
 
     def covers(self, size: int) -> bool:
         return self.family == "uniform" or int(size) in self.table
@@ -378,18 +438,22 @@ class SplitKernel:
 
     def draw(self, sizes: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Split sizes K for an array of current sizes (all >= 2) and matched
-        uniforms; vectorized and deterministic in (sizes, u)."""
+        uniforms; vectorized and deterministic in (sizes, u).
+
+        A table draw is 1 + the number of CDF entries of its size that are
+        <= u, capped at size - 1 for rows that sum to just under 1.
+        """
         sizes = np.asarray(sizes)
         if self.family == "uniform":
             k = 1 + (u * (sizes - 1)).astype(np.int64)
             return np.minimum(k, sizes - 1)
-        out = np.empty(sizes.size, dtype=np.int64)
-        for size in np.unique(sizes):
-            mask = sizes == size
-            cdf = np.cumsum(self.probs(int(size)))
-            idx = np.searchsorted(cdf, u[mask], side="right")
-            out[mask] = 1 + np.minimum(idx, size - 2)
-        return out
+        start = self._start.take(sizes, mode="clip")
+        missing = start < 0
+        if missing.any():
+            size = int(sizes[missing][0])
+            raise ValueError(f"split kernel has no distribution for size {size}")
+        idx = np.searchsorted(self._keys, sizes + 1j * u, side="right") - start
+        return 1 + np.minimum(idx, sizes - 2)
 
 
 def tree_cost_samples(

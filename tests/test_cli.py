@@ -7,10 +7,15 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from limitlaw.cli import main
+
+# P(K_n = k) proportional to k for n <= 30, with every k divisible by 3 left
+# out (missing pairs) and the k = 1 entry split over two rows
+SPARSE_KERNEL = str(Path(__file__).parent / "data" / "kernel-sparse-30.csv")
 
 
 def run_cli(capsys, *argv):
@@ -299,6 +304,29 @@ class TestSampleCommand:
         assert out == ""
         assert err == "error: kernel row 3 '3,1': expected n,k,probability\n"
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("2,1,nan\n3,1,nan\n3,2,nan\n", "size 2: probabilities must be finite"),
+            (
+                "n,k,probability\n2,1,1.0\n3O,2,0.5\n3,1,0.5\n3,2,0.5\n",
+                "kernel row 3 '3O,2,0.5': expected n,k,probability",
+            ),
+        ],
+        ids=["non-finite", "stray-row"],
+    )
+    def test_bad_kernel_file_exits_2(self, capsys, tmp_path, text, error):
+        path = tmp_path / "kernel.csv"
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys,
+            "sample", "--sampler", "tree", "--n", "3", "--reps", "10",
+            "--kernel-file", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {error}\n"
+
     def test_missing_kernel_file_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys,
@@ -372,8 +400,21 @@ class TestSampleCommand:
                  "--format", "csv"),
                 "b9e162b25c93de994ead86d697e10152959315a386d5980580c6899292015a3f",
             ),
+            # recorded with the per-size CDF search that table draws replaced
+            *(
+                (
+                    ("sample", "--sampler", "tree", "--n", "30", "--reps", "70000", "--seed", "8",
+                     "--toll-exponent", "0.5", "--threads", threads,
+                     "--kernel-file", SPARSE_KERNEL),
+                    "8b60cfe705645f9460c6b41c1f486e87c1ba0a360696a92be584bc258500a592",
+                )
+                for threads in ("1", "2")
+            ),
         ],
-        ids=["rayleigh-check", "mittag-leffler-threads", "tree", "rayleigh-csv"],
+        ids=[
+            "rayleigh-check", "mittag-leffler-threads", "tree", "rayleigh-csv",
+            "tree-table-threads-1", "tree-table-threads-2",
+        ],
     )
     def test_pinned_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
@@ -548,6 +589,16 @@ class TestPlumbing:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second and first != ""
+
+    def test_runs_as_package_module(self):
+        argv = ["moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "3"]
+        package = subprocess.run(
+            [sys.executable, "-m", "limitlaw", *argv], capture_output=True, check=True
+        )
+        module = subprocess.run(
+            [sys.executable, "-m", "limitlaw.cli", *argv], capture_output=True, check=True
+        )
+        assert package.stdout == module.stdout != b""
 
     def test_byte_identical_across_processes(self):
         argv = [

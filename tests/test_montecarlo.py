@@ -277,6 +277,35 @@ class TestStableConvergence:
         assert all(b < a for a, b in zip(small_se, large_se))
 
 
+def reference_table_draw(table, sizes, u):
+    """Per-size inverse-CDF search: the table draw this must equal bit for bit."""
+    out = np.empty(sizes.size, dtype=np.int64)
+    for size in np.unique(sizes):
+        mask = sizes == size
+        idx = np.searchsorted(np.cumsum(table[int(size)]), u[mask], side="right")
+        out[mask] = 1 + np.minimum(idx, size - 2)
+    return out
+
+
+@st.composite
+def split_rows(draw, size):
+    """A probability row for k = 1..size-1 with zero entries (CDF ties),
+    sometimes scaled to sum to 1 - 1e-13."""
+    weight = st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0]) | st.floats(0.0, 1.0)
+    weights = draw(
+        st.lists(weight, min_size=size - 1, max_size=size - 1).filter(lambda w: sum(w) > 0.0)
+    )
+    scale = draw(st.sampled_from([1.0, 1.0 - 1e-13]))
+    return np.array(weights) / math.fsum(weights) * scale
+
+
+# sparse size sets: a few sizes out of 2..24
+TABLES = st.sets(st.integers(2, 24), min_size=1, max_size=5).flatmap(
+    lambda sizes: st.fixed_dictionaries({size: split_rows(size) for size in sizes})
+)
+UNIFORMS = st.sampled_from([0.0, 0.25, 0.5, 1.0 - 2**-53]) | st.floats(0.0, 1.0, exclude_max=True)
+
+
 class TestSplitKernel:
     def test_uniform_probs(self):
         k = SplitKernel.uniform()
@@ -295,6 +324,12 @@ class TestSplitKernel:
         with pytest.raises(ValueError, match="nonnegative"):
             SplitKernel.from_table({3: [1.5, -0.5]})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_table_validation_non_finite(self, bad):
+        # nan fails every comparison, so the sum check alone let it through
+        with pytest.raises(ValueError, match="size 3: probabilities must be finite"):
+            SplitKernel.from_table({2: [1.0], 3: [bad, bad]})
+
     def test_missing_size_named(self):
         kernel = SplitKernel.from_table({2: [1.0], 4: [0.5, 0.25, 0.25]})
         with pytest.raises(ValueError, match="size 3"):
@@ -309,18 +344,59 @@ class TestSplitKernel:
         assert np.allclose(kernel.probs(3), [0.25, 0.75])
         assert np.allclose(kernel.probs(4), [0.5, 0.25, 0.25])
 
+    @pytest.mark.parametrize("header", ["", "# split law\n\nn,k,probability\n"])
+    def test_csv_contract(self, tmp_path, header):
+        path = tmp_path / "kernel.csv"
+        path.write_text(
+            header + "2,1,0.7\n2,1,0.2  # a trailing comment\n\n# a comment row\n2,1,0.1\n"
+            "3,2,1.0,an extra column\n"
+        )
+        kernel = SplitKernel.from_csv(path)
+        # repeated (n, k) rows add up in file order; a missing pair is 0
+        assert kernel.probs(2).tolist() == [0.7 + 0.2 + 0.1]
+        assert kernel.probs(2)[0] != 0.1 + 0.2 + 0.7
+        assert kernel.probs(3).tolist() == [0.0, 1.0]
+
     def test_csv_rejects_out_of_range_split(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("n,k,probability\n3,3,1.0\n")
         with pytest.raises(ValueError, match="outside"):
             SplitKernel.from_csv(path)
 
-    @pytest.mark.parametrize("row", ["3,1", "3", "3,1,x"])
+    # only the first row may be a header, so a stray "3O" or "3.0" is an error
+    @pytest.mark.parametrize("row", ["3,1", "3", "3,1,x", "3O,2,0.5", "3.0,1,0.5", "   "])
     def test_csv_rejects_malformed_row(self, tmp_path, row):
         path = tmp_path / "short.csv"
         path.write_text(f"n,k,probability\n2,1,1.0\n{row}\n")
         with pytest.raises(ValueError, match=f"kernel row 3 '{row}'"):
             SplitKernel.from_csv(path)
+
+    def test_table_draw_of_uncovered_size_is_named(self):
+        kernel = SplitKernel.from_table({2: [1.0], 4: [0.5, 0.25, 0.25]})
+        for size in (3, 5, 1):
+            with pytest.raises(ValueError, match=f"no distribution for size {size}$"):
+                kernel.draw(np.array([4, size, 2]), np.full(3, 0.5))
+
+    @given(
+        table=TABLES,
+        picks=st.lists(st.tuples(st.integers(0, 5), UNIFORMS), min_size=1, max_size=40),
+    )
+    @example(  # CDF ties at zero-probability entries, u = 0, u = 0.5 on a tie
+        table={2: [1.0], 5: [0.0, 0.5, 0.0, 0.5]},
+        picks=[(0, 0.0), (1, 0.0), (1, 0.5), (1, 0.25), (1, 1.0 - 2**-53)],
+    )
+    @example(  # a row summing to 1 - 1e-13: u above its last CDF entry clamps to k = n-1
+        table={3: [0.5, 0.5 - 1e-13], 40: [1.0 / 39] * 39},
+        picks=[(0, 1.0 - 2**-53), (0, 1.0 - 1e-14), (0, 0.5), (1, 1.0 - 2**-53), (1, 0.0)],
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_table_draw_matches_per_size_search(self, table, picks):
+        kernel = SplitKernel.from_table(table)
+        sizes = sorted(table)
+        size = np.array([sizes[i % len(sizes)] for i, _ in picks], dtype=np.int64)
+        u = np.array([v for _, v in picks])
+        expected = reference_table_draw(kernel.table, size, u)
+        assert np.array_equal(kernel.draw(size, u), expected)
 
     def test_draw_stays_in_support(self):
         kernel = SplitKernel.uniform()
