@@ -457,7 +457,7 @@ def main(argv=None) -> int:
     except MellinInversionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

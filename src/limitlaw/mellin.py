@@ -8,6 +8,11 @@ M(s+1) = m_s for the target moment sequence.  The density is recovered as
 by the trapezoid rule on a vertical contour Re(s) = c.  log M is evaluated
 through the complex log-gamma kernel, which is continuous along vertical
 lines in the right half-plane, so the integrand never crosses a branch cut.
+
+On a log-uniform grid x_j = exp(L + j d) with nodes u_k = k h the quadrature
+sum is a chirp-z transform in the product k j, and one Bluestein convolution
+(Rabiner, Schafer & Rader 1969) evaluates it at every grid point.  Other grids
+take the direct grid-by-contour sum.
 """
 
 from __future__ import annotations
@@ -40,6 +45,17 @@ LN2 = math.log(2.0)
 _TRUNCATION_RATIO = 1e-12
 
 _GRID_BLOCK = 128
+
+# Quadrature roundoff allowance in units of eps * x^-c * (weighted |M| mass).
+# Over 1300 random specs, contours 0.25-2, steps 0.01-0.2 and log grids the
+# chirp-z and direct sums stayed within 13 units of each other.  Against the
+# same sum in 25-digit arithmetic the chirp-z sum was within 2.5 units and
+# the direct sum within 12.
+_ROUNDOFF_UNITS = 32.0
+
+# pi to 64 digits, and the binary precision of reduced phases in turns
+_PI_NUM, _PI_DEN = 3141592653589793238462643383279502884197169399375105820974944592, 10**63
+_TURN_BITS = 60
 
 
 class MellinInversionError(RuntimeError):
@@ -248,8 +264,9 @@ def default_grid(spec: MellinSpec, points: int = 1201, x_min: float = 1e-9) -> n
     return np.exp(np.linspace(math.log(x_min), math.log(x_max), points))
 
 
-def _contour_nodes(spec: MellinSpec) -> tuple[np.ndarray, np.ndarray, float]:
-    """Contour ordinates, log M values along them, and the height used.
+def _contour_nodes(spec: MellinSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Contour ordinates, log M values along them, their trapezoid weights,
+    and the height used.
 
     Refuses when |M| at the contour ends is not at least 1e-12 below its
     peak (truncation would pollute the reconstruction).
@@ -279,30 +296,95 @@ def _contour_nodes(spec: MellinSpec) -> tuple[np.ndarray, np.ndarray, float]:
             f"{math.exp(log_end - log_peak):.2e} of its peak "
             f"(needs <= {_TRUNCATION_RATIO:g}); increase the truncation height U"
         )
-    return u, lm, n_half * h
+    weights = np.full(u.size, h)
+    weights[0] = weights[-1] = 0.5 * h
+    return u, lm, weights, n_half * h
 
 
-def invert(spec: MellinSpec, grid, threads: int = 1) -> DensityTable:
-    """Reconstruct the density of the law behind ``spec`` on a positive grid.
+def _reduced_phase(num: int, den: int, m: np.ndarray) -> np.ndarray:
+    """(num/den) * m reduced mod 2 pi into [-pi, pi), for an int64 array m.
 
-    Grid points are integrated independently (and concurrently when
-    threads > 1); the quadrature nodes along the contour are shared and
-    evaluated once, walking the contour monotonically.
+    A double product would carry an absolute error of |num/den * m| * eps,
+    about 1e-12 rad for chirp phases of 1e4 rad.  Here the turns num/den/2pi
+    are a binary fraction p / 2^k held in Python integers, and p * m mod 2^k
+    is summed in int64 from chunks of p short enough that every chunk product
+    is exact.  Only the bits below 2^-60 turns and the final conversion to a
+    double round.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("grid must be a 1-d array with at least 2 points")
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly positive and strictly increasing")
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    bits = max(int(np.max(np.abs(m))).bit_length(), 1)
+    width = 62 - bits  # chunk * m stays below 2^62
+    k = _TURN_BITS + bits + 8
+    p = ((num * _PI_DEN) << k) // (2 * den * _PI_NUM) % (1 << k)
+    total = np.zeros(m.shape, dtype=np.int64)
+    for shift in range(0, k, width):
+        prod = ((p >> shift) & ((1 << width) - 1)) * m
+        drop = k - shift - _TURN_BITS  # prod counts units of 2^(drop - 60) turns
+        if drop >= 62:
+            continue
+        if drop > 0:
+            total += prod >> drop
+        else:
+            total += (prod & ((1 << (k - shift)) - 1)) << -drop
+        total &= (1 << _TURN_BITS) - 1
+    total -= (total >> (_TURN_BITS - 1)) << _TURN_BITS
+    return total * (2.0 * math.pi / 2.0**_TURN_BITS)
 
-    c = spec.contour
-    u, lm, height = _contour_nodes(spec)
-    weights = np.full(u.size, spec.step)
-    weights[0] = weights[-1] = 0.5 * spec.step
 
+def _log_residual(lx: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Origin L = lx[0], step d and the residuals lx_j - (L + j d), rounded
+    once.  lx - L is a two-sum, and d splits into hi + lo of 26 and 27 bits
+    so that j * hi and j * lo are exact for j < 2^26; on a near-uniform grid
+    every remaining subtraction is exact."""
+    origin = float(lx[0])
+    step = float(lx[-1] - lx[0]) / (lx.size - 1)
+    diff = lx - origin
+    back = diff - lx
+    diff_err = (lx - (diff - back)) - (origin + back)
+    big = step * 134217729.0  # 2^27 + 1
+    hi = big - (big - step)
+    j = np.arange(lx.size, dtype=float)
+    return origin, step, ((diff - j * hi) - j * (step - hi)) + diff_err
+
+
+def _chirp_z_sum(grid: np.ndarray, c: float, h: float, lm: np.ndarray, weights: np.ndarray):
+    """The quadrature sum of ``invert`` by one Bluestein convolution, or None
+    when the grid is not log-uniform enough.
+
+    With x_j = exp(L + j d + r_j) and u_k = k h for k = -n..n the sum is
+    x_j^-c / 2pi * sum_k a_k e^{-i theta k j} (1 - i u_k r_j), where
+    a_k = w_k M(c + i u_k) e^{-i u_k L} and theta = h d.  Writing
+    k j = (k^2 + j^2 - (j - k)^2) / 2 turns each sum over k into a
+    convolution with the chirp e^{i theta m^2 / 2}, whose phases are reduced
+    exactly.  The residual r_j enters to first order; the grid is refused
+    when the second-order term could exceed one roundoff unit.
+    """
+    size = grid.size + lm.size - 1
+    origin, d, resid = _log_residual(np.log(grid))
+    n = (lm.size - 1) // 2
+    k = np.arange(-n, n + 1, dtype=np.int64)
+    u = k * h
+    mass = weights * np.exp(lm.real)
+    second_order = 0.5 * float(np.max(resid**2)) * float(np.dot(mass, u * u))
+    if size >= 1 << 26 or second_order > np.finfo(float).eps * float(mass.sum()):
+        return None
+    hn, hd = h.as_integer_ratio()
+    ln, ld = origin.as_integer_ratio()
+    dn, dd = d.as_integer_ratio()
+    a = weights * np.exp(lm - 1j * _reduced_phase(hn * ln, hd * ld, k))
+    m = np.arange(grid.size + n, dtype=np.int64)
+    chirp = np.exp(1j * _reduced_phase(hn * dn, 2 * hd * dd, m * m))
+    fft_size = 1 << (size - 1).bit_length()
+    kernel = np.fft.fft(chirp[np.abs(np.arange(size) - n)], fft_size)
+    signal = np.stack([a, u * a]) * np.conj(chirp[np.abs(k)])
+    conv = np.fft.ifft(np.fft.fft(signal, fft_size) * kernel)[:, 2 * n : size]
+    plain, slope = conv * np.conj(chirp[: grid.size])
+    return grid ** (-c) * (plain - 1j * resid * slope) / (2.0 * math.pi)
+
+
+def _direct_sum(grid: np.ndarray, c: float, u: np.ndarray, lm: np.ndarray,
+                weights: np.ndarray, threads: int = 1) -> np.ndarray:
+    """The quadrature sum of ``invert`` point by point, in blocks of grid
+    points (concurrently when threads > 1)."""
     s_line = c + 1j * u
 
     def _block(block: np.ndarray) -> np.ndarray:
@@ -315,14 +397,45 @@ def invert(spec: MellinSpec, grid, threads: int = 1) -> DensityTable:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_block, blocks))
-    f_complex = np.concatenate(parts)
+    return np.concatenate(parts)
+
+
+def _noise_floor(grid: np.ndarray, c: float, lm: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-point quadrature roundoff floor:
+    _ROUNDOFF_UNITS * eps * x^-c * (weighted |M| mass) / 2pi."""
+    quad_mass = float(np.dot(weights, np.exp(lm.real))) / (2.0 * math.pi)
+    return _ROUNDOFF_UNITS * np.finfo(float).eps * grid ** (-c) * quad_mass
+
+
+def invert(spec: MellinSpec, grid, threads: int = 1) -> DensityTable:
+    """Reconstruct the density of the law behind ``spec`` on a positive grid.
+
+    The quadrature nodes along the contour are shared and evaluated once,
+    walking the contour monotonically.  A log-uniform grid takes one chirp-z
+    convolution; any other grid is integrated point by point, concurrently
+    when threads > 1.  Both give the same sum within ``noise_floor``, and
+    neither depends on ``threads``.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("grid must be a 1-d array with at least 2 points")
+    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("grid must be strictly positive and strictly increasing")
+    threads = int(threads)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
+
+    c = spec.contour
+    u, lm, weights, height = _contour_nodes(spec)
+
+    f_complex = _chirp_z_sum(grid, c, spec.step, lm, weights)
+    if f_complex is None:
+        f_complex = _direct_sum(grid, c, u, lm, weights, threads)
 
     raw = f_complex.real
     imag_abs = np.abs(f_complex.imag)
 
-    # Per-point quadrature roundoff floor: eps * x^{-c} * (weighted |M| mass).
-    quad_mass = float(np.dot(weights, np.exp(lm.real))) / (2.0 * math.pi)
-    noise_floor = np.finfo(float).eps * grid ** (-c) * quad_mass
+    noise_floor = _noise_floor(grid, c, lm, weights)
 
     # Realness is certifiable at 1e-10 relative only where the density sits
     # at least 1e10 above the roundoff floor; below that both parts are noise.

@@ -370,6 +370,21 @@ class SplitKernel:
         elif self.table is not None:
             raise ValueError("uniform kernel takes no table")
 
+    def __eq__(self, other):
+        # the generated __eq__ would compare dicts of arrays, whose truth
+        # value numpy refuses
+        if not isinstance(other, SplitKernel):
+            return NotImplemented
+        mine, theirs = self.table or {}, other.table or {}
+        return (
+            self.family == other.family
+            and mine.keys() == theirs.keys()
+            and all(np.array_equal(p, theirs[size]) for size, p in mine.items())
+        )
+
+    def __hash__(self):
+        return hash((self.family, tuple(sorted(self.table or ()))))
+
     @classmethod
     def uniform(cls) -> "SplitKernel":
         return cls(family="uniform")

@@ -327,6 +327,21 @@ class TestSampleCommand:
         assert out == ""
         assert err == f"error: {error}\n"
 
+    def test_unallocatable_kernel_exits_2(self, capsys, tmp_path):
+        # A size of 1e17 needs a 711 PiB row, beyond any 64-bit address
+        # space, so numpy refuses it without touching memory.
+        path = tmp_path / "kernel.csv"
+        path.write_text("100000000000000000,1,1.0\n")
+        code, out, err = run_cli(
+            capsys,
+            "sample", "--sampler", "tree", "--n", "3", "--reps", "10",
+            "--kernel-file", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1
+
     def test_missing_kernel_file_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys,
@@ -460,13 +475,13 @@ class TestPlumbing:
             (
                 ("density", "--spec", "mittag-leffler", "--alpha", "0.5",
                  "--grid-min", "0.01", "--grid-max", "8", "--grid-points", "41"),
-                "40e49a84b914817061115de68d9e2c26299b4da5ee3a4074dd1db2fe4da83b77",
+                "a732440695e5ae378d4df7a6d2304bf8e0b27ded0c41fd757ffb10b986e667c3",
             ),
             (
                 ("density", "--spec", "mittag-leffler", "--alpha", "0.5",
                  "--grid-min", "0.01", "--grid-max", "8", "--grid-points", "41",
                  "--format", "json"),
-                "ad2e13201d0a90b196aae8f20b41c72336eea9809df7e1a95919865dc46c238c",
+                "b648dd84d69512a7e012c4a32d3f0c13d87c4fce3da4e491ea984cc564624b2b",
             ),
             (
                 ("sample", "--sampler", "rayleigh", "--n", "200000", "--seed", "42",

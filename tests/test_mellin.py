@@ -2,15 +2,21 @@
 
 The Exp(1) and ML(1/2) specs have closed-form densities (e^{-x} and the
 half-normal e^{-x^2/4}/sqrt(pi)) which act as end-to-end oracles for the
-contour quadrature.
+contour quadrature.  The chirp-z sum is checked against the direct sum, and
+the fkp-quarter density against an mpmath contour integral when mpmath is
+installed.
 """
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from limitlaw import mellin
 from limitlaw import (
     MellinInversionError,
     MellinSpec,
@@ -212,3 +218,165 @@ class TestDefaultGrid:
         grid = default_grid(spec, 401)
         m10 = spec.mellin(11.0)
         assert grid[-1] == pytest.approx((m10 / 1e-9) ** 0.1, rel=1e-12)
+
+
+_SPECS = {
+    "exp": lambda alpha, **kw: spec_from_exponential(**kw),
+    "fkp-quarter": lambda alpha, **kw: spec_from_fkp_quarter(**kw),
+    "mittag-leffler": spec_from_mittag_leffler,
+}
+
+# Direct sums above this many grid x contour terms run on fewer grid points.
+_DIRECT_TERMS = 3_000_000
+
+
+def _nodes(spec):
+    return mellin._contour_nodes(spec)[:3]
+
+
+def _log_grid(log_lo, log_span, points, jitter_seed=None):
+    """exp(linspace) as the CLI builds it, or with every log spacing scaled
+    by an independent factor in 1 +- 1e-10."""
+    if jitter_seed is None:
+        return np.exp(np.linspace(log_lo, log_lo + log_span, points))
+    rng = np.random.default_rng(jitter_seed)
+    spacing = log_span / (points - 1) * (1.0 + 1e-10 * rng.uniform(-1.0, 1.0, points - 1))
+    return np.exp(log_lo + np.concatenate([[0.0], np.cumsum(spacing)]))
+
+
+class TestChirpZ:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_SPECS)),
+        alpha=st.floats(0.3, 0.8),
+        contour=st.floats(0.25, 2.0),
+        step=st.floats(0.01, 0.2),
+        points=st.one_of(st.sampled_from([2, 3]), st.integers(2, 2401)),
+        log_lo=st.floats(-21.0, 1.0),
+        log_span=st.floats(0.05, 25.0),
+        jitter_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    )
+    @example("fkp-quarter", 0.5, 0.5, 0.2, 2401, -20.7, 24.0, None)  # N > M
+    @example("exp", 0.5, 2.0, 0.01, 3, -3.0, 5.0, None)  # M > N
+    @example("mittag-leffler", 0.7, 0.5, 0.04, 2, -1.0, 2.0, None)
+    @example("fkp-quarter", 0.5, 0.5, 0.04, 601, -20.7, 24.0, 7)
+    def test_matches_direct_sum(
+        self, name, alpha, contour, step, points, log_lo, log_span, jitter_seed
+    ):
+        spec = _SPECS[name](alpha, contour=contour, step=step)
+        u, lm, weights = _nodes(spec)
+        points = max(2, min(points, _DIRECT_TERMS // u.size))
+        grid = _log_grid(log_lo, log_span, points, jitter_seed)
+        fast = mellin._chirp_z_sum(grid, contour, step, lm, weights)
+        if fast is None:
+            # only a jittered grid may be refused; invert then sums directly
+            assert jitter_seed is not None
+            return
+        direct = mellin._direct_sum(grid, contour, u, lm, weights)
+        floor = mellin._noise_floor(grid, contour, lm, weights)
+        assert np.all(np.abs(fast - direct) <= floor)
+
+    def test_jittered_grid_is_evaluated_where_it_lies(self):
+        # The jitter passes the 1e-9 log-uniformity test, but moves points by
+        # far more than the roundoff floor allows if the chirp-z transform
+        # assumed exact spacing.
+        spec = spec_from_fkp_quarter()
+        u, lm, weights = _nodes(spec)
+        grid = _log_grid(math.log(1e-9), 24.0, 2401, jitter_seed=3)
+        assert mellin._is_log_uniform(grid)
+        assert np.max(np.abs(mellin._log_residual(np.log(grid))[2])) > 1e-12
+        fast = mellin._chirp_z_sum(grid, spec.contour, spec.step, lm, weights)
+        direct = mellin._direct_sum(grid, spec.contour, u, lm, weights)
+        assert np.all(np.abs(fast - direct) <= mellin._noise_floor(grid, spec.contour, lm, weights))
+
+    def test_irregular_grid_takes_direct_sum(self):
+        spec = spec_from_exponential()
+        u, lm, weights = _nodes(spec)
+        grid = np.array([0.5, 1.0, 3.0])
+        assert mellin._chirp_z_sum(grid, spec.contour, spec.step, lm, weights) is None
+        table = invert(spec, grid)
+        direct = mellin._direct_sum(grid, spec.contour, u, lm, weights)
+        assert np.array_equal(table.metadata["raw_density"], direct.real)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            _log_grid(math.log(1e-9), 24.0, 2401),
+            np.geomspace(0.01, 8.0, 41),
+            _log_grid(-3.0, 6.0, 301, jitter_seed=5),
+        ],
+        ids=["cli", "geomspace", "jittered"],
+    )
+    def test_log_residual_is_exact(self, grid):
+        lx = np.log(grid)
+        origin, step, resid = mellin._log_residual(lx)
+        for j in range(0, grid.size, 7):
+            exact = Fraction(float(lx[j])) - Fraction(origin) - j * Fraction(step)
+            assert abs(Fraction(float(resid[j])) - exact) <= abs(exact) / 2**52
+
+    def test_reduced_phase_matches_exact_reduction(self):
+        # (num/den) * m mod 2pi against the same reduction in exact rationals,
+        # with pi to 64 digits; a double product is ~1e-12 rad off here.
+        pi = Fraction(mellin._PI_NUM, mellin._PI_DEN)
+        rng = np.random.default_rng(11)
+        for num, den in ((0.04 * 0.0103, 2.0), (-0.02 * 20.7, 1.0), (1.5 * 3.25, 2.0)):
+            ratio = Fraction(num) / Fraction(den)
+            m = rng.integers(-(10**8), 10**8, 200)
+            got = mellin._reduced_phase(ratio.numerator, ratio.denominator, m)
+            for mi, phase in zip(m.tolist(), got):
+                turns = ratio * mi / (2 * pi)
+                want = float((turns - round(turns)) * 2 * pi)
+                assert abs(phase - want) <= 1e-15
+
+
+class TestMpmathOracle:
+    def test_fkp_quarter_density(self):
+        """Three log-uniform points against (1/pi) int_0^inf Re[x^-s M(s)] du
+        at Re(s) = 1/2, integrated by mpmath at 20 digits."""
+        mp = pytest.importorskip("mpmath")
+        spec = spec_from_fkp_quarter()
+        grid = np.array([0.3, math.sqrt(0.75), 2.5])
+        _, lm, weights = _nodes(spec)
+        assert mellin._chirp_z_sum(grid, spec.contour, spec.step, lm, weights) is not None
+        table = invert(spec, grid)
+        raw = table.metadata["raw_density"]
+        bound = table.metadata["noise_floor"] + table.truncation_estimate
+        with mp.workdps(20):
+            const = 0.5 * mp.log(2) + mp.loggamma(0.25) + mp.loggamma(0.5)
+
+            def log_mellin(s):
+                return (const - 0.5 * mp.log(2) * s + mp.loggamma(s)
+                        - mp.loggamma(s / 4) - mp.loggamma((s + 1) / 4))
+
+            for x, got, allowed in zip(grid, raw, bound):
+                lx = mp.log(mp.mpf(float(x)))
+
+                def integrand(u):
+                    s = mp.mpc(0.5, u)
+                    return mp.re(mp.exp(log_mellin(s) - s * lx))
+
+                # |M(1/2 + iu)| ~ e^{-pi u / 4}: the tail beyond u = 50 is ~1e-17
+                want = mp.quad(integrand, mp.linspace(0, 50, 26)) / mp.pi
+                assert abs(got - float(want)) <= allowed
+
+    def test_chirp_z_sum_near_mode(self):
+        """Where the fkp-quarter density peaks, the chirp-z sum on the
+        2401-point CLI grid is within 4 of the 32 roundoff units of the same
+        trapezoid sum in 25-digit arithmetic."""
+        mp = pytest.importorskip("mpmath")
+        spec = spec_from_fkp_quarter()
+        grid = default_grid(spec, 2401)
+        u, lm, weights = _nodes(spec)
+        fast = mellin._chirp_z_sum(grid, spec.contour, spec.step, lm, weights)
+        unit = mellin._noise_floor(grid, spec.contour, lm, weights) / mellin._ROUNDOFF_UNITS
+        n = u.size // 2
+        with mp.workdps(25):
+            terms = [
+                (mp.mpf(float(w)) * mp.exp(mp.mpc(float(l.real), float(l.imag))),
+                 mp.mpc(spec.contour, k * mp.mpf(spec.step)))
+                for k, l, w in zip(range(-n, n + 1), lm, weights)
+            ]
+            for j in range(2170, 2200, 3):  # x from 2.7 to 3.6
+                lx = mp.log(mp.mpf(float(grid[j])))
+                exact = mp.fsum(a * mp.exp(-s * lx) for a, s in terms) / (2 * mp.pi)
+                assert abs(complex(exact) - fast[j]) <= 4.0 * unit[j]

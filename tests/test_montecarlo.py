@@ -330,6 +330,17 @@ class TestSplitKernel:
         with pytest.raises(ValueError, match="size 3: probabilities must be finite"):
             SplitKernel.from_table({2: [1.0], 3: [bad, bad]})
 
+    def test_equality_compares_tables(self):
+        a = SplitKernel.from_table({3: [0.5, 0.5], 2: [1.0]})
+        b = SplitKernel.from_table({2: [1.0], 3: [0.5, 0.5]})
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != SplitKernel.from_table({2: [1.0], 3: [0.25, 0.75]})
+        assert a != SplitKernel.from_table({2: [1.0]})
+        assert a != SplitKernel.uniform()
+        assert SplitKernel.uniform() == SplitKernel.uniform()
+
     def test_missing_size_named(self):
         kernel = SplitKernel.from_table({2: [1.0], 4: [0.5, 0.25, 0.25]})
         with pytest.raises(ValueError, match="size 3"):
