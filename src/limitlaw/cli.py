@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -95,12 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"), default=default_format)
         sp.add_argument("--output", default=None, help="write to this path instead of stdout")
         sp.add_argument("--manifest", action="store_true", help="include a replay manifest")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="internal parallelism (default 1, or LIMITLAW_THREADS)",
-        )
+        # kept so that existing command lines still parse; main checks it and
+        # the manifest records it, and nothing else reads it
+        sp.add_argument("--threads", default="1", help="has no effect (an integer >= 1)")
 
     p_mom = sub.add_parser("moments", help="print a generated moment sequence")
     p_mom.add_argument(
@@ -381,7 +377,7 @@ def cmd_density(args) -> int:
     else:
         grid = default_grid(spec, points)
 
-    table = invert(spec, grid, threads=args.threads)
+    table = invert(spec, grid)
     _write(args, table.to_csv, table.to_dict)
     return 0
 
@@ -396,11 +392,11 @@ def _parse_check_against(text: str) -> float:
 def cmd_sample(args) -> int:
     sampler = args.sampler
     if sampler == "rayleigh":
-        summary = sample_rayleigh(args.sigma, args.n, args.seed, args.smax, args.threads)
+        summary = sample_rayleigh(args.sigma, args.n, args.seed, args.smax)
     elif sampler == "mittag-leffler":
         if args.alpha is None:
             raise ValueError("--sampler mittag-leffler requires --alpha")
-        summary = sample_mittag_leffler(args.alpha, args.n, args.seed, args.smax, args.threads)
+        summary = sample_mittag_leffler(args.alpha, args.n, args.seed, args.smax)
     else:  # tree
         kernel = (
             SplitKernel.from_csv(args.kernel_file)
@@ -409,7 +405,7 @@ def cmd_sample(args) -> int:
         )
         reps = args.reps if args.reps is not None else 10000
         summary = simulate_tree_cost(
-            kernel, args.toll_exponent, args.n, reps, args.seed, args.smax, args.threads
+            kernel, args.toll_exponent, args.n, reps, args.seed, args.smax
         )
 
     check = None
@@ -442,15 +438,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse: 2 on usage error, 0 on --help
         return int(exc.code or 0)
-    if args.threads is None:
-        text = os.environ.get("LIMITLAW_THREADS", "1")
-        try:
-            args.threads = int(text)
-        except ValueError:
-            print(f"error: LIMITLAW_THREADS must be an integer, got {text!r}", file=sys.stderr)
-            return 2
+    try:
+        args.threads = int(args.threads)
+    except ValueError:
+        args.threads = 0
     if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
+        print("error: --threads must be an integer >= 1", file=sys.stderr)
         return 2
     try:
         return args.func(args)

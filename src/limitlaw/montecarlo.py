@@ -6,10 +6,10 @@ Stream-splitting rule
 ---------------------
 Sampling is chunked in fixed blocks of 65536 draws.  Chunk i uses the PCG64
 generator seeded from ``numpy.random.SeedSequence(seed).spawn(...)[i]``, and
-within a chunk the draw order is fixed by the algorithm.  Chunk boundaries
-depend only on n, never on the thread count, and every reduction is an exact
-sum rounded once (``_ExactSum``, hence order-independent), so identical
-(seed, parameters) produce bit-identical summaries at any parallelism.
+within a chunk the draw order is fixed by the algorithm.  Chunks run one
+after another and their boundaries depend only on n, and every reduction is
+an exact sum rounded once (``_ExactSum``, hence order-independent), so
+identical (seed, parameters) produce bit-identical summaries.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,16 +172,10 @@ def _chunk_sizes(n: int):
     return sizes
 
 
-def _run_chunks(chunk_fn, seed: int, n: int, threads: int) -> np.ndarray:
+def _run_chunks(chunk_fn, seed: int, n: int) -> np.ndarray:
     sizes = _chunk_sizes(n)
     rngs = _chunk_generators(seed, len(sizes))
-    jobs = list(zip(rngs, sizes))
-    if threads <= 1:
-        parts = [chunk_fn(rng, m) for rng, m in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda job: chunk_fn(*job), jobs))
-    return np.concatenate(parts)
+    return np.concatenate([chunk_fn(rng, m) for rng, m in zip(rngs, sizes)])
 
 
 def _require_count(n: int, name: str = "n") -> int:
@@ -192,7 +185,7 @@ def _require_count(n: int, name: str = "n") -> int:
     return n
 
 
-def rayleigh_samples(sigma: float, n: int, seed: int, threads: int = 1) -> np.ndarray:
+def rayleigh_samples(sigma: float, n: int, seed: int) -> np.ndarray:
     """Rayleigh draws X = sigma * sqrt(-2 ln U) with U uniform on (0, 1)."""
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
@@ -203,10 +196,10 @@ def rayleigh_samples(sigma: float, n: int, seed: int, threads: int = 1) -> np.nd
         x = sigma * np.sqrt(-2.0 * np.log1p(-u))
         return np.maximum(x, _TINY)  # keep the open-interval contract at u == 0
 
-    return _run_chunks(chunk, seed, n, threads)
+    return _run_chunks(chunk, seed, n)
 
 
-def positive_stable_samples(alpha: float, n: int, seed: int, threads: int = 1) -> np.ndarray:
+def positive_stable_samples(alpha: float, n: int, seed: int) -> np.ndarray:
     """One-sided alpha-stable draws with E exp(-lam S) = exp(-lam^alpha).
 
     Kanter's trigonometric construction: S = (A(U)/E)^{(1-alpha)/alpha} with
@@ -219,21 +212,31 @@ def positive_stable_samples(alpha: float, n: int, seed: int, threads: int = 1) -
     ratio = (1.0 - alpha) / alpha
 
     def chunk(rng, m):
-        u = np.maximum(rng.random(m), _TINY) * math.pi
+        # exp(ratio * (log A(u) - log e)), evaluated in place: each operation
+        # rounds as in the plain expression, so the draws are the same doubles
+        u = np.maximum(rng.random(m), _TINY)
+        u *= math.pi
+        log_a = np.multiply(u, alpha)
+        np.log(np.sin(log_a, out=log_a), out=log_a)
+        log_a *= alpha
+        part = np.multiply(u, 1.0 - alpha)
+        np.log(np.sin(part, out=part), out=part)
+        part *= 1.0 - alpha
+        log_a += part
+        log_a -= np.log(np.sin(u, out=u), out=u)
+        log_a /= 1.0 - alpha
         e = np.maximum(rng.standard_exponential(m), _TINY)
-        log_a = (
-            alpha * np.log(np.sin(alpha * u))
-            + (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * u))
-            - np.log(np.sin(u))
-        ) / (1.0 - alpha)
-        return np.exp(ratio * (log_a - np.log(e)))
+        log_a -= np.log(e, out=e)
+        log_a *= ratio
+        return np.exp(log_a, out=log_a)
 
-    return _run_chunks(chunk, seed, n, threads)
+    return _run_chunks(chunk, seed, n)
 
 
-def mittag_leffler_samples(alpha: float, n: int, seed: int, threads: int = 1) -> np.ndarray:
+def mittag_leffler_samples(alpha: float, n: int, seed: int) -> np.ndarray:
     """ML(alpha) draws L = S^{-alpha} with S one-sided alpha-stable."""
-    return positive_stable_samples(alpha, n, seed, threads) ** (-alpha)
+    s = positive_stable_samples(alpha, n, seed)
+    return np.power(s, -alpha, out=s)
 
 
 def summarize(
@@ -269,17 +272,13 @@ def summarize(
     )
 
 
-def sample_rayleigh(
-    sigma: float, n: int, seed: int, s_max: int = 4, threads: int = 1
-) -> SampleSummary:
-    x = rayleigh_samples(sigma, n, seed, threads)
+def sample_rayleigh(sigma: float, n: int, seed: int, s_max: int = 4) -> SampleSummary:
+    x = rayleigh_samples(sigma, n, seed)
     return summarize(x, s_max, seed, "rayleigh", {"sigma": float(sigma)})
 
 
-def sample_mittag_leffler(
-    alpha: float, n: int, seed: int, s_max: int = 4, threads: int = 1
-) -> SampleSummary:
-    x = mittag_leffler_samples(alpha, n, seed, threads)
+def sample_mittag_leffler(alpha: float, n: int, seed: int, s_max: int = 4) -> SampleSummary:
+    x = mittag_leffler_samples(alpha, n, seed)
     return summarize(x, s_max, seed, "mittag-leffler", {"alpha": float(alpha)})
 
 
@@ -309,23 +308,34 @@ def _parses(fields, types) -> bool:
     return True
 
 
+def _bucket(x: np.ndarray, m) -> np.ndarray:
+    """min(floor(x * m), m - 1) for values x >= 0: for a uniform x, one of m
+    equally likely buckets.  It is non-decreasing in x, which is all the
+    guide table of a table kernel relies on, so its draws and its table must
+    compute it the same way."""
+    return np.minimum((x * m).astype(np.int64), m - 1)
+
+
 @dataclass(frozen=True)
 class SplitKernel:
     """Distribution family of the split size K_n on {1..n-1}.
 
     family "uniform" covers every size; family "table" carries explicit
     probability vectors per size (row n gives P(K_n = k) for k = 1..n-1).
-    A table kernel also keeps every row's CDF (``np.cumsum`` of the row) as
-    one flat array of complex keys size + 1j * cdf, ordered by size, and the
-    offset of each size's segment in it.  numpy orders complex values
-    lexicographically, so one ``searchsorted`` over the keys finds each
-    draw's split inside its own size's segment, comparing u with the same
-    CDF doubles as a per-size search.
+    A table kernel also keeps every row's CDF (``np.cumsum`` of the row) in
+    one flat array ordered by size, a guide table of the same layout (Chen
+    and Asau 1974; Devroye, Non-Uniform Random Variate Generation, 1986,
+    III.2.4) and the offset of each size's segment in both.  Entry b of a
+    size's guide counts its CDF entries whose ``_bucket`` is below b.  As the
+    bucket is non-decreasing, a draw u in bucket b has between guide[b] and
+    guide[b + 1] CDF entries <= u, and a short binary search between those
+    bounds compares u with the same CDF doubles as a per-size search.
     """
 
     family: str
     table: dict | None = None
-    _keys: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _cdf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _guide: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _start: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -356,16 +366,20 @@ class SplitKernel:
                 p.flags.writeable = False
                 clean[size] = p
             sizes = sorted(clean)
-            lengths = np.array(sizes, dtype=np.int64) - 1
             # -1 marks a size without a row; the last entry stands for every
             # size above the largest, where draw clips its lookups
             start = np.full(sizes[-1] + 2, -1, dtype=np.int64)
-            start[sizes] = np.cumsum(lengths) - lengths
-            keys = np.empty(int(lengths.sum()), dtype=complex)
-            keys.real = np.repeat(np.array(sizes, dtype=float), lengths)
-            keys.imag = np.concatenate([np.cumsum(clean[size]) for size in sizes])
+            start[sizes] = np.cumsum(sizes) - sizes
+            # a size's segment holds its size - 1 CDF entries and a pad that
+            # no draw reads, so that one offset serves both arrays
+            cdf = np.full(sum(sizes), np.inf)
+            guide = np.empty(cdf.size, dtype=np.int64)
+            for size, at in zip(sizes, start[sizes].tolist()):
+                row = np.cumsum(clean[size], out=cdf[at : at + size - 1])
+                guide[at : at + size] = np.searchsorted(_bucket(row, size - 1), np.arange(size))
             object.__setattr__(self, "table", clean)
-            object.__setattr__(self, "_keys", keys)
+            object.__setattr__(self, "_cdf", cdf)
+            object.__setattr__(self, "_guide", guide)
             object.__setattr__(self, "_start", start)
         elif self.table is not None:
             raise ValueError("uniform kernel takes no table")
@@ -460,20 +474,29 @@ class SplitKernel:
         """
         sizes = np.asarray(sizes)
         if self.family == "uniform":
-            k = 1 + (u * (sizes - 1)).astype(np.int64)
-            return np.minimum(k, sizes - 1)
+            return 1 + _bucket(u, sizes - 1)
         start = self._start.take(sizes, mode="clip")
         missing = start < 0
         if missing.any():
             size = int(sizes[missing][0])
             raise ValueError(f"split kernel has no distribution for size {size}")
-        idx = np.searchsorted(self._keys, sizes + 1j * u, side="right") - start
-        return 1 + np.minimum(idx, sizes - 2)
+        at = _bucket(u, sizes - 1)
+        at += start
+        lo = self._guide[at]
+        at += 1
+        hi = self._guide[at]
+        pending = np.flatnonzero(lo < hi)
+        while pending.size:  # first index in [lo, hi) whose CDF entry is > u
+            low, high = lo[pending], hi[pending]
+            mid = (low + high) >> 1
+            below = self._cdf[start[pending] + mid] <= u[pending]
+            lo[pending] = np.where(below, mid + 1, low)
+            hi[pending] = np.where(below, high, mid)
+            pending = pending[lo[pending] < hi[pending]]
+        return 1 + np.minimum(lo, sizes - 2)
 
 
-def tree_cost_samples(
-    kernel: SplitKernel, a: float, n: int, reps: int, seed: int, threads: int = 1
-) -> np.ndarray:
+def tree_cost_samples(kernel: SplitKernel, a: float, n: int, reps: int, seed: int) -> np.ndarray:
     """Replicates of the total cost Y_n: starting from size n, repeatedly add
     size^a and split to K < size until size 1, whose toll is 1."""
     if not (math.isfinite(float(a)) and a >= 0.0):
@@ -498,7 +521,7 @@ def tree_cost_samples(
             sizes[active] = kernel.draw(current, u)
         return y + 1.0
 
-    return _run_chunks(chunk, seed, reps, threads)
+    return _run_chunks(chunk, seed, reps)
 
 
 def simulate_tree_cost(
@@ -508,9 +531,8 @@ def simulate_tree_cost(
     reps: int,
     seed: int,
     s_max: int = 4,
-    threads: int = 1,
 ) -> SampleSummary:
-    y = tree_cost_samples(kernel, a, n, reps, seed, threads)
+    y = tree_cost_samples(kernel, a, n, reps, seed)
     return summarize(
         y, s_max, seed, "tree", {"a": float(a), "n": int(n), "kernel": kernel.family}
     )
@@ -584,12 +606,10 @@ def scale_free_ratio_check(summary: SampleSummary, a_prime: float) -> Comparison
     )
 
 
-def stable_laplace_check(
-    alpha: float, lambdas, n: int, seed: int, threads: int = 1
-) -> ComparisonReport:
+def stable_laplace_check(alpha: float, lambdas, n: int, seed: int) -> ComparisonReport:
     """Check mean exp(-lam S) against exp(-lam^alpha) for each lam, in units
     of the empirical standard error; tolerance is 3."""
-    s = positive_stable_samples(alpha, n, seed, threads)
+    s = positive_stable_samples(alpha, n, seed)
     devs = []
     detail = {}
     for lam in lambdas:

@@ -1,15 +1,21 @@
 """End-to-end tests of the command-line interface: flags, output formats,
 exit codes, and byte-level reproducibility."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limitlaw.cli import main
 
@@ -203,7 +209,6 @@ class TestDensityCommand:
             x=np.array(payload["x"]),
             density=np.array(payload["f"]),
             truncation_estimate=np.array(payload["truncation_estimate"]),
-            interpolation=payload["interpolation"],
             metadata=payload["metadata"],
         )
         got = roundtrip_moments(table, 5)
@@ -472,16 +477,18 @@ class TestPlumbing:
                 ("check", "--identity", "tilt", "--manifest"),
                 "dbf45d80c569fe6adcffc11c22b9b499f7d22876b1381148a9492b0b771318f4",
             ),
+            # the two density digests were re-pinned when the CSV comment and
+            # the JSON lost the unused interpolation label
             (
                 ("density", "--spec", "mittag-leffler", "--alpha", "0.5",
                  "--grid-min", "0.01", "--grid-max", "8", "--grid-points", "41"),
-                "a732440695e5ae378d4df7a6d2304bf8e0b27ded0c41fd757ffb10b986e667c3",
+                "bad79847fc15caac76aa793c8c5b4fb6c738563cf4044dd71c4e92007dadafd6",
             ),
             (
                 ("density", "--spec", "mittag-leffler", "--alpha", "0.5",
                  "--grid-min", "0.01", "--grid-max", "8", "--grid-points", "41",
                  "--format", "json"),
-                "b648dd84d69512a7e012c4a32d3f0c13d87c4fce3da4e491ea984cc564624b2b",
+                "962f8b8e12ff2ae464f5efad04b5b0528aa298d79e0ae2637d6845ef864060d9",
             ),
             (
                 ("sample", "--sampler", "rayleigh", "--n", "200000", "--seed", "42",
@@ -495,8 +502,7 @@ class TestPlumbing:
             "density-csv", "density-json", "sample-csv-check",
         ],
     )
-    def test_pinned_stdout_digest(self, capsys, monkeypatch, argv, digest):
-        monkeypatch.delenv("LIMITLAW_THREADS", raising=False)  # the manifest records threads
+    def test_pinned_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -551,33 +557,29 @@ class TestPlumbing:
         assert "s,value" in path.read_text()
 
     def test_threads_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("LIMITLAW_THREADS", "3")
-        code, out, _ = run_cli(
-            capsys,
-            "moments", "--which", "fkp", "--a-prime", "0.5", "--format", "json", "--manifest",
-        )
-        assert code == 0
-        assert json.loads(out)["manifest"]["arguments"]["threads"] == 3
-
-    def test_non_integer_threads_env_var_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("LIMITLAW_THREADS", "x")
-        code, out, err = run_cli(capsys, "moments", "--which", "fkp", "--a-prime", "0.5")
-        assert code == 2
-        assert out == ""
-        assert err == "error: LIMITLAW_THREADS must be an integer, got 'x'\n"
-
-    def test_threads_flag_overrides_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("LIMITLAW_THREADS", "x")
-        code, _, _ = run_cli(
-            capsys, "moments", "--which", "fkp", "--a-prime", "0.5", "--threads", "2"
-        )
-        assert code == 0
+        # LIMITLAW_THREADS is not read: set or unset, valid or not, the bytes
+        # (manifest included) are those of a run without it
+        argv = ("moments", "--which", "fkp", "--a-prime", "0.5", "--format", "json", "--manifest")
+        monkeypatch.delenv("LIMITLAW_THREADS", raising=False)
+        unset = run_cli(capsys, *argv)
+        assert unset[0] == 0
+        assert json.loads(unset[1])["manifest"]["arguments"]["threads"] == 1
+        for value in ("3", "x"):
+            monkeypatch.setenv("LIMITLAW_THREADS", value)
+            assert run_cli(capsys, *argv) == unset
 
     def test_invalid_threads_exit_2(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "moments", "--which", "fkp", "--a-prime", "0.5", "--threads", "0"
-        )
-        assert code == 2
+        for value in ("0", "-1", "x", "1.5", ""):
+            assert run_cli(
+                capsys, "moments", "--which", "fkp", "--a-prime", "0.5", "--threads", value
+            ) == (2, "", "error: --threads must be an integer >= 1\n")
+
+    def test_threads_flag_changes_only_the_manifest(self, capsys):
+        argv = ("sample", "--sampler", "rayleigh", "--n", "70000", "--seed", "3", "--manifest")
+        _, one, _ = run_cli(capsys, *argv)
+        code, three, _ = run_cli(capsys, *argv, "--threads", "3")
+        assert code == 0
+        assert one.replace('"threads": 1', '"threads": 3') == three != one
 
     def test_no_subcommand_exits_2(self, capsys):
         assert run_cli(capsys)[0] == 2
@@ -624,3 +626,118 @@ class TestPlumbing:
         second = subprocess.run(argv, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout != b""
+
+
+def _reject_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+# Per subcommand: (flag, values a valid run may take, values that break it,
+# whether the flag is required).  An empty value list marks a flag without a
+# value.  Sizes stay small so that each run is short: n and reps <= 2000,
+# grid points <= 41, smax <= 12.
+_SMAX = (("1", "3", "8", "12"), ("0", "-1", "x"))
+_FRACTION = (("0.05", "0.3", "0.5", "0.95"), ("0", "1", "-0.5", "nan", "x"))
+_POSITIVE = (("0.25", "0.5", "1", "2.5"), ("0", "-1", "1e308", "nan", "inf", "x"))
+_GRAMMAR = {
+    "moments": (
+        ("--which", ("fkp", "local-time", "tilted", "exp-functional", "mittag-leffler"),
+         ("nope",), True),
+        ("--a-prime", *_POSITIVE, False), ("--alpha", *_FRACTION, False),
+        ("--beta", *_POSITIVE, False), ("--d", ("1", "2", "3.5"), ("0", "-1", "nan"), False),
+        ("--p", ("0", "0.25", "0.5"), ("1", "-1", "x"), False),
+        ("--t", ("0.3", "1", "7"), ("0", "-1", "inf"), False),
+        ("--smax", *_SMAX, False),
+    ),
+    "check": (
+        ("--identity", ("tilt", "corollary", "mittag-leffler", "exp-functional",
+                        "phi-adjudicate", "t-independence"), ("nope",), True),
+        ("--alpha", ("0.5", "0.3,0.7"), ("0", "-1,0.5", "nan", "x,"), False),
+        ("--beta", ("0.5", "0.25,2"), ("0", "-1", "nan"), False),
+        ("--a-prime", ("0.5", "0.5,2.5"), ("0", "-1", "inf"), False),
+        ("--smax", *_SMAX, False),
+        ("--tol", ("1e-12", "1e-6", "1"), ("0", "-1", "inf", "nan"), False),
+    ),
+    "density": (
+        ("--spec", ("fkp-quarter", "mittag-leffler"), ("exp",), True),
+        ("--alpha", *_FRACTION, False),
+        ("--grid-min", ("0.01", "0.5"), ("0", "-1", "9"), False),
+        ("--grid-max", ("8", "50"), ("0", "0.001"), False),
+        ("--grid-points", ("9", "10", "41"), ("2", "0", "-3"), False),
+        ("--contour", ("0.25", "0.5", "2"), ("0", "-1", "nan"), False),
+        ("--height", ("40", "80"), ("5", "0"), False),
+        ("--step", ("0.04", "0.1", "0.8"), ("1.5", "0", "inf"), False),
+    ),
+    "sample": (
+        ("--sampler", ("rayleigh", "mittag-leffler", "tree"), ("stable",), True),
+        ("--n", ("1", "2", "30", "2000"), ("0", "-5", "x"), True),
+        ("--reps", ("1", "50", "2000"), ("0", "x"), False),
+        ("--seed", ("0", "7", "123456789"), ("-1", "x"), False),
+        ("--sigma", *_POSITIVE, False), ("--alpha", *_FRACTION, False),
+        ("--toll-exponent", ("0", "0.5", "1", "3"), ("50", "-1", "nan"), False),
+        ("--kernel-file", (SPARSE_KERNEL,), (str(Path(SPARSE_KERNEL).parent / "none.csv"),),
+         False),
+        ("--smax", *_SMAX, False),
+        ("--check-against", ("fkp:0.5", "fkp:2"), ("fkp:x", "fkp:", "s:1"), False),
+    ),
+}
+_COMMON = (
+    ("--format", ("csv", "json"), ("xml",), False),
+    ("--manifest", (), (), False),
+    ("--threads", ("1", "2"), ("0", "-1", "x"), False),
+)
+
+
+def _reject_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line from the flag grammar, broken in at most one place: a
+    flag dropped, or given a value that breaks it.  Returns the argv and the
+    LIMITLAW_THREADS value (None for unset)."""
+    subcommand = draw(st.sampled_from(sorted(_GRAMMAR)))
+    grammar = _GRAMMAR[subcommand] + _COMMON
+    chosen = [
+        (flag, draw(st.sampled_from(valid)) if valid else None)
+        for flag, valid, _bad, required in grammar
+        if required or draw(st.booleans())
+    ]
+    if draw(st.booleans()):
+        flag, _valid, bad, _required = draw(st.sampled_from(grammar))
+        chosen = [(f, v) for f, v in chosen if f != flag]
+        if bad:
+            chosen.append((flag, draw(st.sampled_from(bad))))
+    argv = [subcommand]
+    for flag, value in draw(st.permutations(chosen)):
+        argv += [flag] if value is None else [flag, value]
+    env = draw(st.sampled_from((None, "1", "3", "0", "x")))
+    return argv, env
+
+
+class TestFuzz:
+    @given(_command_lines())
+    @settings(max_examples=60, deadline=None)
+    def test_exit_contract(self, case):
+        """Any command line from the flag grammar exits 0, 1 or 2 without a
+        traceback, and every JSON output is strict."""
+        argv, env = case
+        out, err = io.StringIO(), io.StringIO()
+        environ = {} if env is None else {"LIMITLAW_THREADS": env}
+        with mock.patch.dict(os.environ, environ), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            if env is None:
+                os.environ.pop("LIMITLAW_THREADS", None)
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err != ""
+        for line in out.splitlines():
+            if line.startswith("# manifest="):
+                line = line[len("# manifest="):]
+            elif not line.startswith("{"):
+                continue  # a CSV line
+            json.loads(line, parse_constant=_reject_constant)

@@ -2,7 +2,9 @@
 
 Reference values were computed offline with 40-digit arbitrary-precision
 arithmetic and frozen here; the absolute error of ln Gamma equals the
-relative error of Gamma itself.
+relative error of Gamma itself.  ``TestMpmathOracle`` checks the documented
+error bounds on thousands of seeded points against mpmath, and skips when
+mpmath is not installed.
 """
 
 import math
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitlaw import log_beta, log_gamma, log_gamma_complex
+from limitlaw import log_beta, log_gamma, log_gamma_complex, mellin
 from limitlaw.gammakit import log_gamma_array
 
 # (x, ln Gamma(x)) frozen from a 40-digit offline evaluation.
@@ -148,6 +150,57 @@ class TestLogGammaComplex:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             log_gamma_complex(complex(math.nan, 1.0))
+
+
+class TestMpmathOracle:
+    """Each error is the difference of the double result and the mpmath value,
+    taken in mpmath: rounding the reference to a double first adds up to half
+    an ulp, 5.7e-14 where ln Gamma(x) > 512, and fails correct results."""
+
+    def test_real_absolute_error(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20231018)
+        xs = np.concatenate([
+            np.exp(rng.uniform(math.log(0.01), math.log(171.0), 1500)),
+            rng.uniform(120.0, 171.0, 1500),  # ln Gamma > 512, one ulp 1.1e-13
+            [0.01, 19.999999999999996, 20.0, 170.0, np.nextafter(171.0, 0.0)],
+        ])
+        array = log_gamma_array(xs)
+        with mp.workdps(40):
+            for x, vec in zip(xs.tolist(), array.tolist()):
+                want = mp.loggamma(mp.mpf(x))
+                assert abs(mp.mpf(log_gamma(x)) - want) < 1e-13, x
+                assert abs(mp.mpf(vec) - want) < 1e-13, x
+
+    @staticmethod
+    def _errors(mp, s):
+        """|log_gamma_complex(s) - ln Gamma(s)| and |ln Gamma(s)| per point."""
+        got = log_gamma_complex(s)
+        with mp.workdps(30):
+            want = [mp.loggamma(mp.mpc(z.real, z.imag)) for z in s.tolist()]
+            err = [float(abs(mp.mpc(g.real, g.imag) - w)) for g, w in zip(got.tolist(), want)]
+            size = [float(abs(w)) for w in want]
+        return np.array(err), np.array(size)
+
+    def test_complex_contour_arguments(self):
+        # every Gamma argument a s + b on the default contours of the shipped
+        # density specs, |s| <= 80
+        mp = pytest.importorskip("mpmath")
+        args = []
+        for spec in (mellin.spec_from_fkp_quarter(), mellin.spec_from_mittag_leffler(0.5)):
+            u = mellin._contour_nodes(spec)[0]
+            args += [a * (spec.contour + 1j * u) + b for a, b, _sign in spec.factors]
+        err, size = self._errors(mp, np.unique(np.concatenate(args)))
+        assert np.max(err) < 1e-13
+        assert np.all(err <= 1e-14 * np.maximum(1.0, size))
+
+    def test_complex_relative_error(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20231019)
+        re = np.exp(rng.uniform(math.log(0.01), math.log(50.0), 3000))
+        im = np.concatenate([rng.uniform(-150.0, 150.0, 2000), rng.uniform(-1.0, 1.0, 1000)])
+        err, size = self._errors(mp, re + 1j * im)
+        assert np.all(err <= 1e-14 * np.maximum(1.0, size))
 
 
 class TestLogBeta:

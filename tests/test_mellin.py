@@ -138,13 +138,6 @@ class TestInvert:
         with pytest.raises(ValueError):
             invert(spec, np.array([-1.0, 1.0]))
 
-    def test_threads_do_not_change_result(self):
-        spec = spec_from_mittag_leffler(0.5)
-        grid = default_grid(spec, 401)
-        one = invert(spec, grid, threads=1)
-        four = invert(spec, grid, threads=4)
-        assert np.array_equal(one.density, four.density)
-
 
 class TestRoundTrip:
     def test_exponential_moments(self):

@@ -57,17 +57,6 @@ class TestDeterminism:
         assert np.array_equal(a.standard_errors, b.standard_errors)
         assert a.to_json() == b.to_json()
 
-    def test_thread_count_does_not_change_results(self):
-        one = sample_mittag_leffler(0.5, 150_000, 9, threads=1)
-        four = sample_mittag_leffler(0.5, 150_000, 9, threads=4)
-        assert np.array_equal(one.moments, four.moments)
-        assert np.array_equal(one.standard_errors, four.standard_errors)
-
-    def test_tree_threads_deterministic(self):
-        one = simulate_tree_cost(SplitKernel.uniform(), 1.0, 12, 80_000, 5, threads=1)
-        three = simulate_tree_cost(SplitKernel.uniform(), 1.0, 12, 80_000, 5, threads=3)
-        assert np.array_equal(one.moments, three.moments)
-
     def test_different_seeds_differ(self):
         a = sample_rayleigh(1.0, 10_000, 1)
         b = sample_rayleigh(1.0, 10_000, 2)
@@ -399,6 +388,15 @@ class TestSplitKernel:
     @example(  # a row summing to 1 - 1e-13: u above its last CDF entry clamps to k = n-1
         table={3: [0.5, 0.5 - 1e-13], 40: [1.0 / 39] * 39},
         picks=[(0, 1.0 - 2**-53), (0, 1.0 - 1e-14), (0, 0.5), (1, 1.0 - 2**-53), (1, 0.0)],
+    )
+    @example(  # u on guide bucket edges that are also CDF entries, u just below a
+        # CDF entry just below the edge 0.6, and a row whose first 28 CDF
+        # entries share bucket 0, which the binary search walks
+        table={5: [0.25] * 4, 6: [0.2, 0.2, 0.2 - 1e-12, 0.2 + 1e-12, 0.2],
+               30: [1e-9] * 28 + [1.0 - 28e-9]},
+        picks=[(0, 0.25), (0, 0.5), (0, np.nextafter(0.75, 0.0)), (0, 0.75),
+               (1, 0.6 - 2e-12), (1, 0.6 - 1e-12), (1, 0.6),
+               (2, 0.0), (2, 5e-9), (2, 1e-8), (2, 2.8e-8), (2, 0.5)],
     )
     @settings(max_examples=100, deadline=None)
     def test_table_draw_matches_per_size_search(self, table, picks):
