@@ -556,17 +556,31 @@ class TestPlumbing:
         assert out == ""
         assert "s,value" in path.read_text()
 
-    def test_threads_env_var(self, capsys, monkeypatch):
-        # LIMITLAW_THREADS is not read: set or unset, valid or not, the bytes
-        # (manifest included) are those of a run without it
-        argv = ("moments", "--which", "fkp", "--a-prime", "0.5", "--format", "json", "--manifest")
+    _ENV_ARGV = (
+        "moments", "--which", "fkp", "--a-prime", "0.5", "--format", "json", "--manifest",
+    )
+
+    def _assert_env_var_ignored(self, capsys, monkeypatch, value):
+        # LIMITLAW_THREADS is not read: set to anything, the bytes (manifest
+        # included) are those of a run without it
         monkeypatch.delenv("LIMITLAW_THREADS", raising=False)
-        unset = run_cli(capsys, *argv)
+        unset = run_cli(capsys, *self._ENV_ARGV)
         assert unset[0] == 0
         assert json.loads(unset[1])["manifest"]["arguments"]["threads"] == 1
-        for value in ("3", "x"):
-            monkeypatch.setenv("LIMITLAW_THREADS", value)
-            assert run_cli(capsys, *argv) == unset
+        monkeypatch.setenv("LIMITLAW_THREADS", value)
+        assert run_cli(capsys, *self._ENV_ARGV) == unset
+
+    def test_threads_env_var(self, capsys, monkeypatch):
+        self._assert_env_var_ignored(capsys, monkeypatch, "3")
+
+    def test_non_integer_threads_env_var_is_ignored(self, capsys, monkeypatch):
+        self._assert_env_var_ignored(capsys, monkeypatch, "x")
+
+    def test_threads_flag_overrides_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("LIMITLAW_THREADS", "x")
+        code, out, _ = run_cli(capsys, *self._ENV_ARGV, "--threads", "2")
+        assert code == 0
+        assert json.loads(out)["manifest"]["arguments"]["threads"] == 2
 
     def test_invalid_threads_exit_2(self, capsys):
         for value in ("0", "-1", "x", "1.5", ""):
