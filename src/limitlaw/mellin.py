@@ -42,6 +42,9 @@ LN2 = math.log(2.0)
 
 # Contour endpoints must be at least this far below the integrand peak.
 _TRUNCATION_RATIO = 1e-12
+# Doublings of the truncation height from 20 before the search gives up
+# (20 * 2**12 = 81920 is the last height below 1e5).
+_HEIGHT_DOUBLINGS = 13
 
 # Grid points per block of the direct sum: bounds its grid x nodes complex
 # temporary to about 8 MB at the 4001 nodes of the default fkp-quarter step.
@@ -276,19 +279,23 @@ def _contour_nodes(spec: MellinSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if spec.height is not None:
         height = spec.height
     else:
-        log_peak = spec.log_mellin(complex(c)).real
-        height = 20.0
-        target = log_peak + math.log(_TRUNCATION_RATIO) - 2.0 * LN2
-        while spec.log_mellin(complex(c, height)).real > target:
-            height *= 2.0
-            if height > 1e5:
-                raise MellinInversionError(
-                    f"{spec.label}: |M| does not decay along Re(s)={c:g}; "
-                    "cannot choose a truncation height U"
-                )
+        # the first of the doubling heights 20 * 2**k <= 1e5 where |M| has
+        # fallen to the target, all evaluated in one call with the peak at u = 0
+        heights = 20.0 * 2.0 ** np.arange(_HEIGHT_DOUBLINGS)
+        lm = spec.log_mellin(c + 1j * np.concatenate(([0.0], heights))).real
+        target = lm[0] + math.log(_TRUNCATION_RATIO) - 2.0 * LN2
+        low = np.flatnonzero(lm[1:] <= target)
+        if low.size == 0:
+            raise MellinInversionError(
+                f"{spec.label}: |M| does not decay along Re(s)={c:g}; "
+                "cannot choose a truncation height U"
+            )
+        height = float(heights[low[0]])
     n_half = int(math.ceil(height / h))
     u = np.arange(-n_half, n_half + 1) * h
-    lm = spec.log_mellin(c + 1j * u)
+    # log M is conjugate-symmetric to the bit, so only u >= 0 is evaluated
+    upper = spec.log_mellin(c + 1j * u[n_half:])
+    lm = np.concatenate((np.conj(upper[:0:-1]), upper))
     log_peak = float(np.max(lm.real))
     log_end = float(lm.real[-1])
     if log_end > log_peak + math.log(_TRUNCATION_RATIO):

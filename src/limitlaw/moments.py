@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gammakit import log_beta, log_gamma, log_gamma_array
+from .gammakit import log_beta, log_gamma, log_gamma_array, log_gamma_ratio
 
 __all__ = [
     "MomentSequence",
@@ -199,10 +199,7 @@ def fkp_moments(a_prime: float, s_max: int) -> MomentSequence:
     s_max = _require_order(s_max)
     label = f"fkp(a'={a_prime:g})"
     k = np.arange(1.0, s_max + 1.0)
-    # one vectorized call per sequence: the per-call overhead, not the entry
-    # count, dominates at these lengths
-    lg_num, lg_den, lg_fact = log_gamma_array(np.stack((k * a_prime, k * a_prime + 0.5, k + 1.0)))
-    logs = lg_fact - 0.5 * k * LN2 + np.cumsum(lg_num - lg_den)
+    logs = log_gamma_array(k + 1.0) - 0.5 * k * LN2 + np.cumsum(log_gamma_ratio(k * a_prime, 0.5))
     return MomentSequence(_exp_sequence(logs, label), label, {"a_prime": a_prime})
 
 
@@ -225,9 +222,7 @@ def _log_scaled_local_time(params: BesselParams, s_max: int) -> np.ndarray:
     s = np.arange(1.0, s_max + 1.0)
     acc = np.zeros(s_max)
     if s_max >= 2:
-        j = np.arange(1.0, s_max)
-        lg_num, lg_den = log_gamma_array(np.stack((j * b, a + j * b)))
-        acc[1:] = np.cumsum(lg_num - lg_den)
+        acc[1:] = np.cumsum(log_gamma_ratio(np.arange(1.0, s_max) * b, a))
     return head + log_gamma_array(s) + acc
 
 
@@ -299,8 +294,7 @@ def tilted_moments(alpha: float, beta: float, s_max: int) -> MomentSequence:
     s_max = _require_order(s_max)
     label = f"tilted(alpha={alpha:g}, beta={beta:g})"
     s = np.arange(1.0, s_max + 1.0)
-    lg_num, lg_den, lg_fact = log_gamma_array(np.stack((s * beta, alpha + s * beta, s + 1.0)))
-    logs = lg_fact + np.cumsum(lg_num - lg_den)
+    logs = log_gamma_array(s + 1.0) + np.cumsum(log_gamma_ratio(s * beta, alpha))
     return MomentSequence(_exp_sequence(logs, label), label, {"alpha": alpha, "beta": beta})
 
 

@@ -47,9 +47,18 @@ _TINY = np.finfo(float).tiny
 # 2**-(1074 + 53) = 1 / _SUM_SCALE.
 _EXP_OFFSET = 1074
 _SUM_SCALE = 1 << (_EXP_OFFSET + 53)
+# weights 2**i of the adjacent bin coefficients folded into one exact double
+_FOLD = 2.0 ** np.arange(8)
 
 
-def _binned_sum(block: np.ndarray) -> int:
+def _workspace() -> tuple:
+    """Work arrays for ``_binned_sum``, one _CHUNK long each.  Fresh
+    temporaries of that size fault in new pages on every block, which took
+    more than half the time of each exact sum."""
+    return np.empty(_CHUNK), np.empty(_CHUNK, np.int32), np.empty(_CHUNK, np.intp), np.empty(_CHUNK)
+
+
+def _binned_sum(block: np.ndarray, work: tuple) -> int:
     """Exact sum of at most _CHUNK doubles, in units of 1 / _SUM_SCALE.
 
     Each value is mant * 2**exp with the 53-bit integer mantissa
@@ -57,22 +66,29 @@ def _binned_sum(block: np.ndarray) -> int:
     lo.  np.bincount adds the hi and lo parts of equal exponent in float64.
     Those bin totals are exact: a block has at most 2**16 values, so every bin
     stays below 2**43 (in units of 2**-26 for lo), far inside the 53 bits of
-    a double.  The nonzero bins then merge into one Python int.
+    a double.  The hi totals weigh 2**26 times their lo neighbours, so they
+    merge into one coefficient per power of two, each below 2**44; groups
+    of _FOLD.size adjacent coefficients then fold into one integer below
+    2**52, still exact in float64, and only those merge into a Python int.
     """
-    mant, exp = np.frexp(block)
+    mant, exp, index, hi = (a[: block.size] for a in work)
+    np.frexp(block, out=(mant, exp))
+    np.add(exp, _EXP_OFFSET, out=index)  # the intp np.bincount wants
     mant *= 2.0**27
-    hi = np.floor(mant)
+    np.floor(mant, out=hi)
     mant -= hi  # lo / 2**26, in [0, 1)
-    exp += _EXP_OFFSET
-    hi_bins = np.bincount(exp, weights=hi)
+    hi_bins = np.bincount(index, weights=hi)
     if not math.isfinite(hi_bins.sum()):  # inf and nan poison their bin
         raise OverflowError("exact sum of non-finite values")
-    lo_bins = np.bincount(exp, weights=mant) * 2.0**26
+    n = hi_bins.size
+    coef = np.zeros(-(-(n + 26) // _FOLD.size) * _FOLD.size)
+    coef[26 : n + 26] = hi_bins
+    coef[:n] += np.bincount(index, weights=mant) * 2.0**26
+    groups = coef.reshape(-1, _FOLD.size) @ _FOLD
+    nonzero = np.flatnonzero(groups)
     total = 0
-    for b in np.flatnonzero(hi_bins).tolist():
-        total += int(hi_bins[b]) << (b + 26)
-    for b in np.flatnonzero(lo_bins).tolist():
-        total += int(lo_bins[b]) << b
+    for g, v in zip(nonzero.tolist(), groups[nonzero].tolist()):
+        total += int(v) << (g * _FOLD.size)
     return total
 
 
@@ -85,14 +101,16 @@ class _ExactSum:
     the same double that ``math.fsum`` returns, and it does not depend on
     how the values are split between ``add`` calls.  ``value`` raises
     OverflowError when the sum is too large for a double, as fsum does.
+    Sums that are added to in turn may share one ``_workspace()``.
     """
 
-    def __init__(self):
+    def __init__(self, work: tuple | None = None):
         self._total = 0
+        self._work = _workspace() if work is None else work
 
     def add(self, values: np.ndarray) -> None:
         for start in range(0, values.size, _CHUNK):
-            self._total += _binned_sum(values[start : start + _CHUNK])
+            self._total += _binned_sum(values[start : start + _CHUNK], self._work)
 
     def value(self) -> float:
         return self._total / _SUM_SCALE  # int / int rounds correctly
@@ -103,7 +121,8 @@ def _mean_and_se(values: np.ndarray, f, name: str) -> tuple[float, float]:
     of f and f**2 over _CHUNK blocks, so temporaries stay one block long.
     Raises OverflowError naming ``name`` when either sum is not finite."""
     n = values.size
-    total, total_sq = _ExactSum(), _ExactSum()
+    work = _workspace()
+    total, total_sq = _ExactSum(work), _ExactSum(work)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             for start in range(0, n, _CHUNK):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limitlaw import cli
 from limitlaw.cli import main
 
 # P(K_n = k) proportional to k for n <= 30, with every k divisible by 3 left
@@ -443,52 +444,52 @@ class TestSampleCommand:
 
 
 class TestPlumbing:
-    # stdout digests recorded before the CLI's output code was unified
+    # stdout digests recorded before the CLI's output code was unified; all
+    # but sample-csv-check were re-pinned when the scipy log-gamma kernel was
+    # replaced (CHANGES.md gives the size of each change)
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (
                 ("moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "10"),
-                "0bd6162252efb1596d8832594f6be2a964e27c2724356b30d12d9b882b2f4617",
+                "db8eb91b0fd3aeb7550fc30cf9a8d2647935899d81e24b663fedad1d38a1efc3",
             ),
             (
                 ("moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "10", "--manifest"),
-                "6d9b022e751d511e0e397615057a81dc1a674ae6171d45de64d25a24736362c2",
+                "d6d94edd0e0bb243af2bc23b164c11df66a61189208d867f77ece8e7917ad6a6",
             ),
             (
                 ("moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "10",
                  "--format", "json"),
-                "1d9a19a0393c3a71c5d379b57acd5f0c6d636d72daa836b0439327198b39dff7",
+                "fdb03939422786fa657ddcb3e7f30704328953931092ff1f901373180228f741",
             ),
             (
                 ("moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "10",
                  "--format", "json", "--manifest"),
-                "70523091f06268b1095e78978d22754d8b1bdba0b2a358ca1a4b338ac8a02a05",
+                "49352e47d29735a5bcfbd092db8db582a5c345ad15351be1dd56f85ffbf15dd4",
             ),
             (
                 ("check", "--identity", "phi-adjudicate", "--format", "csv"),
-                "f6780b8f16f5d54ce6882e9ee647ca6f45c00510c766d7377d6980c1faae3462",
+                "d3788847be62850a27abc9f3d5b6ebdf701da2484491bf9fc15c3a518415a8ca",
             ),
             (
                 ("check", "--identity", "phi-adjudicate"),
-                "80a3c0b5244d1ca67765302ee826cad27f0b4ffd6f5d4c9f40c0f6adeed851fa",
+                "1097dd78602e1b4337ed588486df3f25892d7627f3be77b956cb051e5432a475",
             ),
             (
                 ("check", "--identity", "tilt", "--manifest"),
-                "dbf45d80c569fe6adcffc11c22b9b499f7d22876b1381148a9492b0b771318f4",
+                "4aa9e9daff69badf3c6e1db5e40b582798db180da718317f0f4c594c2db7e2b6",
             ),
-            # the two density digests were re-pinned when the CSV comment and
-            # the JSON lost the unused interpolation label
             (
                 ("density", "--spec", "mittag-leffler", "--alpha", "0.5",
                  "--grid-min", "0.01", "--grid-max", "8", "--grid-points", "41"),
-                "bad79847fc15caac76aa793c8c5b4fb6c738563cf4044dd71c4e92007dadafd6",
+                "b9142637bb3e4d9a8d33bd4418705b6e643435f28a4c7911e7dde4436be9205c",
             ),
             (
                 ("density", "--spec", "mittag-leffler", "--alpha", "0.5",
                  "--grid-min", "0.01", "--grid-max", "8", "--grid-points", "41",
                  "--format", "json"),
-                "962f8b8e12ff2ae464f5efad04b5b0528aa298d79e0ae2637d6845ef864060d9",
+                "feef55145bf1e0271bf69550fc4db6149dd7c6498bdb105cdd6d55043919af0f",
             ),
             (
                 ("sample", "--sampler", "rayleigh", "--n", "200000", "--seed", "42",
@@ -640,6 +641,34 @@ class TestPlumbing:
         second = subprocess.run(argv, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout != b""
+
+    def test_runtime_does_not_import_scipy(self):
+        code = (
+            "import sys\n"
+            "import limitlaw.cli\n"
+            "rc = limitlaw.cli.main(['moments', '--which', 'fkp', '--a-prime', '0.5'])\n"
+            "assert rc == 0 and 'scipy' not in sys.modules, sorted(sys.modules)\n"
+        )
+        subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys):
+        # main builds its parser once per process; a usage error, --help and
+        # a valid run in a row must print what a fresh parser prints
+        argvs = [
+            ("moments", "--which", "nope"),
+            ("--help",),
+            ("moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "2"),
+            ("check", "--help"),
+            ("moments", "--which", "tilted", "--alpha", "0.5", "--beta", "0.5"),
+        ]
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        builds = cli._parser.cache_info().misses
+        assert [run_cli(capsys, *argv) for argv in argvs] == fresh
+        assert cli._parser.cache_info().misses == builds
+        assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 0]
 
 
 def _reject_constant(constant):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limitlaw import log_beta, log_gamma, log_gamma_complex, mellin
-from limitlaw.gammakit import log_gamma_array
+from limitlaw.gammakit import log_gamma_array, log_gamma_ratio
 
 # (x, ln Gamma(x)) frozen from a 40-digit offline evaluation.
 LOG_GAMMA_ORACLE = [
@@ -80,6 +80,13 @@ class TestLogGamma:
         )
         assert abs(lhs - rhs) <= 1e-11
 
+    @pytest.mark.parametrize("n", range(1, 20))
+    def test_integer_arguments_are_log_factorials(self, n):
+        want = math.log(math.factorial(n - 1))
+        assert log_gamma(n) == want
+        assert log_gamma_array(np.array([float(n)]))[0] == want
+        assert log_gamma_complex(complex(n)) == complex(want, 0.0)
+
     def test_continuity_across_stirling_cutover(self):
         xs = np.linspace(19.5, 20.5, 101)
         vals = np.array([log_gamma(float(x)) for x in xs])
@@ -106,6 +113,36 @@ class TestLogGammaArray:
 
     def test_empty_input(self):
         assert log_gamma_array(np.array([])).size == 0
+
+
+class TestLogGammaRatio:
+    def test_matches_difference_below_cutover(self):
+        xs = np.geomspace(0.01, 9.9, 40)
+        want = log_gamma_array(xs) - log_gamma_array(xs + 0.5)
+        assert np.array_equal(log_gamma_ratio(xs, 0.5), want)
+
+    def test_shape_and_empty_input(self):
+        assert log_gamma_ratio(np.ones((2, 3)), 1.0).shape == (2, 3)
+        assert log_gamma_ratio(np.array([]), 0.5).size == 0
+
+    def test_mpmath_relative_error(self):
+        # the difference of two log_gamma_array results errs by up to
+        # 1.5e-13 here, where ln Gamma(x) is large and the ratio is not
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20231021)
+        xs = np.exp(rng.uniform(math.log(0.01), math.log(200.0), 2000))
+        bs = np.exp(rng.uniform(math.log(0.01), math.log(20.0), 2000))
+        got = [float(log_gamma_ratio(np.array([x]), b)[0]) for x, b in zip(xs, bs)]
+        with mp.workdps(40):
+            for x, b, g in zip(xs.tolist(), bs.tolist(), got):
+                want = mp.loggamma(x) - mp.loggamma(mp.mpf(x) + mp.mpf(b))
+                assert abs(mp.mpf(g) - want) <= 1e-14 * max(1.0, abs(want)), (x, b)
+
+    @pytest.mark.parametrize("x,b", [([1.0, 0.0], 0.5), ([1.0, math.nan], 0.5),
+                                     ([1.0], 0.0), ([1.0], -1.0), ([1.0], math.inf)])
+    def test_domain_errors(self, x, b):
+        with pytest.raises(ValueError):
+            log_gamma_ratio(np.array(x), b)
 
 
 class TestLogGammaComplex:
@@ -141,6 +178,22 @@ class TestLogGammaComplex:
         vec = log_gamma_complex(s)
         for i, si in enumerate(s):
             assert vec[i] == complex(log_gamma_complex(complex(si)))
+
+    def test_bits_depend_on_the_point_alone(self):
+        # near (shifted), far, real-axis and mixed-sign points, in every
+        # prefix length and one at a time
+        rng = np.random.default_rng(7)
+        s = np.concatenate([
+            np.exp(rng.uniform(-4.0, 4.0, 60)) + 1j * rng.uniform(-40.0, 40.0, 60),
+            [3.0 + 0j, 0.5 + 0j, 25.5 + 0j, 9.99 + 0.1j, 0.01 - 9.99j],
+        ])
+        rng.shuffle(s)
+        full = log_gamma_complex(s)
+        for n in range(1, 12):
+            assert np.array_equal(log_gamma_complex(s[:n]), full[:n])
+        assert [log_gamma_complex(z) for z in s.tolist()] == full.tolist()
+        assert np.array_equal(log_gamma_complex(s.reshape(5, 13)), full.reshape(5, 13))
+        assert np.array_equal(log_gamma_complex(np.conj(s)), np.conj(full))
 
     @pytest.mark.parametrize("bad", [0 + 1j, -1 + 0.5j, -3 - 2j])
     def test_left_half_plane_rejected(self, bad):
@@ -222,6 +275,26 @@ class TestLogBeta:
             direct = log_beta(a, b)
             composed = log_gamma(a) + log_gamma(b) - log_gamma(a + b)
             assert direct == pytest.approx(composed, abs=1e-12)
+
+    def test_mpmath_log_uniform(self):
+        # composing three log-gammas loses ~1e-13 absolute where a + b is
+        # large and ln B is not; the floor of 1 is where ln B crosses zero
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20231020)
+        ab = np.exp(rng.uniform(math.log(0.01), math.log(200.0), (2000, 2)))
+        with mp.workdps(40):
+            for a, b in ab.tolist():
+                want = mp.log(mp.beta(a, b))
+                err = abs(mp.mpf(log_beta(a, b)) - want)
+                assert err <= 1e-13 * max(1.0, abs(want)), (a, b)
+
+    def test_mpmath_half_line(self):
+        # the (1/2, b) calls of moments.laplace_exponent
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for b in np.linspace(0.25, 80.0, 320).tolist():
+                want = mp.log(mp.beta(0.5, b))
+                assert abs(mp.mpf(log_beta(0.5, b)) - want) <= 1e-13 * abs(want), b
 
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 2.0), (math.nan, 1.0)])
     def test_domain_errors(self, a, b):

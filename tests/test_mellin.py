@@ -139,6 +139,45 @@ class TestInvert:
             invert(spec, np.array([-1.0, 1.0]))
 
 
+def _height_by_doubling(spec):
+    """The truncation height as the one-call-per-height search chose it."""
+    c = spec.contour
+    target = spec.log_mellin(complex(c)).real + math.log(1e-12) - 2.0 * math.log(2.0)
+    height = 20.0
+    while spec.log_mellin(complex(c, height)).real > target:
+        height *= 2.0
+        if height > 1e5:
+            return None
+    return height
+
+
+class TestContourNodes:
+    @pytest.mark.parametrize(
+        "spec",
+        [spec_from_mittag_leffler(a) for a in (0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)]
+        + [spec_from_fkp_quarter(step=0.02), spec_from_fkp_quarter(step=0.04)],
+        ids=lambda spec: f"{spec.label}-{spec.step:g}",
+    )
+    def test_batched_height_matches_doubling_loop(self, spec):
+        height = _height_by_doubling(spec)
+        assert mellin._contour_nodes(spec)[3] == math.ceil(height / spec.step) * spec.step
+
+    def test_no_decay_is_refused(self):
+        flat = MellinSpec(0.0, 0.0, ((1.0, 0.0, 1), (1.0, 0.0, -1)), "flat")
+        assert _height_by_doubling(flat) is None
+        with pytest.raises(MellinInversionError, match="does not decay"):
+            mellin._contour_nodes(flat)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [spec_from_exponential(), spec_from_fkp_quarter(), spec_from_mittag_leffler(0.3)],
+        ids=lambda spec: spec.label,
+    )
+    def test_mirrored_half_equals_full_contour(self, spec):
+        u, lm, _weights, _height = mellin._contour_nodes(spec)
+        assert np.array_equal(lm, spec.log_mellin(spec.contour + 1j * u))
+
+
 class TestRoundTrip:
     def test_exponential_moments(self):
         spec = spec_from_exponential()

@@ -170,6 +170,18 @@ class TestFkpMoments:
     def test_log_convex(self, a_prime):
         assert fkp_moments(a_prime, 20).is_log_convex()
 
+    @pytest.mark.parametrize("a_prime", [0.25, 0.75, 1.5, 2.5, 10.0])
+    def test_mpmath_oracle(self, a_prime):
+        # differencing ln Gamma(k a') and ln Gamma(k a' + 1/2) one by one
+        # erred by up to 4.2e-13 at a' = 10
+        mp = pytest.importorskip("mpmath")
+        got = fkp_moments(a_prime, 40).values.tolist()
+        with mp.workdps(40):
+            a, log_m = mp.mpf(a_prime), mp.mpf(0)
+            for s in range(1, 41):
+                log_m += mp.log(s) - mp.log(2) / 2 + mp.loggamma(s * a) - mp.loggamma(s * a + 0.5)
+                assert abs(got[s] / mp.exp(log_m) - 1) <= 5e-14, s
+
 
 class TestKappa:
     def test_half_alpha_half_time(self):
@@ -284,6 +296,16 @@ class TestTiltedMoments:
         via_tilt = tilt(scaled_local_time_moments(params, 21))
         closed = tilted_moments(alpha, beta, 20)
         assert rel_dev(via_tilt.values, closed.values) <= 1e-12
+
+    @pytest.mark.parametrize("alpha,beta", [(0.2, 1.7), (0.45, 1.3), (0.7, 0.2), (0.9, 0.5)])
+    def test_mpmath_oracle(self, alpha, beta):
+        mp = pytest.importorskip("mpmath")
+        got = tilted_moments(alpha, beta, 30).values.tolist()
+        with mp.workdps(40):
+            a, b, log_m = mp.mpf(alpha), mp.mpf(beta), mp.mpf(0)
+            for s in range(1, 31):
+                log_m += mp.log(s) + mp.loggamma(s * b) - mp.loggamma(a + s * b)
+                assert abs(got[s] / mp.exp(log_m) - 1) <= 3e-14, s
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ from limitlaw import (
     summarize,
     tree_cost_samples,
 )
-from limitlaw.montecarlo import _ExactSum
+from limitlaw.montecarlo import _ExactSum, _workspace
 
 RAYLEIGH_SEED = 20260810
 ML_SEED = 424242
@@ -142,6 +142,20 @@ class TestExactSum:
         for piece in np.array_split(x, [1, 300, 65_000]):
             parts.add(piece)
         assert whole.value() == parts.value() == math.fsum(x)
+
+    def test_sums_sharing_work_arrays(self):
+        # interleaved adds of blocks of several sizes, as _mean_and_se makes
+        rng = np.random.default_rng(5)
+        work = _workspace()
+        a, b = _ExactSum(work), _ExactSum(work)
+        xs = [np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-60, 60, n))
+              for n in (65_536, 17, 65_536, 40_000)]
+        for x in xs:
+            a.add(x)
+            b.add(x * x)
+        whole = np.concatenate(xs)
+        assert a.value() == math.fsum(whole)
+        assert b.value() == math.fsum(whole * whole)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
