@@ -215,7 +215,8 @@ def rayleigh_samples(sigma: float, n: int, seed: int) -> np.ndarray:
         x = sigma * np.sqrt(-2.0 * np.log1p(-u))
         return np.maximum(x, _TINY)  # keep the open-interval contract at u == 0
 
-    return _run_chunks(chunk, seed, n)
+    with np.errstate(all="ignore"):  # summarize refuses the inf of an overflow
+        return _run_chunks(chunk, seed, n)
 
 
 def positive_stable_samples(alpha: float, n: int, seed: int) -> np.ndarray:
@@ -249,13 +250,15 @@ def positive_stable_samples(alpha: float, n: int, seed: int) -> np.ndarray:
         log_a *= ratio
         return np.exp(log_a, out=log_a)
 
-    return _run_chunks(chunk, seed, n)
+    with np.errstate(all="ignore"):  # summarize refuses the inf of an overflow
+        return _run_chunks(chunk, seed, n)
 
 
 def mittag_leffler_samples(alpha: float, n: int, seed: int) -> np.ndarray:
     """ML(alpha) draws L = S^{-alpha} with S one-sided alpha-stable."""
     s = positive_stable_samples(alpha, n, seed)
-    return np.power(s, -alpha, out=s)
+    with np.errstate(all="ignore"):  # s = 0 gives inf, which summarize refuses
+        return np.power(s, -alpha, out=s)
 
 
 def summarize(
@@ -335,96 +338,100 @@ def _bucket(x: np.ndarray, m) -> np.ndarray:
     return np.minimum((x * m).astype(np.int64), m - 1)
 
 
+def _layout(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and zeroed probabilities of the flat layout of the sorted,
+    distinct ``sizes``.  The offsets are indexed by size, with -1 for a size
+    without a row; their last entry stands for every size above the
+    largest, where lookups clip."""
+    if not sizes.size:
+        raise ValueError("table kernel needs at least one size")
+    if sizes[0] < 2:
+        raise ValueError(f"table rows need size >= 2, got {sizes[0]}")
+    start = np.full(sizes[-1] + 2, -1, dtype=np.int64)
+    start[sizes] = np.cumsum(sizes) - sizes
+    return start, np.zeros(int(sizes.sum()))
+
+
 @dataclass(frozen=True)
 class SplitKernel:
-    """Distribution family of the split size K_n on {1..n-1}.
+    """Distribution of the split size K_n on {1..n-1}.
 
-    family "uniform" covers every size; family "table" carries explicit
-    probability vectors per size (row n gives P(K_n = k) for k = 1..n-1).
-    A table kernel also keeps every row's CDF (``np.cumsum`` of the row) in
-    one flat array ordered by size, a guide table of the same layout (Chen
-    and Asau 1974; Devroye, Non-Uniform Random Variate Generation, 1986,
-    III.2.4) and the offset of each size's segment in both.  Entry b of a
-    size's guide counts its CDF entries whose ``_bucket`` is below b.  As the
-    bucket is non-decreasing, a draw u in bucket b has between guide[b] and
-    guide[b + 1] CDF entries <= u, and a short binary search between those
-    bounds compares u with the same CDF doubles as a per-size search.
+    The uniform kernel, P(K_n = k) = 1/(n-1), covers every size and holds no
+    layout.  A table kernel holds its rows (row n gives P(K_n = k) for
+    k = 1..n-1) in one flat layout ordered by size: size n owns the n
+    entries from offset ``_start[n]`` on, its n - 1 probabilities and a pad
+    that no draw reads.  Three arrays share that layout: the probabilities,
+    each row's CDF (``np.cumsum`` of the row) and a guide table (Chen and
+    Asau 1974; Devroye, Non-Uniform Random Variate Generation, 1986,
+    III.2.4).  Entry b of a size's guide counts its CDF entries whose
+    ``_bucket`` is below b.  As the bucket is non-decreasing, a draw u in
+    bucket b has between guide[b] and guide[b + 1] CDF entries <= u, and a
+    short binary search between those bounds compares u with the same CDF
+    doubles as a per-size search.  ``uniform``, ``from_table`` and
+    ``from_csv`` build kernels; the constructor validates a finished layout.
     """
 
-    family: str
-    table: dict | None = None
-    _cdf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _guide: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _start: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _start: np.ndarray | None = None
+    _probs: np.ndarray | None = field(default=None, repr=False)
+    _cdf: np.ndarray | None = field(default=None, init=False, repr=False)
+    _guide: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.family not in ("uniform", "table"):
-            raise ValueError(f"kernel family must be 'uniform' or 'table', got {self.family!r}")
-        if self.family == "table":
-            if not self.table:
-                raise ValueError("table kernel needs at least one size")
-            clean = {}
-            for size, probs in self.table.items():
-                size = int(size)
-                if size < 2:
-                    raise ValueError(f"table rows need size >= 2, got {size}")
-                p = np.array(probs, dtype=float)
-                if p.size != size - 1:
-                    raise ValueError(
-                        f"size {size} needs {size - 1} probabilities for k=1..{size - 1}, "
-                        f"got {p.size}"
-                    )
-                if not np.isfinite(p).all():
-                    raise ValueError(f"size {size}: probabilities must be finite")
-                if np.any(p < 0.0):
-                    raise ValueError(f"size {size}: probabilities must be nonnegative")
-                if abs(float(p.sum()) - 1.0) > 1e-12:
-                    raise ValueError(
-                        f"size {size}: probabilities sum to {float(p.sum())!r}, not 1"
-                    )
-                p.flags.writeable = False
-                clean[size] = p
-            sizes = sorted(clean)
-            # -1 marks a size without a row; the last entry stands for every
-            # size above the largest, where draw clips its lookups
-            start = np.full(sizes[-1] + 2, -1, dtype=np.int64)
-            start[sizes] = np.cumsum(sizes) - sizes
-            # a size's segment holds its size - 1 CDF entries and a pad that
-            # no draw reads, so that one offset serves both arrays
-            cdf = np.full(sum(sizes), np.inf)
-            guide = np.empty(cdf.size, dtype=np.int64)
-            for size, at in zip(sizes, start[sizes].tolist()):
-                row = np.cumsum(clean[size], out=cdf[at : at + size - 1])
-                guide[at : at + size] = np.searchsorted(_bucket(row, size - 1), np.arange(size))
-            object.__setattr__(self, "table", clean)
-            object.__setattr__(self, "_cdf", cdf)
-            object.__setattr__(self, "_guide", guide)
-            object.__setattr__(self, "_start", start)
-        elif self.table is not None:
-            raise ValueError("uniform kernel takes no table")
+        if self._start is None:
+            return
+        start, probs = self._start, self._probs
+        sizes = np.flatnonzero(start >= 0)
+        cdf = np.full(probs.size, np.inf)
+        guide = np.empty(probs.size, dtype=np.int64)
+        for size, at in zip(sizes.tolist(), start[sizes].tolist()):
+            p = probs[at : at + size - 1]
+            if not np.isfinite(p).all():
+                raise ValueError(f"size {size}: probabilities must be finite")
+            if np.any(p < 0.0):
+                raise ValueError(f"size {size}: probabilities must be nonnegative")
+            if abs(float(p.sum()) - 1.0) > 1e-12:
+                raise ValueError(f"size {size}: probabilities sum to {float(p.sum())!r}, not 1")
+            row = np.cumsum(p, out=cdf[at : at + size - 1])
+            guide[at : at + size] = np.searchsorted(_bucket(row, size - 1), np.arange(size))
+        start.flags.writeable = probs.flags.writeable = False
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_guide", guide)
 
     def __eq__(self, other):
-        # the generated __eq__ would compare dicts of arrays, whose truth
-        # value numpy refuses
         if not isinstance(other, SplitKernel):
             return NotImplemented
-        mine, theirs = self.table or {}, other.table or {}
-        return (
-            self.family == other.family
-            and mine.keys() == theirs.keys()
-            and all(np.array_equal(p, theirs[size]) for size, p in mine.items())
+        if self._start is None or other._start is None:
+            return self._start is other._start
+        return np.array_equal(self._start, other._start) and np.array_equal(
+            self._probs, other._probs
         )
 
     def __hash__(self):
-        return hash((self.family, tuple(sorted(self.table or ()))))
+        # offsets only: equal probabilities may differ in the sign of a zero
+        return hash(None if self._start is None else self._start.tobytes())
+
+    @property
+    def family(self) -> str:
+        return "uniform" if self._start is None else "table"
 
     @classmethod
     def uniform(cls) -> "SplitKernel":
-        return cls(family="uniform")
+        return cls()
 
     @classmethod
     def from_table(cls, table: dict) -> "SplitKernel":
-        return cls(family="table", table=table)
+        """A table kernel from {size: probabilities of k = 1..size-1}."""
+        rows = {int(size): np.asarray(p, dtype=float) for size, p in table.items()}
+        sizes = np.array(sorted(rows), dtype=np.int64)
+        start, probs = _layout(sizes)
+        for size, at in zip(sizes.tolist(), start[sizes].tolist()):
+            if rows[size].size != size - 1:
+                raise ValueError(
+                    f"size {size} needs {size - 1} probabilities for k=1..{size - 1}, "
+                    f"got {rows[size].size}"
+                )
+            probs[at : at + size - 1] = rows[size]
+        return cls(start, probs)
 
     @classmethod
     def from_csv(cls, path) -> "SplitKernel":
@@ -460,29 +467,25 @@ class SplitKernel:
         if outside.size:
             size, split = int(n[outside[0]]), int(k[outside[0]])
             raise ValueError(f"size {size}: split k={split} outside 1..{size - 1}")
-        sizes, row_size = np.unique(n, return_inverse=True)
-        lengths = sizes - 1
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        flat = np.zeros(int(lengths.sum()))
-        np.add.at(flat, starts[row_size] + k - 1, rows["p"])
-        return cls.from_table(
-            {int(size): flat[lo:hi] for size, lo, hi in zip(sizes, starts, ends)}
-        )
+        # not np.unique: numpy 2.4's imports numpy.ma (~1 MB) to test for a mask
+        start, probs = _layout(np.flatnonzero(np.bincount(n)))
+        np.add.at(probs, start[n] + k - 1, rows["p"])
+        return cls(start, probs)
 
     def covers(self, size: int) -> bool:
-        return self.family == "uniform" or int(size) in self.table
+        return self._start is None or bool(self._start.take(int(size), mode="clip") >= 0)
 
     def probs(self, size: int) -> np.ndarray:
-        """P(K_size = k) for k = 1..size-1."""
+        """P(K_size = k) for k = 1..size-1; a read-only view for a table."""
         size = int(size)
         if size < 2:
             raise ValueError(f"split needs size >= 2, got {size}")
-        if self.family == "uniform":
+        if self._start is None:
             return np.full(size - 1, 1.0 / (size - 1))
-        if size not in self.table:
+        at = int(self._start.take(size, mode="clip"))
+        if at < 0:
             raise ValueError(f"split kernel has no distribution for size {size}")
-        return self.table[size]
+        return self._probs[at : at + size - 1]
 
     def draw(self, sizes: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Split sizes K for an array of current sizes (all >= 2) and matched
@@ -492,7 +495,7 @@ class SplitKernel:
         <= u, capped at size - 1 for rows that sum to just under 1.
         """
         sizes = np.asarray(sizes)
-        if self.family == "uniform":
+        if self._start is None:
             return 1 + _bucket(u, sizes - 1)
         start = self._start.take(sizes, mode="clip")
         missing = start < 0
@@ -522,10 +525,10 @@ def tree_cost_samples(kernel: SplitKernel, a: float, n: int, reps: int, seed: in
         raise ValueError(f"toll exponent a must be finite and >= 0, got {a!r}")
     n = _require_count(n, "n")
     reps = _require_count(reps, "reps")
-    if kernel.family == "table":
-        for size in range(2, n + 1):
-            if not kernel.covers(size):
-                raise ValueError(f"split kernel has no distribution for size {size}")
+    if kernel._start is not None:
+        gaps = np.flatnonzero(kernel._start[2 : n + 1] < 0)
+        if gaps.size:
+            raise ValueError(f"split kernel has no distribution for size {gaps[0] + 2}")
 
     def chunk(rng, m):
         sizes = np.full(m, n, dtype=np.int64)
@@ -540,7 +543,8 @@ def tree_cost_samples(kernel: SplitKernel, a: float, n: int, reps: int, seed: in
             sizes[active] = kernel.draw(current, u)
         return y + 1.0
 
-    return _run_chunks(chunk, seed, reps)
+    with np.errstate(all="ignore"):  # summarize refuses the inf of an overflow
+        return _run_chunks(chunk, seed, reps)
 
 
 def simulate_tree_cost(

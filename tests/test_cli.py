@@ -10,14 +10,16 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitlaw import cli
+from limitlaw import cli, moments
 from limitlaw.cli import main
 
 # P(K_n = k) proportional to k for n <= 30, with every k divisible by 3 left
@@ -29,6 +31,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_showing_warnings(argv):
+    """main(argv) with stdout and stderr captured.  Each warning it raises is
+    put on stderr as Python prints it by default, which pytest's own warning
+    capture would otherwise hide."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    shown = "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught
+    )
+    return code, out.getvalue(), shown + err.getvalue()
 
 
 def csv_rows(text):
@@ -140,6 +157,23 @@ class TestCheckCommand:
             "check", "--identity", "corollary", "--a-prime", "0.5", "--tol", "1e-30",
         )
         assert code == 1
+
+    def test_exp_functional_failure_exits_1(self, capsys, monkeypatch):
+        # a formula error in the local-time logs, growing with the order s,
+        # reaches only the tilted side: the check reports it and exits 1
+        original = moments._log_scaled_local_time
+        monkeypatch.setattr(
+            moments,
+            "_log_scaled_local_time",
+            lambda params, s_max: original(params, s_max) + 1e-9 * np.arange(2.0, s_max + 2.0),
+        )
+        code, out, err = run_cli(
+            capsys, "check", "--identity", "exp-functional", "--alpha", "0.5", "--beta", "0.5"
+        )
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert report["max_deviation"] > 1e-8
 
     def test_phi_adjudicate_always_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--identity", "phi-adjudicate")
@@ -377,6 +411,23 @@ class TestSampleCommand:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: moment of order 2 is not finite")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--sampler", "rayleigh", "--n", "10", "--sigma", "1e308"),
+            ("--sampler", "mittag-leffler", "--n", "1000", "--alpha", "0.001"),
+            ("--sampler", "tree", "--n", "50", "--reps", "100", "--toll-exponent", "400"),
+        ],
+        ids=["rayleigh", "mittag-leffler", "tree"],
+    )
+    def test_overflowing_draws_print_one_error_line(self, argv):
+        # the draws overflow to inf; numpy must not warn before the error
+        code, out, err = run_cli_showing_warnings(["sample", *argv])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: moment of order 1 is not finite: a value, its square or a sum overflows\n"
+        )
 
     def test_zero_standard_error_check_is_strict_json(self, capsys):
         # n = 2 trees all cost 2, so the ratio standard errors are zero and the
@@ -764,20 +815,20 @@ class TestFuzz:
     @settings(max_examples=60, deadline=None)
     def test_exit_contract(self, case):
         """Any command line from the flag grammar exits 0, 1 or 2 without a
-        traceback, and every JSON output is strict."""
+        traceback, and every JSON output is strict.  Exit 2 prints nothing to
+        stdout, and to stderr either argparse's usage block or one error line."""
         argv, env = case
-        out, err = io.StringIO(), io.StringIO()
         environ = {} if env is None else {"LIMITLAW_THREADS": env}
-        with mock.patch.dict(os.environ, environ), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
+        with mock.patch.dict(os.environ, environ):
             if env is None:
                 os.environ.pop("LIMITLAW_THREADS", None)
-            code = main(argv)
-        out, err = out.getvalue(), err.getvalue()
+            code, out, err = run_cli_showing_warnings(argv)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err
         if code == 2:
-            assert out == "" and err != ""
+            assert out == ""
+            one_line = err.startswith("error: ") and err.count("\n") == 1
+            assert one_line or err.startswith("usage: "), (argv, err)
         for line in out.splitlines():
             if line.startswith("# manifest="):
                 line = line[len("# manifest="):]

@@ -280,12 +280,12 @@ class TestStableConvergence:
         assert all(b < a for a, b in zip(small_se, large_se))
 
 
-def reference_table_draw(table, sizes, u):
+def reference_table_draw(kernel, sizes, u):
     """Per-size inverse-CDF search: the table draw this must equal bit for bit."""
     out = np.empty(sizes.size, dtype=np.int64)
     for size in np.unique(sizes):
         mask = sizes == size
-        idx = np.searchsorted(np.cumsum(table[int(size)]), u[mask], side="right")
+        idx = np.searchsorted(np.cumsum(kernel.probs(size)), u[mask], side="right")
         out[mask] = 1 + np.minimum(idx, size - 2)
     return out
 
@@ -344,10 +344,49 @@ class TestSplitKernel:
         assert a != SplitKernel.uniform()
         assert SplitKernel.uniform() == SplitKernel.uniform()
 
+    def test_uniform_identity(self):
+        a, b = SplitKernel.uniform(), SplitKernel.uniform()
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a.family == "uniform"
+        assert SplitKernel.from_table({2: [1.0]}).family == "table"
+        with pytest.raises(AttributeError):
+            a.family = "table"
+
+    def test_probs_views_are_read_only(self):
+        kernel = SplitKernel.from_table({2: [1.0], 4: [0.5, 0.25, 0.25]})
+        view = kernel.probs(4)
+        assert not view.flags.writeable and not view.flags.owndata
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 0.0
+        assert kernel.probs(4).tolist() == [0.5, 0.25, 0.25]
+
+    @given(table=TABLES, data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_csv_layout_matches_from_table(self, tmp_path_factory, table, data):
+        # rows in any order, zero entries left out as missing (n, k) pairs
+        lines = [
+            f"{size},{k},{p!r}\n"
+            for size, row in table.items()
+            for k, p in enumerate(row.tolist(), 1)
+            if p != 0.0
+        ]
+        path = tmp_path_factory.mktemp("kernel") / "kernel.csv"
+        path.write_text("n,k,probability\n" + "".join(data.draw(st.permutations(lines))))
+        from_csv, from_table = SplitKernel.from_csv(path), SplitKernel.from_table(table)
+        assert from_csv == from_table and hash(from_csv) == hash(from_table)
+        for name in ("_start", "_probs", "_cdf", "_guide"):
+            assert np.array_equal(getattr(from_csv, name), getattr(from_table, name)), name
+
     def test_missing_size_named(self):
         kernel = SplitKernel.from_table({2: [1.0], 4: [0.5, 0.25, 0.25]})
         with pytest.raises(ValueError, match="size 3"):
             tree_cost_samples(kernel, 0.0, 4, 100, 0)
+
+    def test_size_above_table_named(self):
+        # the first gap above the largest size, found without a loop up to n
+        kernel = SplitKernel.from_table({2: [1.0], 3: [0.5, 0.5]})
+        with pytest.raises(ValueError, match="no distribution for size 4$"):
+            tree_cost_samples(kernel, 0.0, 10**15, 10, 0)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "kernel.csv"
@@ -418,7 +457,7 @@ class TestSplitKernel:
         sizes = sorted(table)
         size = np.array([sizes[i % len(sizes)] for i, _ in picks], dtype=np.int64)
         u = np.array([v for _, v in picks])
-        expected = reference_table_draw(kernel.table, size, u)
+        expected = reference_table_draw(kernel, size, u)
         assert np.array_equal(kernel.draw(size, u), expected)
 
     def test_draw_stays_in_support(self):
