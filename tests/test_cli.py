@@ -25,6 +25,8 @@ from limitlaw.cli import main
 # P(K_n = k) proportional to k for n <= 30, with every k divisible by 3 left
 # out (missing pairs) and the k = 1 entry split over two rows
 SPARSE_KERNEL = str(Path(__file__).parent / "data" / "kernel-sparse-30.csv")
+# P(K_n = 1) = 1/4 and P(K_n = n - 1) = 3/4 for n <= 200
+PLATEAU_KERNEL = str(Path(__file__).parent / "data" / "kernel-plateau-200.csv")
 
 
 def run_cli(capsys, *argv):
@@ -482,10 +484,17 @@ class TestSampleCommand:
                 )
                 for threads in ("1", "2")
             ),
+            # recorded with the guide-table draws' full binary search; each row
+            # puts all but one CDF entry in one wide guide bucket
+            (
+                ("sample", "--sampler", "tree", "--n", "200", "--reps", "70000", "--seed", "8",
+                 "--toll-exponent", "0.5", "--kernel-file", PLATEAU_KERNEL),
+                "727f01f1406ce1b3f2c17bf45434c090910bef289e488fd9366628fae2a7c174",
+            ),
         ],
         ids=[
             "rayleigh-check", "mittag-leffler-threads", "tree", "rayleigh-csv",
-            "tree-table-threads-1", "tree-table-threads-2",
+            "tree-table-threads-1", "tree-table-threads-2", "tree-plateau-table",
         ],
     )
     def test_pinned_stdout_digest(self, capsys, argv, digest):

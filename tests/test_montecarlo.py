@@ -451,6 +451,13 @@ class TestSplitKernel:
                (1, 0.6 - 2e-12), (1, 0.6 - 1e-12), (1, 0.6),
                (2, 0.0), (2, 5e-9), (2, 1e-8), (2, 2.8e-8), (2, 0.5)],
     )
+    @example(  # plateau rows, mass on k = 1 and k = n-1 only: all but the last
+        # CDF entry share one guide bucket; u around the plateau and its edges
+        table={60: [0.25] + [0.0] * 57 + [0.75], 61: [0.5] + [0.0] * 58 + [0.5]},
+        picks=[(0, 0.0), (0, np.nextafter(0.25, 0.0)), (0, 0.25), (0, 14 / 59),
+               (0, np.nextafter(15 / 59, 0.0)), (0, 15 / 59), (0, 0.75), (0, 1.0 - 2**-53),
+               (1, np.nextafter(0.5, 0.0)), (1, 0.5), (1, 0.5 + 2**-53), (1, 1.0 - 2**-53)],
+    )
     @settings(max_examples=100, deadline=None)
     def test_table_draw_matches_per_size_search(self, table, picks):
         kernel = SplitKernel.from_table(table)
