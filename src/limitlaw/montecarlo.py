@@ -219,20 +219,17 @@ def rayleigh_samples(sigma: float, n: int, seed: int) -> np.ndarray:
         return _run_chunks(chunk, seed, n)
 
 
-def positive_stable_samples(alpha: float, n: int, seed: int) -> np.ndarray:
-    """One-sided alpha-stable draws with E exp(-lam S) = exp(-lam^alpha).
-
-    Kanter's trigonometric construction: S = (A(U)/E)^{(1-alpha)/alpha} with
-    U uniform on (0, pi), E unit exponential and
-    A(u) = (sin(alpha u)^alpha sin((1-alpha) u)^{1-alpha} / sin u)^{1/(1-alpha)}.
-    """
+def _stable_draws(alpha: float, n: int, seed: int, finish) -> np.ndarray:
+    """n draws of ``finish(log S)``, applied chunk by chunk to one-sided
+    alpha-stable S drawn by Kanter's construction (see
+    ``positive_stable_samples``)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
     n = _require_count(n)
     ratio = (1.0 - alpha) / alpha
 
     def chunk(rng, m):
-        # exp(ratio * (log A(u) - log e)), evaluated in place: each operation
+        # ratio * (log A(u) - log e), evaluated in place: each operation
         # rounds as in the plain expression, so the draws are the same doubles
         u = np.maximum(rng.random(m), _TINY)
         u *= math.pi
@@ -248,17 +245,43 @@ def positive_stable_samples(alpha: float, n: int, seed: int) -> np.ndarray:
         e = np.maximum(rng.standard_exponential(m), _TINY)
         log_a -= np.log(e, out=e)
         log_a *= ratio
-        return np.exp(log_a, out=log_a)
+        return finish(log_a)
 
     with np.errstate(all="ignore"):  # summarize refuses the inf of an overflow
         return _run_chunks(chunk, seed, n)
 
 
+def positive_stable_samples(alpha: float, n: int, seed: int) -> np.ndarray:
+    """One-sided alpha-stable draws with E exp(-lam S) = exp(-lam^alpha).
+
+    Kanter's trigonometric construction: S = (A(U)/E)^{(1-alpha)/alpha} with
+    U uniform on (0, pi), E unit exponential and
+    A(u) = (sin(alpha u)^alpha sin((1-alpha) u)^{1-alpha} / sin u)^{1/(1-alpha)}.
+    """
+    return _stable_draws(alpha, n, seed, lambda log_s: np.exp(log_s, out=log_s))
+
+
 def mittag_leffler_samples(alpha: float, n: int, seed: int) -> np.ndarray:
-    """ML(alpha) draws L = S^{-alpha} with S one-sided alpha-stable."""
-    s = positive_stable_samples(alpha, n, seed)
-    with np.errstate(all="ignore"):  # s = 0 gives inf, which summarize refuses
-        return np.power(s, -alpha, out=s)
+    """ML(alpha) draws L = S^{-alpha} with S the ``positive_stable_samples``
+    draws.
+
+    Where S overflows to inf or underflows to 0, L is exp(-alpha log S)
+    from the finite log S; S^{-alpha} would round it to 0 or inf.  Every
+    other draw is the double np.power(S, -alpha).
+    """
+
+    def finish(log_s):
+        # exp is finite and nonzero where |log S| <= 700, so only the logs
+        # outside that range are kept and S overwrites them in place
+        far = np.flatnonzero((log_s > 700.0) | (log_s < -700.0))
+        log_far = log_s[far]
+        s = np.exp(log_s, out=log_s)
+        lost = (s[far] == 0.0) | (s[far] == np.inf)
+        np.power(s, -alpha, out=s)
+        s[far[lost]] = np.exp(-alpha * log_far[lost])
+        return s
+
+    return _stable_draws(alpha, n, seed, finish)
 
 
 def summarize(
@@ -359,16 +382,17 @@ class SplitKernel:
     The uniform kernel, P(K_n = k) = 1/(n-1), covers every size and holds no
     layout.  A table kernel holds its rows (row n gives P(K_n = k) for
     k = 1..n-1) in one flat layout ordered by size: size n owns the n
-    entries from offset ``_start[n]`` on, its n - 1 probabilities and a pad
-    that no draw reads.  Three arrays share that layout: the probabilities,
-    each row's CDF (``np.cumsum`` of the row) and a guide table (Chen and
-    Asau 1974; Devroye, Non-Uniform Random Variate Generation, 1986,
-    III.2.4).  Entry b of a size's guide counts its CDF entries whose
-    ``_bucket`` is below b.  As the bucket is non-decreasing, a draw u in
-    bucket b has between guide[b] and guide[b + 1] CDF entries <= u, and a
-    short binary search between those bounds compares u with the same CDF
-    doubles as a per-size search.  ``uniform``, ``from_table`` and
-    ``from_csv`` build kernels; the constructor validates a finished layout.
+    entries from offset ``_start[n]`` on, its n - 1 probabilities and a pad,
+    which is inf in the CDF.  Three arrays share that layout: the
+    probabilities, each row's CDF (``np.cumsum`` of the row) and a guide
+    table (Chen and Asau 1974; Devroye, Non-Uniform Random Variate
+    Generation, 1986, III.2.4).  Entry b of a size's guide is the flat index
+    of its first CDF entry whose ``_bucket`` is b or above.  As the bucket is
+    non-decreasing, a draw u in bucket b has every CDF entry before guide[b]
+    <= u and every entry from guide[b + 1] on > u, so ``draw`` searches only
+    between those bounds and compares u with the same CDF doubles as a
+    per-size search.  ``uniform``, ``from_table`` and ``from_csv`` build
+    kernels; the constructor validates a finished layout.
     """
 
     _start: np.ndarray | None = None
@@ -392,7 +416,7 @@ class SplitKernel:
             if abs(float(p.sum()) - 1.0) > 1e-12:
                 raise ValueError(f"size {size}: probabilities sum to {float(p.sum())!r}, not 1")
             row = np.cumsum(p, out=cdf[at : at + size - 1])
-            guide[at : at + size] = np.searchsorted(_bucket(row, size - 1), np.arange(size))
+            guide[at : at + size] = at + np.searchsorted(_bucket(row, size - 1), np.arange(size))
         start.flags.writeable = probs.flags.writeable = False
         object.__setattr__(self, "_cdf", cdf)
         object.__setattr__(self, "_guide", guide)
@@ -492,7 +516,11 @@ class SplitKernel:
         uniforms; vectorized and deterministic in (sizes, u).
 
         A table draw is 1 + the number of CDF entries of its size that are
-        <= u, capped at size - 1 for rows that sum to just under 1.
+        <= u, capped at size - 1 for rows that sum to just under 1.  It
+        starts at the first entry of u's guide bucket and steps once past
+        an entry <= u, which finishes every draw whose bucket holds at most
+        one CDF entry; only draws left inside a wider bucket are finished by
+        binary search.
         """
         sizes = np.asarray(sizes)
         if self._start is None:
@@ -504,23 +532,34 @@ class SplitKernel:
             raise ValueError(f"split kernel has no distribution for size {size}")
         at = _bucket(u, sizes - 1)
         at += start
-        lo = self._guide[at]
+        j = self._guide[at]
         at += 1
-        hi = self._guide[at]
-        pending = np.flatnonzero(lo < hi)
-        while pending.size:  # first index in [lo, hi) whose CDF entry is > u
-            low, high = lo[pending], hi[pending]
+        end = self._guide[at]
+        # One step settles every bucket holding at most one CDF entry.  The
+        # step cannot pass the bucket: the entry at ``end`` lies in a higher
+        # bucket, so it is > u, and the entry past a row is its inf pad.
+        step = self._cdf[j] <= u
+        j += step
+        pending = np.flatnonzero(step & (j < end))
+        while pending.size:  # first index in [j, end) whose CDF entry is > u
+            low, high = j[pending], end[pending]
             mid = (low + high) >> 1
-            below = self._cdf[start[pending] + mid] <= u[pending]
-            lo[pending] = np.where(below, mid + 1, low)
-            hi[pending] = np.where(below, high, mid)
-            pending = pending[lo[pending] < hi[pending]]
-        return 1 + np.minimum(lo, sizes - 2)
+            below = self._cdf[mid] <= u[pending]
+            j[pending] = np.where(below, mid + 1, low)
+            end[pending] = np.where(below, high, mid)
+            pending = pending[j[pending] < end[pending]]
+        j -= start
+        return 1 + np.minimum(j, sizes - 2)
 
 
 def tree_cost_samples(kernel: SplitKernel, a: float, n: int, reps: int, seed: int) -> np.ndarray:
     """Replicates of the total cost Y_n: starting from size n, repeatedly add
-    size^a and split to K < size until size 1, whose toll is 1."""
+    size^a and split to K < size until size 1, whose toll is 1.
+
+    Each step works on the live replicates only, those still at size >= 2,
+    kept compacted in ascending order; they take the chunk's uniforms in
+    that order, as a pass over every replicate would hand them out.
+    """
     if not (math.isfinite(float(a)) and a >= 0.0):
         raise ValueError(f"toll exponent a must be finite and >= 0, got {a!r}")
     n = _require_count(n, "n")
@@ -531,17 +570,16 @@ def tree_cost_samples(kernel: SplitKernel, a: float, n: int, reps: int, seed: in
             raise ValueError(f"split kernel has no distribution for size {gaps[0] + 2}")
 
     def chunk(rng, m):
-        sizes = np.full(m, n, dtype=np.int64)
         y = np.zeros(m)
-        while True:
-            active = sizes >= 2
-            if not active.any():
-                break
-            current = sizes[active]
-            y[active] += current.astype(float) ** a
-            u = rng.random(current.size)
-            sizes[active] = kernel.draw(current, u)
-        return y + 1.0
+        live = np.arange(m if n >= 2 else 0)  # ascending replicates of size >= 2
+        sizes = np.full(live.size, n, dtype=np.int64)
+        while live.size:
+            y[live] += sizes.astype(float) ** a
+            sizes = kernel.draw(sizes, rng.random(sizes.size))
+            keep = np.flatnonzero(sizes >= 2)
+            live, sizes = live[keep], sizes[keep]
+        y += 1.0
+        return y
 
     with np.errstate(all="ignore"):  # summarize refuses the inf of an overflow
         return _run_chunks(chunk, seed, reps)

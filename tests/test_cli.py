@@ -418,10 +418,9 @@ class TestSampleCommand:
         "argv",
         [
             ("--sampler", "rayleigh", "--n", "10", "--sigma", "1e308"),
-            ("--sampler", "mittag-leffler", "--n", "1000", "--alpha", "0.001"),
             ("--sampler", "tree", "--n", "50", "--reps", "100", "--toll-exponent", "400"),
         ],
-        ids=["rayleigh", "mittag-leffler", "tree"],
+        ids=["rayleigh", "tree"],
     )
     def test_overflowing_draws_print_one_error_line(self, argv):
         # the draws overflow to inf; numpy must not warn before the error
@@ -430,6 +429,18 @@ class TestSampleCommand:
         assert err == (
             "error: moment of order 1 is not finite: a value, its square or a sum overflows\n"
         )
+
+    def test_tiny_alpha_mittag_leffler_draws_stay_finite(self):
+        # at alpha = 0.001 about half of the stable draws S overflow to inf or
+        # underflow to 0; their L = exp(-alpha log S) stays finite and positive
+        code, out, err = run_cli_showing_warnings(
+            ["sample", "--sampler", "mittag-leffler", "--n", "1000", "--alpha", "0.001"]
+        )
+        assert (code, err) == (0, "")
+        summary = json.loads(out)["summary"]
+        exact = moments.mittag_leffler_moments(0.001, 2).values
+        for s in (1, 2):
+            assert abs(summary["moments"][s] - exact[s]) <= 3.0 * summary["standard_errors"][s]
 
     def test_zero_standard_error_check_is_strict_json(self, capsys):
         # n = 2 trees all cost 2, so the ratio standard errors are zero and the

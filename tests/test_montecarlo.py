@@ -7,6 +7,7 @@ deterministic.  Statistical gates are 3 standard errors.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ STABLE_SEED = 777
 TREE_SEED = 1139
 
 N_MODULE = 200_000  # module-scale sample count; acceptance reruns at 1e6
+
+DATA = Path(__file__).parent / "data"
 
 
 def rayleigh_closed_form(s_max, sigma=1.0):
@@ -262,6 +265,19 @@ class TestMittagLeffler:
         x = mittag_leffler_samples(0.75, 50_000, 23)
         assert np.all(x > 0.0)
 
+    @pytest.mark.parametrize("alpha, n, seed", [(0.02, 1_000_000, 1), (0.001, 1000, 0)])
+    def test_stable_overflow_keeps_l_finite(self, alpha, n, seed):
+        s = positive_stable_samples(alpha, n, seed)
+        x = mittag_leffler_samples(alpha, n, seed)
+        lost = (s == 0.0) | (s == np.inf)
+        assert lost.any()
+        assert np.all(np.isfinite(x) & (x > 0.0))
+        with np.errstate(all="ignore"):
+            assert x[~lost].tobytes() == np.power(s[~lost], -alpha).tobytes()
+        # log S > log(max double) where S = inf, log S < log(min subnormal) where S = 0
+        assert np.all(x[s == np.inf] < math.exp(-alpha * 709.0))
+        assert np.all(x[s == 0.0] > math.exp(alpha * 744.0))
+
     def test_convergence_with_larger_n(self):
         target = mittag_leffler_moments(0.5, 4).values
         large = sample_mittag_leffler(0.5, 2 * N_MODULE, ML_SEED)
@@ -476,7 +492,43 @@ class TestSplitKernel:
         assert k.max() <= 6
 
 
+def reference_tree_cost_samples(kernel, a, n, reps, seed):
+    """The full-mask recursion loop that the tree sampler must equal bit for
+    bit: every step masks all replicates of a chunk, finished or not."""
+
+    def chunk(rng, m):
+        sizes = np.full(m, n, dtype=np.int64)
+        y = np.zeros(m)
+        while True:
+            active = sizes >= 2
+            if not active.any():
+                break
+            current = sizes[active]
+            y[active] += current.astype(float) ** a
+            u = rng.random(current.size)
+            sizes[active] = kernel.draw(current, u)
+        return y + 1.0
+
+    counts = [1 << 16] * (reps >> 16) + ([reps % (1 << 16)] if reps % (1 << 16) else [])
+    streams = np.random.SeedSequence(seed).spawn(len(counts))
+    return np.concatenate(
+        [chunk(np.random.default_rng(ss), m) for ss, m in zip(streams, counts)]
+    )
+
+
 class TestTreeSimulation:
+    @pytest.mark.parametrize("reps", [1, 65535, 65536, 65537])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17])
+    @pytest.mark.parametrize(
+        "kernel_file", [None, "kernel-sparse-30.csv", "kernel-plateau-200.csv"]
+    )
+    def test_matches_full_mask_reference(self, kernel_file, n, reps):
+        kernel = SplitKernel.from_csv(DATA / kernel_file) if kernel_file else SplitKernel.uniform()
+        for a in (0.0, 0.5, 1.0, 3.0):
+            expected = reference_tree_cost_samples(kernel, a, n, reps, TREE_SEED)
+            y = tree_cost_samples(kernel, a, n, reps, TREE_SEED)
+            assert y.tobytes() == expected.tobytes()
+
     def test_single_node_cost_is_one(self):
         y = tree_cost_samples(SplitKernel.uniform(), 3.0, 1, 1000, 0)
         assert np.all(y == 1.0)
