@@ -37,20 +37,24 @@ def _finite_or_none(value) -> float | None:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Elementwise relative deviation between two equally long sequences."""
+    """Deviations of one sequence from another against a tolerance; the
+    largest deviation and the verdict are derived from them once."""
 
     label_a: str
     label_b: str
     tolerance: float
     deviations: np.ndarray
-    max_deviation: float
-    passed: bool
+    max_deviation: float = field(init=False)
+    passed: bool = field(init=False)
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         devs = np.array(self.deviations, dtype=float)
         devs.flags.writeable = False
+        max_dev = float(np.max(devs))
         object.__setattr__(self, "deviations", devs)
+        object.__setattr__(self, "max_deviation", max_dev)
+        object.__setattr__(self, "passed", bool(max_dev <= self.tolerance))
 
     def to_dict(self) -> dict:
         """JSON-ready fields; a non-finite deviation (zero standard error in a
@@ -76,7 +80,6 @@ def compare(seq_a, seq_b, tolerance: float) -> ComparisonReport:
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     devs = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), _DENOM_EPS)
-    max_dev = float(np.max(devs))
     label_a = seq_a.label if isinstance(seq_a, MomentSequence) else "array"
     label_b = seq_b.label if isinstance(seq_b, MomentSequence) else "array"
     params = {}
@@ -89,8 +92,6 @@ def compare(seq_a, seq_b, tolerance: float) -> ComparisonReport:
         label_b=label_b,
         tolerance=float(tolerance),
         deviations=devs,
-        max_deviation=max_dev,
-        passed=max_dev <= tolerance,
         params=params,
     )
 
@@ -112,8 +113,9 @@ class PhiAdjudication:
     both Laplace-exponent conventions.
 
     Diagnostic only: ``matching`` lists the conventions whose recursion
-    reproduces the tilt-derived moments within the tolerance, and the slopes
-    record how the log-deviation trends with the order.
+    reproduces the tilt-derived moments within the tolerance, derived from
+    ``reports``, and the slopes record how the log-deviation trends with
+    the order.
     """
 
     a_prime: float
@@ -121,7 +123,11 @@ class PhiAdjudication:
     tolerance: float
     reports: dict
     slopes: dict
-    matching: tuple
+    matching: tuple = field(init=False)
+
+    def __post_init__(self):
+        matching = tuple(c for c, report in self.reports.items() if report.passed)
+        object.__setattr__(self, "matching", matching)
 
     def to_dict(self) -> dict:
         return {
@@ -163,14 +169,12 @@ def adjudicate_phi_convention(
         reports[convention] = report
         slopes[convention] = _log10_slope(report.deviations)
 
-    matching = tuple(c for c in ("paper", "half") if reports[c].passed)
     return PhiAdjudication(
         a_prime=float(a_prime),
         s_max=int(s_max),
         tolerance=float(tolerance),
         reports=reports,
         slopes=slopes,
-        matching=matching,
     )
 
 

@@ -17,7 +17,6 @@ take the direct grid-by-contour sum.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -220,9 +219,6 @@ class DensityTable:
             "metadata": md,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _is_log_uniform(x: np.ndarray) -> bool:
     l = np.log(x)
@@ -237,7 +233,7 @@ def _integrate_log(x: np.ndarray, g: np.ndarray) -> float:
     l = np.log(x)
     y = g * x
     if x.size < 3 or not _is_log_uniform(x):
-        return float(np.trapezoid(y, l)) if hasattr(np, "trapezoid") else float(np.trapz(y, l))
+        return float(np.sum(np.diff(l) * (y[1:] + y[:-1]) / 2.0))  # numpy's trapezoid
     h = (l[-1] - l[0]) / (x.size - 1)
     n_simpson = x.size if x.size % 2 == 1 else x.size - 1
     w = np.ones(n_simpson)

@@ -134,9 +134,6 @@ class BesselParams:
     def beta(self) -> float:
         return self.alpha / (1.0 - 2.0 * self.p)
 
-    def with_t(self, t: float) -> "BesselParams":
-        return BesselParams(d=self.d, p=self.p, t=t)
-
     def to_dict(self) -> dict:
         return {"d": self.d, "p": self.p, "t": self.t, "alpha": self.alpha, "beta": self.beta}
 

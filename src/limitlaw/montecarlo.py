@@ -8,13 +8,13 @@ Sampling is chunked in fixed blocks of 65536 draws.  Chunk i uses the PCG64
 generator seeded from ``numpy.random.SeedSequence(seed).spawn(...)[i]``, and
 within a chunk the draw order is fixed by the algorithm.  Chunks run one
 after another and their boundaries depend only on n, and every reduction is
-an exact sum rounded once (``_ExactSum``, hence order-independent), so
-identical (seed, parameters) produce bit-identical summaries.
+an exact sum rounded once (``_exact_means``, one pass over the sample for
+all orders, hence order-independent), so identical (seed, parameters)
+produce bit-identical summaries.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .identities import ComparisonReport
-from .moments import fkp_moments
+from .moments import _require_order, fkp_moments
 
 __all__ = [
     "SampleSummary",
@@ -92,51 +92,49 @@ def _binned_sum(block: np.ndarray, work: tuple) -> int:
     return total
 
 
-class _ExactSum:
-    """Running exact sum of finite doubles, rounded once at the end.
+def _exact_means(values: np.ndarray, fs, names) -> tuple[list[float], list[float]]:
+    """Means of f(values) for each f in ``fs`` and their standard errors
+    sd/sqrt(n), from exact sums of f and f**2 rounded once.
 
-    This is the small superaccumulator of Neal, "Fast exact summation using
-    small and large superaccumulators" (arXiv:1505.05571), built from
-    np.frexp and np.bincount.  The result is the correctly rounded exact sum,
-    the same double that ``math.fsum`` returns, and it does not depend on
-    how the values are split between ``add`` calls.  ``value`` raises
-    OverflowError when the sum is too large for a double, as fsum does.
-    Sums that are added to in turn may share one ``_workspace()``.
+    The values are read once, in _CHUNK blocks, and every f of a block adds
+    its two ``_binned_sum`` totals into Python ints through one
+    ``_workspace()``.  This is the small superaccumulator of Neal, "Fast
+    exact summation using small and large superaccumulators"
+    (arXiv:1505.05571): each mean is the correctly rounded exact sum over n,
+    the same double that ``math.fsum`` gives, whatever the block order.
+    Raises OverflowError with the first of ``names`` whose value, square or
+    sum is not finite; an f after the first failure is no longer summed.
     """
-
-    def __init__(self, work: tuple | None = None):
-        self._total = 0
-        self._work = _workspace() if work is None else work
-
-    def add(self, values: np.ndarray) -> None:
-        for start in range(0, values.size, _CHUNK):
-            self._total += _binned_sum(values[start : start + _CHUNK], self._work)
-
-    def value(self) -> float:
-        return self._total / _SUM_SCALE  # int / int rounds correctly
-
-
-def _mean_and_se(values: np.ndarray, f, name: str) -> tuple[float, float]:
-    """Mean of f(values) and its standard error sd/sqrt(n), from exact sums
-    of f and f**2 over _CHUNK blocks, so temporaries stay one block long.
-    Raises OverflowError naming ``name`` when either sum is not finite."""
     n = values.size
     work = _workspace()
-    total, total_sq = _ExactSum(work), _ExactSum(work)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            for start in range(0, n, _CHUNK):
-                v = f(values[start : start + _CHUNK])
-                total.add(v)
-                total_sq.add(v * v)
-        mean = total.value() / n
-        mean_sq = total_sq.value() / n
-    except OverflowError:
-        raise OverflowError(
-            f"{name} is not finite: a value, its square or a sum overflows"
-        ) from None
-    var = max(mean_sq - mean * mean, 0.0)
-    return mean, (math.sqrt(var / (n - 1)) if n > 1 else 0.0)
+    sums, sums_sq = [0] * len(fs), [0] * len(fs)
+    failed = len(fs)  # index of the first f whose value or square is not finite
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for start in range(0, n, _CHUNK):
+            block = values[start : start + _CHUNK]
+            for i in range(failed):
+                v = fs[i](block)
+                try:
+                    sums[i] += _binned_sum(v, work)
+                    sums_sq[i] += _binned_sum(v * v, work)
+                except OverflowError:
+                    failed = i
+                    break
+    means, errors = [], []
+    for i, name in enumerate(names):
+        try:
+            if i == failed:
+                raise OverflowError  # a value or a square, found in a block
+            mean = sums[i] / _SUM_SCALE / n  # int / int rounds correctly
+            mean_sq = sums_sq[i] / _SUM_SCALE / n
+        except OverflowError:
+            raise OverflowError(
+                f"{name} is not finite: a value, its square or a sum overflows"
+            ) from None
+        var = max(mean_sq - mean * mean, 0.0)
+        means.append(mean)
+        errors.append(math.sqrt(var / (n - 1)) if n > 1 else 0.0)
+    return means, errors
 
 
 @dataclass(frozen=True)
@@ -174,9 +172,6 @@ class SampleSummary:
             "moments": [float(m) for m in self.moments],
             "standard_errors": [float(s) for s in self.standard_errors],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _chunk_generators(seed: int, n_chunks: int):
@@ -289,30 +284,25 @@ def summarize(
 ) -> SampleSummary:
     """Empirical moments up to order s_max with standard errors.
 
-    For each order s the sums of X**s and X**(2s) = (X**s)**2 are exact
-    (``_ExactSum``: exponent-binned integer mantissas, rounded once), taken
-    block by block over _CHUNK values; naive accumulation loses digits in
-    fourth moments at n = 1e6.  Raises OverflowError naming the first order
-    whose power, squared power or sum is not finite.
+    The sums of X**s and X**(2s) = (X**s)**2 for every order s are exact
+    (``_exact_means``: exponent-binned integer mantissas, rounded once),
+    taken in one pass over _CHUNK blocks; naive accumulation loses digits
+    in fourth moments at n = 1e6.  Raises OverflowError naming the first
+    order whose power, squared power or sum is not finite.
     """
     values = np.asarray(values, dtype=float)
-    n = values.size
-    if n < 1:
+    if values.size < 1:
         raise ValueError("values must be non-empty")
-    s_max = int(s_max)
-    if s_max < 1:
-        raise ValueError(f"s_max must be >= 1, got {s_max!r}")
-    moments = np.empty(s_max + 1)
-    errors = np.zeros(s_max + 1)
-    moments[0] = 1.0
-    for s in range(1, s_max + 1):
-        moments[s], errors[s] = _mean_and_se(values, lambda x: x**s, f"moment of order {s}")
+    orders = range(1, _require_order(s_max) + 1)
+    moments, errors = _exact_means(
+        values, [lambda x, s=s: x**s for s in orders], [f"moment of order {s}" for s in orders]
+    )
     return SampleSummary(
         sampler=sampler,
-        n=n,
+        n=values.size,
         seed=int(seed),
-        moments=moments,
-        standard_errors=errors,
+        moments=[1.0, *moments],
+        standard_errors=[0.0, *errors],
         params=dict(params or {}),
     )
 
@@ -520,9 +510,12 @@ class SplitKernel:
         starts at the first entry of u's guide bucket and steps once past
         an entry <= u, which finishes every draw whose bucket holds at most
         one CDF entry; only draws left inside a wider bucket are finished by
-        binary search.
+        binary search.  Raises ValueError unless every u lies in [0, 1).
         """
         sizes = np.asarray(sizes)
+        u = np.asarray(u, dtype=float)
+        if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+            raise ValueError("split draws need uniforms u in [0, 1)")
         if self._start is None:
             return 1 + _bucket(u, sizes - 1)
         start = self._start.take(sizes, mode="clip")
@@ -624,6 +617,17 @@ def enumerate_tree_costs(kernel: SplitKernel, a: float, n: int) -> tuple[np.ndar
     return values, probs
 
 
+def _standard_error_report(label_a: str, label_b: str, rows, params: dict) -> ComparisonReport:
+    """Report of |empirical - target| / standard error for each
+    (empirical, target, standard error) row, with tolerance 3; a zero
+    standard error gives 0 when the two agree and inf otherwise."""
+    devs = [
+        (0.0 if emp == target else math.inf) if se == 0.0 else abs(emp - target) / se
+        for emp, target, se in rows
+    ]
+    return ComparisonReport(label_a, label_b, 3.0, devs, params)
+
+
 def scale_free_ratio_check(summary: SampleSummary, a_prime: float) -> ComparisonReport:
     """Compare the scale-invariant ratios m_2/m_1^2 and m_3/m_1^3 of a sample
     against the limit-law values for exponent a'.
@@ -637,33 +641,23 @@ def scale_free_ratio_check(summary: SampleSummary, a_prime: float) -> Comparison
     ref = fkp_moments(a_prime, 3)
     m = summary.moments
     se = summary.standard_errors
-    devs = []
+    rows = []
     detail = {}
     for order in (2, 3):
         target = ref[order] / ref[1] ** order
         ratio = m[order] / m[1] ** order
-        rel_err = math.hypot(se[order] / m[order], order * se[1] / m[1])
-        ratio_se = ratio * rel_err
-        if ratio_se == 0.0:
-            dev = 0.0 if ratio == target else math.inf
-        else:
-            dev = abs(ratio - target) / ratio_se
-        devs.append(dev)
+        ratio_se = ratio * math.hypot(se[order] / m[order], order * se[1] / m[1])
+        rows.append((ratio, target, ratio_se))
         detail[f"ratio_{order}"] = {
             "empirical": ratio,
             "target": target,
             "standard_error": ratio_se,
         }
-    devs = np.array(devs)
-    max_dev = float(np.max(devs))
-    return ComparisonReport(
-        label_a=f"ratios({summary.sampler}, n={summary.n})",
-        label_b=f"ratios(fkp(a'={a_prime:g}))",
-        tolerance=3.0,
-        deviations=devs,
-        max_deviation=max_dev,
-        passed=bool(max_dev <= 3.0),
-        params={"a_prime": float(a_prime), "seed": summary.seed, **detail},
+    return _standard_error_report(
+        f"ratios({summary.sampler}, n={summary.n})",
+        f"ratios(fkp(a'={a_prime:g}))",
+        rows,
+        {"a_prime": float(a_prime), "seed": summary.seed, **detail},
     )
 
 
@@ -671,22 +665,16 @@ def stable_laplace_check(alpha: float, lambdas, n: int, seed: int) -> Comparison
     """Check mean exp(-lam S) against exp(-lam^alpha) for each lam, in units
     of the empirical standard error; tolerance is 3."""
     s = positive_stable_samples(alpha, n, seed)
-    devs = []
-    detail = {}
-    for lam in lambdas:
-        emp, se = _mean_and_se(s, lambda x: np.exp(-float(lam) * x), f"exp(-{lam:g} S)")
-        target = math.exp(-float(lam) ** alpha)
-        dev = abs(emp - target) / se if se > 0.0 else (0.0 if emp == target else math.inf)
-        devs.append(dev)
-        detail[f"lambda_{lam:g}"] = {"empirical": emp, "target": target, "standard_error": se}
-    devs = np.array(devs)
-    max_dev = float(np.max(devs))
-    return ComparisonReport(
-        label_a=f"laplace(stable, alpha={alpha:g}, n={n})",
-        label_b="laplace(exact)",
-        tolerance=3.0,
-        deviations=devs,
-        max_deviation=max_dev,
-        passed=bool(max_dev <= 3.0),
-        params={"alpha": float(alpha), "seed": int(seed)},
+    lambdas = [float(lam) for lam in lambdas]
+    means, errors = _exact_means(
+        s,
+        [lambda x, lam=lam: np.exp(-lam * x) for lam in lambdas],
+        [f"exp(-{lam:g} S)" for lam in lambdas],
+    )
+    targets = [math.exp(-lam**alpha) for lam in lambdas]
+    return _standard_error_report(
+        f"laplace(stable, alpha={alpha:g}, n={n})",
+        "laplace(exact)",
+        zip(means, targets, errors),
+        {"alpha": float(alpha), "seed": int(seed)},
     )

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from limitlaw import (
+    ComparisonReport,
     MomentSequence,
+    PhiAdjudication,
     adjudicate_phi_convention,
     carleman_partial_sums,
     compare,
@@ -64,6 +66,20 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(fkp_moments(0.5, 3), fkp_moments(0.5, 3), 0.0)
 
+    @pytest.mark.parametrize(
+        "deviations, tolerance, expected",
+        [([0.0, 0.5], 0.5, (0.5, True)), ([0.0, 0.6], 0.5, (0.6, False)),
+         ([1.0, math.inf], 3.0, (math.inf, False)), ([0.25], 3.0, (0.25, True))],
+    )
+    def test_verdict_derived_from_deviations(self, deviations, tolerance, expected):
+        report = ComparisonReport("a", "b", tolerance, deviations)
+        assert (report.max_deviation, report.passed) == expected
+        assert type(report.passed) is bool
+
+    def test_verdict_cannot_be_passed_in(self):
+        with pytest.raises(TypeError):
+            ComparisonReport("a", "b", 1.0, [2.0], max_deviation=0.0, passed=True)
+
     def test_json_round_trip(self):
         import json
 
@@ -94,6 +110,13 @@ class TestPhiAdjudication:
         for report in result.reports.values():
             assert report.max_deviation == float(np.max(report.deviations))
             assert report.passed == (report.max_deviation <= report.tolerance)
+
+    def test_matching_derived_from_reports(self):
+        result = adjudicate_phi_convention(0.5, 20)
+        assert result.matching == tuple(c for c, r in result.reports.items() if r.passed)
+        assert result.matching == ("half",)
+        with pytest.raises(TypeError):
+            PhiAdjudication(0.5, 20, 1e-8, result.reports, result.slopes, matching=())
 
     def test_slope_recorded_for_failing_convention(self):
         result = adjudicate_phi_convention(0.5, 20)

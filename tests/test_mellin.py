@@ -227,7 +227,7 @@ class TestDensityTable:
     def test_json_round_trip(self):
         spec = spec_from_exponential()
         table = invert(spec, default_grid(spec, 201))
-        decoded = json.loads(table.to_json())
+        decoded = json.loads(json.dumps(table.to_dict()))
         assert decoded["x"] == table.x.tolist()
         assert decoded["metadata"]["label"] == "exp(1)"
 
@@ -235,6 +235,17 @@ class TestDensityTable:
         spec = spec_from_exponential()
         table = invert(spec, default_grid(spec, 801))
         assert table.integral() == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("points", [3, 200])
+    def test_irregular_integral_is_numpys_trapezoid(self, points):
+        # off a log-uniform grid the integral is the trapezoid rule in ln x,
+        # and its sum is the one numpy's trapezoid (trapz in numpy 1.x) makes
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        x = np.sort(np.random.default_rng(points).uniform(0.01, 9.0, points))
+        table = invert(spec_from_exponential(), x)
+        assert not mellin._is_log_uniform(x)
+        expected = float(trapezoid(table.density * x, np.log(x)))
+        assert table.integral().hex() == expected.hex()
 
 
 class TestDefaultGrid:

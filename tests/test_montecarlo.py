@@ -31,7 +31,7 @@ from limitlaw import (
     summarize,
     tree_cost_samples,
 )
-from limitlaw.montecarlo import _ExactSum, _workspace
+from limitlaw.montecarlo import _CHUNK, _SUM_SCALE, _binned_sum, _workspace
 
 RAYLEIGH_SEED = 20260810
 ML_SEED = 424242
@@ -58,7 +58,7 @@ class TestDeterminism:
         b = sample_rayleigh(1.0, 50_000, 3)
         assert np.array_equal(a.moments, b.moments)
         assert np.array_equal(a.standard_errors, b.standard_errors)
-        assert a.to_json() == b.to_json()
+        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
     def test_different_seeds_differ(self):
         a = sample_rayleigh(1.0, 10_000, 1)
@@ -81,12 +81,17 @@ def exact_reference(xs):
         return None
 
 
+def binned_total(x):
+    """Exact sum of x in units of 1 / _SUM_SCALE, as _binned_sum totals of
+    its _CHUNK blocks."""
+    work = _workspace()
+    return sum(_binned_sum(x[start : start + _CHUNK], work) for start in range(0, x.size, _CHUNK))
+
+
 def assert_matches_fsum(xs):
     x = np.array(xs, dtype=float)
-    acc = _ExactSum()
-    acc.add(x)
     try:
-        got = acc.value()
+        got = binned_total(x) / _SUM_SCALE  # int / int rounds correctly
     except OverflowError:
         got = None
     try:
@@ -140,32 +145,29 @@ class TestExactSum:
 
     def test_split_between_adds_does_not_matter(self):
         x = np.ldexp(np.random.default_rng(3).uniform(-1.0, 1.0, 70_000), 40)
-        whole, parts = _ExactSum(), _ExactSum()
-        whole.add(x)
-        for piece in np.array_split(x, [1, 300, 65_000]):
-            parts.add(piece)
-        assert whole.value() == parts.value() == math.fsum(x)
+        parts = sum(binned_total(piece) for piece in np.array_split(x, [1, 300, 65_000]))
+        assert binned_total(x) == parts
+        assert binned_total(x) / _SUM_SCALE == math.fsum(x)
 
     def test_sums_sharing_work_arrays(self):
-        # interleaved adds of blocks of several sizes, as _mean_and_se makes
+        # interleaved blocks of several sizes, as _exact_means sums them
         rng = np.random.default_rng(5)
         work = _workspace()
-        a, b = _ExactSum(work), _ExactSum(work)
+        a = b = 0
         xs = [np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-60, 60, n))
               for n in (65_536, 17, 65_536, 40_000)]
         for x in xs:
-            a.add(x)
-            b.add(x * x)
+            a += _binned_sum(x, work)
+            b += _binned_sum(x * x, work)
         whole = np.concatenate(xs)
-        assert a.value() == math.fsum(whole)
-        assert b.value() == math.fsum(whole * whole)
+        assert a / _SUM_SCALE == math.fsum(whole)
+        assert b / _SUM_SCALE == math.fsum(whole * whole)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_values(self, bad):
-        acc = _ExactSum()
         with pytest.raises(OverflowError):
-            acc.add(np.array([1.0, bad, 2.0]))
+            _binned_sum(np.array([1.0, bad, 2.0]), _workspace())
 
 
 class TestSummarize:
@@ -197,6 +199,70 @@ class TestSummarize:
     def test_overflowing_sum_names_its_order(self):
         with pytest.raises(OverflowError, match="order 1"):
             summarize(np.full(3, 1.5e308), 1, 0, "huge")
+
+    def test_first_failing_order_named_across_blocks(self):
+        x = np.ones(3 * _CHUNK)
+        x[0] = 1e60  # block 0: the square of x**3 overflows
+        x[2 * _CHUNK] = 1e100  # block 2: the square of x**2 overflows
+        message = "^moment of order 2 is not finite: a value, its square or a sum overflows$"
+        with pytest.raises(OverflowError, match=message):
+            summarize(x, 4, 0, "huge")
+
+    def test_overflowing_sum_named_before_higher_order_value(self):
+        # order 1's sum overflows only once it is rounded, after every block
+        # has been read; order 2's square fails in the first block
+        with pytest.raises(OverflowError, match="order 1 "):
+            summarize(np.full(3, 1.5e308), 2, 0, "huge")
+
+    def test_rejects_bad_order(self):
+        with pytest.raises(ValueError, match="s_max must be >= 1"):
+            summarize(np.ones(3), 0, 0, "unit")
+
+
+def reference_summarize(values, s_max):
+    """Moments and standard errors the way summarize computed them one order
+    at a time: exact sums of x**s and of its square (math.fsum, the same
+    correctly rounded double), divided by n, and sd / sqrt(n) from them."""
+    n = values.size
+    moments, errors = [1.0], [0.0]
+    for s in range(1, s_max + 1):
+        v = values**s
+        mean = math.fsum(v.tolist()) / n
+        mean_sq = math.fsum((v * v).tolist()) / n
+        var = max(mean_sq - mean * mean, 0.0)
+        moments.append(mean)
+        errors.append(math.sqrt(var / (n - 1)) if n > 1 else 0.0)
+    return np.array(moments), np.array(errors)
+
+
+def one_pass_sample(sampler, n):
+    if sampler == "rayleigh":
+        return rayleigh_samples(1.0, n, RAYLEIGH_SEED)
+    if sampler == "mittag-leffler":
+        return mittag_leffler_samples(0.5, n, ML_SEED)
+    return tree_cost_samples(SplitKernel.uniform(), 0.5, 20, n, TREE_SEED)
+
+
+class TestOnePassSummarize:
+    @pytest.mark.parametrize("s_max", [1, 4, 8])
+    @pytest.mark.parametrize("n", BLOCK_EDGE_LENGTHS[:1] + (2,) + BLOCK_EDGE_LENGTHS[1:])
+    @pytest.mark.parametrize("sampler", ["rayleigh", "mittag-leffler", "tree"])
+    def test_matches_per_order_reference(self, sampler, n, s_max):
+        x = one_pass_sample(sampler, n)
+        summary = summarize(x, s_max, 0, sampler)
+        moments, errors = reference_summarize(x, s_max)
+        assert summary.moments.tobytes() == moments.tobytes()
+        assert summary.standard_errors.tobytes() == errors.tobytes()
+
+    def test_laplace_check_matches_per_lambda_reference(self):
+        n, lambdas = 3 * _CHUNK + 1, (0.5, 1.0, 2.0)
+        report = stable_laplace_check(0.5, lambdas, n, STABLE_SEED)
+        s = positive_stable_samples(0.5, n, STABLE_SEED)
+        for lam, dev in zip(lambdas, report.deviations.tolist()):
+            v = np.exp(-lam * s)
+            mean = math.fsum(v.tolist()) / n
+            var = max(math.fsum((v * v).tolist()) / n - mean * mean, 0.0)
+            assert dev == abs(mean - math.exp(-(lam**0.5))) / math.sqrt(var / (n - 1))
 
 
 class TestRayleigh:
@@ -326,6 +392,18 @@ UNIFORMS = st.sampled_from([0.0, 0.25, 0.5, 1.0 - 2**-53]) | st.floats(0.0, 1.0,
 
 
 class TestSplitKernel:
+    @pytest.mark.parametrize("u", [-0.5, 1.0, math.nan])
+    @pytest.mark.parametrize(
+        "kernel",
+        [SplitKernel.from_table({2: [1.0], 4: [0.5, 0.25, 0.25]}), SplitKernel.uniform()],
+        ids=["table", "uniform"],
+    )
+    def test_draw_rejects_u_outside_unit_interval(self, kernel, u):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            kernel.draw([4], [u])
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            kernel.draw(np.full(3, 4), np.array([0.0, u, 0.5]))
+
     def test_uniform_probs(self):
         k = SplitKernel.uniform()
         assert np.allclose(k.probs(5), 0.25)
@@ -614,7 +692,7 @@ class TestScaleFreeRatioCheck:
 class TestSampleSummarySerialization:
     def test_json_shape(self):
         summary = sample_rayleigh(1.0, 1000, 5)
-        payload = json.loads(summary.to_json())
+        payload = json.loads(json.dumps(summary.to_dict()))
         assert payload["sampler"] == "rayleigh"
         assert payload["seed"] == 5
         assert payload["n"] == 1000
