@@ -567,11 +567,32 @@ class TestPlumbing:
                  "--check-against", "fkp:0.5", "--format", "csv"),
                 "1cae466890a6ef60856358e46c8de970160b8b8170dba089999d607fc8d8f7bc",
             ),
+            # recorded while csv.writer and DensityTable.to_csv were two CSV
+            # writers: quoted labels, the manifest comment, a user grid's
+            # order and the default density grid
+            (
+                ("check", "--identity", "tilt", "--format", "csv"),
+                "ea565ddbe691b85145be90e45ecc798eea9013a94b34ec2e9ab7d77aab10bdc2",
+            ),
+            (
+                ("check", "--identity", "corollary", "--format", "csv", "--manifest"),
+                "d818627a6be535a0efa22eef8bb30a351926d05fc77654e22ecd31b4d3b1e810",
+            ),
+            (
+                ("check", "--identity", "tilt", "--alpha", "0.3,0.7", "--beta", "2",
+                 "--format", "csv"),
+                "970686e31b19e4469b460d82f8f074759e7d24bb07201d5c62000fc4921a1cc1",
+            ),
+            (
+                ("density", "--spec", "fkp-quarter", "--grid-points", "601"),
+                "ad1a5ce5f8bbe967e3a0e22402570b373870a7351e0755dd8c93e68b4a90d888",
+            ),
         ],
         ids=[
             "moments-csv", "moments-csv-manifest", "moments-json", "moments-json-manifest",
             "phi-adjudicate-csv", "phi-adjudicate-json", "check-json-manifest",
             "density-csv", "density-json", "sample-csv-check",
+            "tilt-csv", "corollary-csv-manifest", "tilt-csv-user-grid", "density-default-grid",
         ],
     )
     def test_pinned_stdout_digest(self, capsys, argv, digest):
