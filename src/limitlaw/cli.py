@@ -7,17 +7,18 @@ samplers.  Exit codes: 0 success / all checks pass, 1 a check or
 reconstruction failed, 2 usage or parameter error.
 
 Every run is a pure function of its flags and seed, so repeated invocations
-produce byte-identical output.  ``_write`` alone renders and writes it: CSV
-with 17 significant digits and comma-containing fields quoted, and strict JSON
-with shortest round-trip floats (a non-finite value exits 2).
+produce byte-identical output.  ``_write`` alone turns it into text: CSV with
+17 significant digits, None as an empty field, minimal quoting and
+``# key=value`` comment lines, and strict JSON with shortest round-trip floats
+(a non-finite value exits 2).  A non-finite value on a float flag is a usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
+import itertools
 import json
 import math
 import sys
@@ -55,31 +56,26 @@ from .montecarlo import (
     simulate_tree_cost,
 )
 
-_TILT_ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
-_TILT_BETAS = (0.25, 0.5, 1.0, 2.0)
-_COROLLARY_A_PRIMES = (0.5, 0.75, 1.0, 1.5, 2.5)
-_ML_ALPHAS = (0.25, 0.5, 0.75)
-_PHI_A_PRIMES = (0.25, 0.5, 1.0, 2.0)
 
-_DEFAULT_TOLS = {
-    "tilt": 1e-12,
-    "corollary": 1e-11,
-    "mittag-leffler": 1e-12,
-    "exp-functional": 1e-11,
-    "phi-adjudicate": 1e-8,
-    "t-independence": 1e-12,
-}
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite value, got {text!r}")
+    return value
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
+    value = _finite_float(text)
+    if value <= 0.0:
         raise argparse.ArgumentTypeError(f"expected a finite positive value, got {text!r}")
     return value
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+    return tuple(_finite_float(part) for part in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,29 +101,18 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("fkp", "local-time", "tilted", "exp-functional", "mittag-leffler"),
     )
-    p_mom.add_argument("--a-prime", type=float, default=None)
-    p_mom.add_argument("--alpha", type=float, default=None)
-    p_mom.add_argument("--beta", type=float, default=None)
-    p_mom.add_argument("--d", type=float, default=None)
-    p_mom.add_argument("--p", type=float, default=None)
-    p_mom.add_argument("--t", type=float, default=1.0)
+    p_mom.add_argument("--a-prime", type=_finite_float, default=None)
+    p_mom.add_argument("--alpha", type=_finite_float, default=None)
+    p_mom.add_argument("--beta", type=_finite_float, default=None)
+    p_mom.add_argument("--d", type=_finite_float, default=None)
+    p_mom.add_argument("--p", type=_finite_float, default=None)
+    p_mom.add_argument("--t", type=_finite_float, default=1.0)
     p_mom.add_argument("--smax", type=int, default=20)
     common(p_mom, "csv")
     p_mom.set_defaults(func=cmd_moments)
 
     p_chk = sub.add_parser("check", help="run identity cross-checks")
-    p_chk.add_argument(
-        "--identity",
-        required=True,
-        choices=(
-            "tilt",
-            "corollary",
-            "mittag-leffler",
-            "exp-functional",
-            "phi-adjudicate",
-            "t-independence",
-        ),
-    )
+    p_chk.add_argument("--identity", required=True, choices=tuple(_IDENTITIES))
     p_chk.add_argument("--alpha", type=_float_list, default=None, help="comma-separated grid")
     p_chk.add_argument("--beta", type=_float_list, default=None, help="comma-separated grid")
     p_chk.add_argument("--a-prime", type=_float_list, default=None, help="comma-separated grid")
@@ -138,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_den = sub.add_parser("density", help="inverse-Mellin density reconstruction")
     p_den.add_argument("--spec", required=True, choices=("fkp-quarter", "mittag-leffler"))
-    p_den.add_argument("--alpha", type=float, default=None)
+    p_den.add_argument("--alpha", type=_finite_float, default=None)
     p_den.add_argument("--grid-min", type=_positive_float, default=None)
     p_den.add_argument("--grid-max", type=_positive_float, default=None)
     p_den.add_argument("--grid-points", type=int, default=1201)
@@ -155,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_smp.add_argument("--n", type=int, required=True)
     p_smp.add_argument("--reps", type=int, default=None, help="replicates for the tree sampler")
     p_smp.add_argument("--seed", type=int, default=0)
-    p_smp.add_argument("--sigma", type=float, default=1.0)
-    p_smp.add_argument("--alpha", type=float, default=None)
-    p_smp.add_argument("--toll-exponent", type=float, default=0.0)
+    p_smp.add_argument("--sigma", type=_finite_float, default=1.0)
+    p_smp.add_argument("--alpha", type=_finite_float, default=None)
+    p_smp.add_argument("--toll-exponent", type=_finite_float, default=0.0)
     p_smp.add_argument("--kernel-file", default=None, help="CSV table kernel (n,k,probability)")
     p_smp.add_argument("--smax", type=int, default=4)
     p_smp.add_argument(
@@ -182,29 +167,49 @@ def _manifest(args) -> dict:
     return {"tool": "limitlaw", "version": __version__, "arguments": resolved}
 
 
+def _text(value) -> str:
+    """A value as output text: a float to 17 significant digits, None empty."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return "" if value is None else str(value)
+
+
+_QUOTED = frozenset(',"\r\n')
+
+
+def _cell(value) -> str:
+    """``_text(value)`` as a CSV field, quoted with its quotes doubled where it
+    holds a comma, a quote, CR or LF."""
+    text = _text(value)
+    return text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
+
 def _write(args, table, payload) -> None:
     """Render the output in ``args.format`` and write it to --output or stdout.
 
-    ``table()`` returns ``(comments, header, rows)`` or a finished CSV string;
+    ``table()`` returns ``(comments, header, columns)``, each comment a
+    sequence of ``(key, value)`` pairs printed as ``# key=value ...``;
     ``payload()`` returns a JSON object, or a list of objects for JSON lines.
     Only the requested format is built.  The manifest is the first CSV comment,
     the first JSON line, or the ``"manifest"`` key of a single JSON object.
-    CSV floats get 17 significant digits and None an empty field.
+    This is the only CSV writer, and a row costs one ``str.format`` call: a
+    float array column is formatted by the row template, any other by ``_cell``.
     """
     manifest = _manifest(args) if args.manifest else None
     if args.format == "csv":
-        text = table()
-        if not isinstance(text, str):
-            comments, header, rows = text
-            buf = io.StringIO()
-            buf.writelines(f"# {line}\n" for line in comments)
-            csv.writer(buf, lineterminator="\n").writerows(
-                [format(v, ".17g") if isinstance(v, float) else v for v in row]
-                for row in [header, *rows]
-            )
-            text = buf.getvalue()
+        comments, header, columns = table()
         if manifest is not None:
-            text = "# manifest=" + json.dumps(manifest, allow_nan=False) + "\n" + text
+            comments = [[("manifest", json.dumps(manifest, allow_nan=False))], *comments]
+        floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+        row = ",".join("{:.17g}" if f else "{}" for f in floats) + "\n"
+        cells = [c.tolist() if f else map(_cell, c) for c, f in zip(columns, floats)]
+        text = "".join(
+            "# " + " ".join(f"{key}={_text(value)}" for key, value in line) + "\n"
+            for line in comments
+        )
+        text += ",".join(map(_cell, header)) + "\n"
+        if cells:  # no columns: a table without rows is its header alone
+            text += "".join(map(row.format, *cells))
     else:
         body = payload()
         if isinstance(body, list):
@@ -249,110 +254,89 @@ def cmd_moments(args) -> int:
 
     _write(
         args,
-        lambda: ([f"label={seq.label}"], ("s", "value"), enumerate(seq.values)),
+        lambda: ([[("label", seq.label)]], ("s", "value"), (range(seq.values.size), seq.values)),
         lambda: {**seq.to_dict(), "rows": [[s, float(v)] for s, v in enumerate(seq.values)]},
     )
     return 0
 
 
-def _ml_unit_scale_time(alpha: float) -> float:
-    """Time at which the local-time scale factor equals 1 for p = 0."""
-    return 0.5 * math.exp((log_gamma(1.0 - alpha) - log_gamma(1.0 + alpha)) / alpha)
+def _tilt_sides(alpha, beta, s_max):
+    params = BesselParams.from_alpha_beta(alpha, beta)
+    return tilt(scaled_local_time_moments(params, s_max + 1)), tilted_moments(alpha, beta, s_max)
 
 
-def _identity_reports(identity, alphas, betas, a_primes, s_max, tol):
-    reports = []
-    if identity == "tilt":
-        for alpha in alphas:
-            for beta in betas:
-                params = BesselParams.from_alpha_beta(alpha, beta)
-                reports.append(
-                    compare(
-                        tilt(scaled_local_time_moments(params, s_max + 1)),
-                        tilted_moments(alpha, beta, s_max),
-                        tol,
-                    )
-                )
-    elif identity == "corollary":
-        for a_prime in a_primes:
-            reports.append(
-                compare(
-                    fkp_moments(a_prime, s_max),
-                    scale(tilted_moments(0.5, a_prime, s_max), 2.0**-0.5),
-                    tol,
-                )
-            )
-    elif identity == "mittag-leffler":
-        for alpha in alphas:
-            params = BesselParams.from_alpha_beta(alpha, alpha, t=_ml_unit_scale_time(alpha))
-            reports.append(
-                compare(
-                    local_time_moments(params, s_max),
-                    mittag_leffler_moments(alpha, s_max),
-                    tol,
-                )
-            )
-    elif identity == "exp-functional":
-        for alpha in alphas:
-            for beta in betas:
-                params = BesselParams.from_alpha_beta(alpha, beta, t=1.0)
-                reports.append(
-                    compare(
-                        exp_functional_moments(params, s_max),
-                        scale(tilted_moments(alpha, beta, s_max), kappa(params)),
-                        tol,
-                    )
-                )
-    else:  # t-independence
-        for alpha in alphas:
-            for beta in betas:
-                sides = []
-                for t in (0.3, 7.0):
-                    params = BesselParams.from_alpha_beta(alpha, beta, t=t)
-                    raw = local_time_moments(params, s_max)
-                    vals = raw.values / kappa(params) ** np.arange(s_max + 1)
-                    vals[0] = 1.0
-                    sides.append(
-                        MomentSequence(
-                            vals,
-                            f"scaled-via-t={t:g}(alpha={alpha:g}, beta={beta:g})",
-                            {"alpha": alpha, "beta": beta, "t": t},
-                        )
-                    )
-                reports.append(compare(sides[0], sides[1], tol))
-    return reports
+def _corollary_sides(a_prime, s_max):
+    return fkp_moments(a_prime, s_max), scale(tilted_moments(0.5, a_prime, s_max), 2.0**-0.5)
+
+
+def _mittag_leffler_sides(alpha, s_max):
+    # the p = 0 local time at the t where its scale factor equals 1
+    t = 0.5 * math.exp((log_gamma(1.0 - alpha) - log_gamma(1.0 + alpha)) / alpha)
+    params = BesselParams.from_alpha_beta(alpha, alpha, t=t)
+    return local_time_moments(params, s_max), mittag_leffler_moments(alpha, s_max)
+
+
+def _exp_functional_sides(alpha, beta, s_max):
+    params = BesselParams.from_alpha_beta(alpha, beta, t=1.0)
+    tilted = scale(tilted_moments(alpha, beta, s_max), kappa(params))
+    return exp_functional_moments(params, s_max), tilted
+
+
+def _t_independence_sides(alpha, beta, s_max):
+    def scaled_via(t):
+        params = BesselParams.from_alpha_beta(alpha, beta, t=t)
+        values = local_time_moments(params, s_max).values / kappa(params) ** np.arange(s_max + 1)
+        values[0] = 1.0
+        label = f"scaled-via-t={t:g}(alpha={alpha:g}, beta={beta:g})"
+        return MomentSequence(values, label, {"alpha": alpha, "beta": beta, "t": t})
+
+    return scaled_via(0.3), scaled_via(7.0)
+
+
+# identity -> (default tolerance, {flag: default grid} outermost first,
+# sides(*point, s_max) -> the two sequences compare() holds together).
+# phi-adjudicate has no sides: adjudicate_phi_convention reports each point.
+_IDENTITIES = {
+    "tilt": (1e-12, {"alpha": (0.1, 0.3, 0.5, 0.7, 0.9), "beta": (0.25, 0.5, 1.0, 2.0)},
+             _tilt_sides),
+    "corollary": (1e-11, {"a_prime": (0.5, 0.75, 1.0, 1.5, 2.5)}, _corollary_sides),
+    "mittag-leffler": (1e-12, {"alpha": (0.25, 0.5, 0.75)}, _mittag_leffler_sides),
+    "exp-functional": (1e-11, {"alpha": (0.1, 0.3, 0.5, 0.7, 0.9), "beta": (0.25, 0.5, 1.0, 2.0)},
+                       _exp_functional_sides),
+    "phi-adjudicate": (1e-8, {"a_prime": (0.25, 0.5, 1.0, 2.0)}, None),
+    "t-independence": (1e-12, {"alpha": (0.1, 0.3, 0.5, 0.7, 0.9), "beta": (0.25, 0.5, 1.0, 2.0)},
+                       _t_independence_sides),
+}
 
 
 def cmd_check(args) -> int:
     identity = args.identity
-    tol = args.tol if args.tol is not None else _DEFAULT_TOLS[identity]
-    alphas = args.alpha if args.alpha is not None else _TILT_ALPHAS
-    betas = args.beta if args.beta is not None else _TILT_BETAS
-    if identity == "mittag-leffler" and args.alpha is None:
-        alphas = _ML_ALPHAS
-    if args.a_prime is not None:
-        a_primes = args.a_prime
-    else:
-        a_primes = _PHI_A_PRIMES if identity == "phi-adjudicate" else _COROLLARY_A_PRIMES
-
-    if identity == "phi-adjudicate":
-        results = [adjudicate_phi_convention(a, args.smax, tol) for a in a_primes]
+    tol, grids, sides = _IDENTITIES[identity]
+    if args.tol is not None:
+        tol = args.tol
+    points = itertools.product(
+        *(default if getattr(args, flag) is None else getattr(args, flag)
+          for flag, default in grids.items())
+    )
+    if sides is None:  # phi-adjudicate: a diagnostic, never a failure
+        results = [adjudicate_phi_convention(*point, args.smax, tol) for point in points]
         header = ("a_prime", "convention", "max_deviation", "log10_slope", "pass")
         rows = (
             (r.a_prime, conv, rep.max_deviation, r.slopes[conv], rep.passed)
             for r in results
             for conv, rep in r.reports.items()
         )
-        _write(args, lambda: ([], header, rows), lambda: [r.to_dict() for r in results])
-        return 0  # diagnostic only, never a failure
-
-    reports = _identity_reports(identity, alphas, betas, a_primes, args.smax, tol)
-    header = ("identity", "label_a", "label_b", "max_deviation", "tolerance", "pass")
-    rows = (
-        (identity, r.label_a, r.label_b, r.max_deviation, r.tolerance, r.passed) for r in reports
-    )
-    _write(args, lambda: ([], header, rows), lambda: [r.to_dict() for r in reports])
-    return 0 if all(r.passed for r in reports) else 1
+        code = 0
+    else:
+        results = [compare(*sides(*point, args.smax), tol) for point in points]
+        header = ("identity", "label_a", "label_b", "max_deviation", "tolerance", "pass")
+        rows = (
+            (identity, r.label_a, r.label_b, r.max_deviation, r.tolerance, r.passed)
+            for r in results
+        )
+        code = 0 if all(r.passed for r in results) else 1
+    _write(args, lambda: ([], header, list(zip(*rows))), lambda: [r.to_dict() for r in results])
+    return code
 
 
 def cmd_density(args) -> int:
@@ -414,14 +398,14 @@ def cmd_sample(args) -> int:
         check = scale_free_ratio_check(summary, _parse_check_against(args.check_against))
 
     def table():
-        comments = [f"sampler={summary.sampler} n={summary.n} seed={summary.seed}"]
+        comments = [[("sampler", summary.sampler), ("n", summary.n), ("seed", summary.seed)]]
         if check is not None:
             comments.append(
-                f"check={check.label_b} max_deviation={check.max_deviation:.17g}"
-                f" pass={check.passed}"
+                [("check", check.label_b), ("max_deviation", check.max_deviation),
+                 ("pass", check.passed)]
             )
-        rows = zip(range(summary.max_order + 1), summary.moments, summary.standard_errors)
-        return comments, ("s", "moment", "standard_error"), rows
+        columns = (range(summary.max_order + 1), summary.moments, summary.standard_errors)
+        return comments, ("s", "moment", "standard_error"), columns
 
     def payload():
         out = {"summary": summary.to_dict()}

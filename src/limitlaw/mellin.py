@@ -190,25 +190,19 @@ class DensityTable:
     def integral(self) -> float:
         return _integrate_log(self.x, self.density)
 
-    def to_csv(self) -> str:
-        md = {k: self.metadata.get(k, math.nan) for k in (
-            "integral_grid", "integral_raw", "lower_tail", "upper_tail",
-            "contour", "height", "step",
-        )}
-        lines = [
-            f"# label={self.label}",
-            f"# integral_grid={md['integral_grid']:.17g}"
-            f" integral_raw={md['integral_raw']:.17g}",
-            f"# lower_tail={md['lower_tail']:.17g} upper_tail={md['upper_tail']:.17g}",
-            f"# contour={md['contour']:.17g} height={md['height']:.17g}"
-            f" step={md['step']:.17g}",
-            "x,f,truncation_estimate",
-            *map(
-                "{:.17g},{:.17g},{:.17g}".format,
-                self.x.tolist(), self.density.tolist(), self.truncation_estimate.tolist(),
-            ),
+    def to_csv(self) -> tuple:
+        """The CSV table as ``(comments, header, columns)``: comment lines of
+        ``(key, value)`` pairs, then one column per header field."""
+        comments = [[("label", self.label)]] + [
+            [(key, self.metadata.get(key, math.nan)) for key in keys]
+            for keys in (
+                ("integral_grid", "integral_raw"),
+                ("lower_tail", "upper_tail"),
+                ("contour", "height", "step"),
+            )
         ]
-        return "\n".join(lines) + "\n"
+        columns = (self.x, self.density, self.truncation_estimate)
+        return comments, ("x", "f", "truncation_estimate"), columns
 
     def to_dict(self) -> dict:
         md = {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in self.metadata.items()}

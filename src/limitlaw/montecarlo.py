@@ -201,8 +201,8 @@ def _require_count(n: int, name: str = "n") -> int:
 
 def rayleigh_samples(sigma: float, n: int, seed: int) -> np.ndarray:
     """Rayleigh draws X = sigma * sqrt(-2 ln U) with U uniform on (0, 1)."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
     n = _require_count(n)
 
     def chunk(rng, m):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: flags, output formats,
 exit codes, and byte-level reproducibility."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -761,6 +762,87 @@ class TestPlumbing:
         assert [run_cli(capsys, *argv) for argv in argvs] == fresh
         assert cli._parser.cache_info().misses == builds
         assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 0]
+
+    # a bad float flag is refused by argparse, naming the flag: the moments
+    # run once met its nan in the manifest's json.dumps, the sampler once
+    # reported an infinite sigma as a non-finite moment, and a grid or
+    # positive flag once named its private parser in the message
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("moments", "--which", "fkp", "--a-prime", "0.5", "--alpha", "nan", "--manifest"),
+             "argument --alpha: expected a finite value, got 'nan'"),
+            (("sample", "--sampler", "rayleigh", "--sigma", "inf", "--n", "10"),
+             "argument --sigma: expected a finite value, got 'inf'"),
+            (("check", "--identity", "tilt", "--alpha", "0.3,nan"),
+             "argument --alpha: expected a finite value, got 'nan'"),
+            (("check", "--identity", "tilt", "--alpha", "0.3,x"),
+             "argument --alpha: invalid float value: 'x'"),
+            (("density", "--spec", "fkp-quarter", "--contour", "x"),
+             "argument --contour: invalid float value: 'x'"),
+        ],
+        ids=["moments-manifest", "sample-sigma", "check-grid", "check-grid-text", "positive-text"],
+    )
+    def test_bad_float_flag_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
+
+
+def render_csv(capsys, comments, header, columns, manifest=False):
+    args = argparse.Namespace(format="csv", output=None, manifest=manifest)
+    cli._write(args, lambda: (comments, header, columns), None)
+    return capsys.readouterr().out
+
+
+def csv_writer_reference(header, rows):
+    """The CSV that csv.writer makes, floats to 17 significant digits first.
+    Each row is written with a CRLF terminator, under which csv.writer quotes
+    a field holding CR as well as LF on every supported Python, and the
+    terminator is then replaced by LF.  Every row has two or more fields: a
+    lone empty field is where csv.writer writes a quoted empty string."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    lines = []
+    for row in [header, *rows]:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
+
+
+class TestCsvRenderer:
+    CELLS = [
+        "a,b", 'say "hi"', "carriage\rreturn", "line\nfeed", "", None, True, False, 7,
+        np.float64(0.1), math.inf, -math.inf, math.nan, -0.0, 5e-324, "plain",
+    ]
+
+    def test_cells_match_csv_writer(self, capsys):
+        header = ("i", "cell, quoted", "tail")
+        rows = [(i, cell, "x") for i, cell in enumerate(self.CELLS)]
+        out = render_csv(capsys, [], header, list(zip(*rows)))
+        assert out == csv_writer_reference(header, rows)
+
+    def test_float_array_column_matches_list_column(self, capsys):
+        values = np.array([0.1, 2.0 / 3.0, -0.0, 5e-324, 1e300, math.inf, math.nan])
+        header = ("s", "value")
+        as_array = render_csv(capsys, [], header, (range(values.size), values))
+        as_list = render_csv(capsys, [], header, (range(values.size), values.tolist()))
+        assert as_array == as_list
+        assert as_array == csv_writer_reference(header, enumerate(values.tolist()))
+
+    @pytest.mark.parametrize("columns", [[], ([], np.array([]))], ids=["none", "empty"])
+    def test_table_without_rows_is_its_header(self, capsys, columns):
+        assert render_csv(capsys, [], ("a", "b,c"), columns) == 'a,"b,c"\n'
+
+    def test_comment_lines(self, capsys):
+        comments = [[("label", "f(a, b)"), ("x", 0.1), ("gap", None)], [("pass", True)]]
+        out = render_csv(capsys, comments, ("a", "b"), ([1], [2.5]), manifest=True)
+        manifest, *rest = out.split("\n")
+        assert manifest.startswith("# manifest={")
+        assert rest == ["# label=f(a, b) x=0.10000000000000001 gap=", "# pass=True", "a,b",
+                        "1,2.5", ""]
 
 
 def _reject_constant(constant):

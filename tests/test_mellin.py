@@ -213,16 +213,19 @@ class TestDensityTable:
     def test_csv_layout(self):
         spec = spec_from_mittag_leffler(0.5)
         table = invert(spec, default_grid(spec, 201))
-        text = table.to_csv()
-        lines = text.strip().split("\n")
-        header_idx = lines.index("x,f,truncation_estimate")
-        assert any(line.startswith("# integral_grid=") for line in lines[:header_idx])
-        data = lines[header_idx + 1 :]
-        assert len(data) == table.x.size
-        x0, f0, t0 = (float(v) for v in data[0].split(","))
-        assert x0 == table.x[0]
-        assert f0 == table.density[0]
-        assert t0 == table.truncation_estimate[0]
+        comments, header, columns = table.to_csv()
+        assert header == ("x", "f", "truncation_estimate")
+        arrays = (table.x, table.density, table.truncation_estimate)
+        assert len(columns) == len(arrays)
+        for column, array in zip(columns, arrays):
+            np.testing.assert_array_equal(column, array)
+        assert [[key for key, _ in line] for line in comments] == [
+            ["label"],
+            ["integral_grid", "integral_raw"],
+            ["lower_tail", "upper_tail"],
+            ["contour", "height", "step"],
+        ]
+        assert comments[0] == [("label", table.label)]
 
     def test_json_round_trip(self):
         spec = spec_from_exponential()

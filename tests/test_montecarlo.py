@@ -292,6 +292,11 @@ class TestRayleigh:
         with pytest.raises(ValueError):
             sample_rayleigh(1.0, 0, 0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_sigma_is_refused(self, sigma):
+        with pytest.raises(ValueError, match="finite and positive"):
+            rayleigh_samples(sigma, 10, 0)
+
 
 class TestPositiveStable:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
