@@ -266,6 +266,17 @@ class TestDensityCommand:
         code, _, _ = run_cli(capsys, "density", "--spec", "mittag-leffler")
         assert code == 2
 
+    @pytest.mark.parametrize("grid_max", ["2", "1"])
+    def test_grid_max_not_above_grid_min_exits_2(self, capsys, grid_max):
+        code, out, err = run_cli(
+            capsys,
+            "density", "--spec", "mittag-leffler", "--alpha", "0.5",
+            "--grid-min", "2", "--grid-max", grid_max,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSampleCommand:
     def test_rayleigh_with_ratio_check(self, capsys):
@@ -588,12 +599,20 @@ class TestPlumbing:
                 ("density", "--spec", "fkp-quarter", "--grid-points", "601"),
                 "ad1a5ce5f8bbe967e3a0e22402570b373870a7351e0755dd8c93e68b4a90d888",
             ),
+            # recorded while the CLI built its own user grid: an even
+            # --grid-points is raised to the next odd count (41 rows here)
+            (
+                ("density", "--spec", "mittag-leffler", "--alpha", "0.5",
+                 "--grid-min", "1e-6", "--grid-max", "20", "--grid-points", "40"),
+                "56052c46d971518490d9010cce3049aef209d0152edb0fcd45e8bcefc00f5cb6",
+            ),
         ],
         ids=[
             "moments-csv", "moments-csv-manifest", "moments-json", "moments-json-manifest",
             "phi-adjudicate-csv", "phi-adjudicate-json", "check-json-manifest",
             "density-csv", "density-json", "sample-csv-check",
             "tilt-csv", "corollary-csv-manifest", "tilt-csv-user-grid", "density-default-grid",
+            "density-even-count-grid",
         ],
     )
     def test_pinned_stdout_digest(self, capsys, argv, digest):
