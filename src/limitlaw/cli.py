@@ -32,6 +32,7 @@ from .mellin import (
     MellinInversionError,
     default_grid,
     invert,
+    log_grid,
     spec_from_fkp_quarter,
     spec_from_mittag_leffler,
 )
@@ -340,29 +341,21 @@ def cmd_check(args) -> int:
 
 
 def cmd_density(args) -> int:
-    overrides = {"contour": args.contour, "step": args.step}
-    if args.height is not None:
-        overrides["height"] = args.height
     if args.spec == "fkp-quarter":
-        spec = spec_from_fkp_quarter(**overrides)
+        spec = spec_from_fkp_quarter()
     else:
         if args.alpha is None:
             raise ValueError("--spec mittag-leffler requires --alpha")
-        spec = spec_from_mittag_leffler(args.alpha, **overrides)
+        spec = spec_from_mittag_leffler(args.alpha)
 
-    points = args.grid_points
     if (args.grid_min is None) != (args.grid_max is None):
         raise ValueError("--grid-min and --grid-max must be given together")
-    if args.grid_min is not None:
-        if args.grid_max <= args.grid_min:
-            raise ValueError("--grid-max must exceed --grid-min")
-        if points % 2 == 0:
-            points += 1
-        grid = np.exp(np.linspace(math.log(args.grid_min), math.log(args.grid_max), points))
+    if args.grid_min is None:
+        grid = default_grid(spec, args.grid_points)
     else:
-        grid = default_grid(spec, points)
+        grid = log_grid(args.grid_min, args.grid_max, args.grid_points)
 
-    table = invert(spec, grid)
+    table = invert(spec, grid, contour=args.contour, step=args.step, height=args.height)
     _write(args, table.to_csv, table.to_dict)
     return 0
 

@@ -98,12 +98,16 @@ def _two_sum_vec(a, b):
     return s, (a - (s - t)) + (b - t)
 
 
+def _split_vec(a):
+    """Dekker's split a = hi + lo into halves whose pairwise products are exact."""
+    hi = (a * _SPLIT) - ((a * _SPLIT) - a)
+    return hi, a - hi
+
+
 def _two_prod_vec(a, b):
     p = a * b
-    a_hi = (a * _SPLIT) - ((a * _SPLIT) - a)
-    a_lo = a - a_hi
-    b_hi = (b * _SPLIT) - ((b * _SPLIT) - b)
-    b_lo = b - b_hi
+    a_hi, a_lo = _split_vec(a)
+    b_hi, b_lo = _split_vec(b)
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 

@@ -8,6 +8,8 @@ M(s+1) = m_s for the target moment sequence.  The density is recovered as
 by the trapezoid rule on a vertical contour Re(s) = c.  log M is evaluated
 through the complex log-gamma kernel, which is continuous along vertical
 lines in the right half-plane, so the integrand never crosses a branch cut.
+A MellinSpec is the law alone: ``invert`` takes the quadrature settings c, h
+and U, and ``log_grid`` builds every log-uniform grid.
 
 On a log-uniform grid x_j = exp(L + j d) with nodes u_k = k h the quadrature
 sum is a chirp-z transform in the product k j, and one Bluestein convolution
@@ -22,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gammakit import log_gamma_complex
-from .moments import MomentSequence
+from .gammakit import _split_vec, _two_sum_vec, log_gamma_complex
+from .moments import MomentSequence, _require_order
 
 __all__ = [
     "MellinSpec",
@@ -33,6 +35,7 @@ __all__ = [
     "spec_from_mittag_leffler",
     "spec_from_exponential",
     "default_grid",
+    "log_grid",
     "invert",
     "roundtrip_moments",
 ]
@@ -67,29 +70,19 @@ class MellinInversionError(RuntimeError):
 
 @dataclass(frozen=True)
 class MellinSpec:
-    """Gamma-ratio Mellin transform with contour and quadrature settings.
+    """Gamma-ratio Mellin transform of a law on (0, inf), M(1) = 1.
 
     ``factors`` is a tuple of (a, b, sign) triples with a > 0 and sign +-1,
-    one per Gamma(a s + b) factor.  ``contour`` is the abscissa c > 0;
-    ``height`` is the truncation U (None selects it adaptively from the
-    decay of |M| along the contour); ``step`` is the trapezoid step h.
+    one per Gamma(a s + b) factor.  How the transform is inverted is not
+    part of the law: ``invert`` takes the quadrature settings.
     """
 
     log_prefactor: float
     log_base: float
     factors: tuple
     label: str
-    contour: float = 0.5
-    height: float | None = None
-    step: float = 0.04
 
     def __post_init__(self):
-        if not self.contour > 0.0:
-            raise ValueError(f"contour abscissa must be positive, got {self.contour!r}")
-        if not self.step > 0.0:
-            raise ValueError(f"quadrature step must be positive, got {self.step!r}")
-        if self.height is not None and not self.height > 0.0:
-            raise ValueError(f"truncation height must be positive, got {self.height!r}")
         factors = tuple((float(a), float(b), int(sg)) for a, b, sg in self.factors)
         if not factors:
             raise ValueError("at least one gamma factor is required")
@@ -98,11 +91,6 @@ class MellinSpec:
                 raise ValueError(f"gamma factor needs a > 0, got a={a!r}")
             if sg not in (-1, 1):
                 raise ValueError(f"gamma factor sign must be +-1, got {sg!r}")
-            if sg == 1 and -b / a >= self.contour:
-                raise ValueError(
-                    f"numerator pole at s={-b / a:g} is not strictly left of the "
-                    f"contour Re(s)={self.contour:g}"
-                )
         object.__setattr__(self, "factors", factors)
         total_mass = self.mellin(1.0)
         if abs(total_mass - 1.0) > 1e-10:
@@ -125,7 +113,7 @@ class MellinSpec:
         return MomentSequence(vals, f"mellin-moments({self.label})", {"spec": self.label})
 
 
-def spec_from_fkp_quarter(**overrides) -> MellinSpec:
+def spec_from_fkp_quarter() -> MellinSpec:
     """Mellin transform of the a' = 1/4 limit law:
     M(s) = 2^{(1-s)/2} Gamma(1/4) Gamma(1/2) Gamma(s) / (Gamma(s/4) Gamma((s+1)/4)).
     """
@@ -134,11 +122,10 @@ def spec_from_fkp_quarter(**overrides) -> MellinSpec:
         log_base=-0.5 * LN2,
         factors=((1.0, 0.0, 1), (0.25, 0.0, -1), (0.25, 0.25, -1)),
         label="fkp-quarter",
-        **overrides,
     )
 
 
-def spec_from_mittag_leffler(alpha: float, **overrides) -> MellinSpec:
+def spec_from_mittag_leffler(alpha: float) -> MellinSpec:
     """Mellin transform of ML(alpha): M(s) = Gamma(s) / Gamma((s-1) alpha + 1)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -147,18 +134,16 @@ def spec_from_mittag_leffler(alpha: float, **overrides) -> MellinSpec:
         log_base=0.0,
         factors=((1.0, 0.0, 1), (alpha, 1.0 - alpha, -1)),
         label=f"mittag-leffler({alpha:g})",
-        **overrides,
     )
 
 
-def spec_from_exponential(**overrides) -> MellinSpec:
+def spec_from_exponential() -> MellinSpec:
     """Mellin transform of the unit exponential: M(s) = Gamma(s)."""
     return MellinSpec(
         log_prefactor=0.0,
         log_base=0.0,
         factors=((1.0, 0.0, 1),),
         label="exp(1)",
-        **overrides,
     )
 
 
@@ -239,36 +224,38 @@ def _integrate_log(x: np.ndarray, g: np.ndarray) -> float:
     return float(total)
 
 
-def default_grid(spec: MellinSpec, points: int = 1201, x_min: float = 1e-9) -> np.ndarray:
-    """Geometric grid covering all but ~1e-8 of the mass.
+def log_grid(x_min: float, x_max: float, points: int) -> np.ndarray:
+    """Log-uniform grid from x_min to x_max: ``points`` points, an even count
+    raised by one so that Simpson's rule covers it."""
+    if not 0.0 < x_min < x_max < math.inf:
+        raise ValueError(f"log grid needs 0 < x_min < x_max < inf, got {x_min=!r}, {x_max=!r}")
+    points = int(points) | 1
+    return np.exp(np.linspace(math.log(x_min), math.log(x_max), points))
+
+
+def default_grid(spec: MellinSpec, points: int = 1201) -> np.ndarray:
+    """Log grid from 1e-9 covering all but ~1e-8 of the mass.
 
     The upper end comes from the Markov bound P(X > x) <= m_10 / x^10 at
-    tail mass 1e-9; the lower end default of 1e-9 keeps the missed mass
-    below f(0+) * 1e-9 for the bounded densities shipped here.
+    tail mass 1e-9; the lower end 1e-9 keeps the missed mass below
+    f(0+) * 1e-9 for the bounded densities shipped here.
     """
     points = int(points)
     if points < 9:
         raise ValueError(f"grid needs at least 9 points, got {points!r}")
-    if points % 2 == 0:
-        points += 1  # Simpson rule wants an odd count
-    m10 = spec.mellin(11.0)
-    x_max = (m10 / 1e-9) ** 0.1
-    if x_max <= x_min:
-        raise ValueError(f"degenerate grid: x_max={x_max!r} <= x_min={x_min!r}")
-    return np.exp(np.linspace(math.log(x_min), math.log(x_max), points))
+    return log_grid(1e-9, (spec.mellin(11.0) / 1e-9) ** 0.1, points)
 
 
-def _contour_nodes(spec: MellinSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _contour_nodes(spec: MellinSpec, c: float, h: float,
+                   height: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Contour ordinates, log M values along them, their trapezoid weights,
-    and the height used.
+    and the height used, for contour c, step h and truncation height
+    ``height`` (None chooses it from the decay of |M|).
 
     Refuses when |M| at the contour ends is not at least 1e-12 below its
     peak (truncation would pollute the reconstruction).
     """
-    c, h = spec.contour, spec.step
-    if spec.height is not None:
-        height = spec.height
-    else:
+    if height is None:
         # the first of the doubling heights 20 * 2**k <= 1e5 where |M| has
         # fallen to the target, all evaluated in one call with the peak at u = 0
         heights = 20.0 * 2.0 ** np.arange(_HEIGHT_DOUBLINGS)
@@ -335,13 +322,10 @@ def _log_residual(lx: np.ndarray) -> tuple[float, float, np.ndarray]:
     every remaining subtraction is exact."""
     origin = float(lx[0])
     step = float(lx[-1] - lx[0]) / (lx.size - 1)
-    diff = lx - origin
-    back = diff - lx
-    diff_err = (lx - (diff - back)) - (origin + back)
-    big = step * 134217729.0  # 2^27 + 1
-    hi = big - (big - step)
+    diff, diff_err = _two_sum_vec(lx, -origin)
+    hi, lo = _split_vec(step)
     j = np.arange(lx.size, dtype=float)
-    return origin, step, ((diff - j * hi) - j * (step - hi)) + diff_err
+    return origin, step, ((diff - j * hi) - j * lo) + diff_err
 
 
 def _chirp_z_sum(grid: np.ndarray, c: float, h: float, lm: np.ndarray, weights: np.ndarray):
@@ -398,31 +382,45 @@ def _noise_floor(grid: np.ndarray, c: float, lm: np.ndarray, weights: np.ndarray
     return _ROUNDOFF_UNITS * np.finfo(float).eps * grid ** (-c) * quad_mass
 
 
-def invert(spec: MellinSpec, grid) -> DensityTable:
+def invert(spec: MellinSpec, grid, *, contour: float = 0.5, step: float = 0.04,
+           height: float | None = None) -> DensityTable:
     """Reconstruct the density of the law behind ``spec`` on a positive grid.
+
+    The trapezoid rule with step ``step`` runs on the line Re(s) = ``contour``
+    up to |Im(s)| = ``height``, or where |M| has decayed when it is None.  Each
+    setting must be finite and positive, every numerator pole must lie left of
+    the contour, and the table's metadata records all three.
 
     The quadrature nodes along the contour are shared and evaluated once,
     walking the contour monotonically.  A log-uniform grid takes one chirp-z
     convolution; any other grid is integrated point by point.  Both give the
     same sum within ``noise_floor``.
     """
+    for name, value in (("contour", contour), ("step", step), ("height", height)):
+        if not (value is None and name == "height" or 0.0 < value < math.inf):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    for a, b, sign in spec.factors:
+        if sign == 1 and -b / a >= contour:
+            raise ValueError(
+                f"numerator pole at s={-b / a:g} is not strictly left of the "
+                f"contour Re(s)={contour:g}"
+            )
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least 2 points")
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly positive and strictly increasing")
 
-    c = spec.contour
-    u, lm, weights, height = _contour_nodes(spec)
+    u, lm, weights, height = _contour_nodes(spec, contour, step, height)
 
-    f_complex = _chirp_z_sum(grid, c, spec.step, lm, weights)
+    f_complex = _chirp_z_sum(grid, contour, step, lm, weights)
     if f_complex is None:
-        f_complex = _direct_sum(grid, c, u, lm, weights)
+        f_complex = _direct_sum(grid, contour, u, lm, weights)
 
     raw = f_complex.real
     imag_abs = np.abs(f_complex.imag)
 
-    noise_floor = _noise_floor(grid, c, lm, weights)
+    noise_floor = _noise_floor(grid, contour, lm, weights)
 
     # Realness is certifiable at 1e-10 relative only where the density sits
     # at least 1e10 above the roundoff floor; below that both parts are noise.
@@ -439,9 +437,9 @@ def invert(spec: MellinSpec, grid) -> DensityTable:
         )
 
     # Leftover contour mass beyond the truncation, from the local decay rate.
-    decay = (lm.real[-2] - lm.real[-1]) / spec.step
+    decay = (lm.real[-2] - lm.real[-1]) / step
     leftover = math.exp(lm.real[-1]) / max(decay, 1e-30)
-    truncation = grid ** (-c) * leftover / math.pi
+    truncation = grid ** (-contour) * leftover / math.pi
 
     integral_grid = _integrate_log(grid, raw)
     lower_tail = float(grid[0] * max(raw[0], 0.0))
@@ -463,9 +461,9 @@ def invert(spec: MellinSpec, grid) -> DensityTable:
         "lower_tail": lower_tail,
         "upper_tail": upper_tail,
         "renormalized": renormalized,
-        "contour": c,
+        "contour": contour,
         "height": height,
-        "step": spec.step,
+        "step": step,
         "imag_abs_max": float(np.max(imag_abs)),
         "imag_ratio_max": imag_ratio,
         "realness_points": int(np.count_nonzero(certifiable)),
@@ -511,9 +509,7 @@ def roundtrip_moments(table: DensityTable, s_max: int) -> MomentSequence:
     Raises when the estimated moment mass beyond the grid exceeds 1e-8 of
     the grid moment (insufficient tail coverage).
     """
-    s_max = int(s_max)
-    if s_max < 1:
-        raise ValueError(f"s_max must be >= 1, got {s_max!r}")
+    s_max = _require_order(s_max)
     alive = _alive_region(table)
     if alive.size == 0:
         raise ValueError("density table is numerically zero everywhere")

@@ -120,10 +120,7 @@ class BesselParams:
 
     @classmethod
     def from_alpha_beta(cls, alpha: float, beta: float, t: float = 1.0) -> "BesselParams":
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-        if not beta > 0.0:
-            raise ValueError(f"beta must be positive, got {beta!r}")
+        _require_alpha_beta(alpha, beta)
         return cls(d=2.0 * (1.0 - alpha), p=0.5 - alpha / (2.0 * beta), t=t)
 
     @property
@@ -181,6 +178,13 @@ def _require_order(s_max: int) -> int:
     if s_max < 1:
         raise ValueError(f"s_max must be >= 1, got {s_max!r}")
     return s_max
+
+
+def _require_alpha_beta(alpha: float, beta: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and positive, got {beta!r}")
 
 
 def fkp_moments(a_prime: float, s_max: int) -> MomentSequence:
@@ -269,10 +273,7 @@ def tilted_moments(alpha: float, beta: float, s_max: int) -> MomentSequence:
     E(T^s) = Gamma(s+1) * prod_{j=1..s} Gamma(j beta) / Gamma(alpha + j beta).
     Must equal tilt(scaled_local_time_moments(...)) entrywise.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    _require_alpha_beta(alpha, beta)
     s_max = _require_order(s_max)
     label = f"tilted(alpha={alpha:g}, beta={beta:g})"
     s = np.arange(1.0, s_max + 1.0)

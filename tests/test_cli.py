@@ -275,7 +275,22 @@ class TestDensityCommand:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == f"error: log grid needs 0 < x_min < x_max < inf, got x_min=2.0, " \
+                      f"x_max={float(grid_max)!r}\n"
+
+    def test_negative_excursion_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "density", "--spec", "fkp-quarter", "--contour", "2",
+            "--grid-min", "1e-9", "--grid-max", "1", "--grid-points", "41",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(
+            "error: fkp-quarter: reconstruction has a negative excursion of -8.656e+00 "
+        )
+        assert err.endswith("(below -1e-8); tighten the quadrature\n")
+        assert err.count("\n") == 1
 
 
 class TestSampleCommand:

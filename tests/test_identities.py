@@ -118,6 +118,10 @@ class TestPhiAdjudication:
         with pytest.raises(TypeError):
             PhiAdjudication(0.5, 20, 1e-8, result.reports, result.slopes, matching=())
 
+    def test_non_finite_a_prime_is_refused(self):
+        with pytest.raises(ValueError, match="^beta must be finite and positive, got inf$"):
+            adjudicate_phi_convention(math.inf)
+
     def test_slope_recorded_for_failing_convention(self):
         result = adjudicate_phi_convention(0.5, 20)
         failing = [c for c in ("paper", "half") if c not in result.matching]

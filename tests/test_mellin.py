@@ -23,6 +23,7 @@ from limitlaw import (
     default_grid,
     fkp_moments,
     invert,
+    log_grid,
     mittag_leffler_moments,
     roundtrip_moments,
     spec_from_exponential,
@@ -75,14 +76,20 @@ class TestSpecs:
             )
 
     def test_pole_right_of_contour_rejected(self):
+        # the Gamma(1/4) law: M(s) = Gamma(s - 3/4) / Gamma(1/4) exists for Re(s) > 3/4
+        spec = MellinSpec(
+            log_prefactor=-math.lgamma(0.25),
+            log_base=0.0,
+            factors=((1.0, -0.75, 1),),
+            label="shifted",
+        )
+        grid = np.array([0.5, 1.0, 2.0])
+        with pytest.raises(ValueError, match=r"pole at s=0\.75 is not strictly left of the "
+                           r"contour Re\(s\)=0\.5"):
+            invert(spec, grid)
         with pytest.raises(ValueError, match="pole"):
-            MellinSpec(
-                log_prefactor=0.0,
-                log_base=0.0,
-                factors=((1.0, -1.0, 1),),  # Gamma(s - 1): pole at s = 1
-                label="shifted",
-                contour=0.5,
-            )
+            invert(spec, grid, contour=0.75)
+        assert invert(spec, grid, contour=1.0).metadata["contour"] == 1.0
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
@@ -123,13 +130,25 @@ class TestInvert:
     def test_step_refinement_stability(self):
         grid = np.exp(np.linspace(math.log(0.05), math.log(8.0), 101))
         coarse = invert(spec_from_mittag_leffler(0.5), grid)
-        fine = invert(spec_from_mittag_leffler(0.5, step=0.02), grid)
+        fine = invert(spec_from_mittag_leffler(0.5), grid, step=0.02)
         assert np.max(np.abs(coarse.density - fine.density)) <= 1e-8
 
     def test_refuses_insufficient_height(self):
-        spec = spec_from_exponential(height=5.0)
+        spec = spec_from_exponential()
         with pytest.raises(MellinInversionError, match="increase the truncation height"):
-            invert(spec, np.array([0.5, 1.0, 2.0]))
+            invert(spec, np.array([0.5, 1.0, 2.0]), height=5.0)
+
+    def test_settings_are_recorded(self):
+        grid = np.array([0.5, 1.0, 2.0])
+        md = invert(spec_from_exponential(), grid, contour=0.75, step=0.05, height=60.0).metadata
+        assert (md["contour"], md["step"], md["height"]) == (0.75, 0.05, 60.0)
+
+    @pytest.mark.parametrize("name", ["contour", "step", "height"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -0.5])
+    def test_refuses_bad_setting(self, name, value, recwarn):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got "):
+            invert(spec_from_exponential(), np.array([0.5, 1.0, 2.0]), **{name: value})
+        assert len(recwarn) == 0
 
     def test_grid_validation(self):
         spec = spec_from_exponential()
@@ -139,9 +158,8 @@ class TestInvert:
             invert(spec, np.array([-1.0, 1.0]))
 
 
-def _height_by_doubling(spec):
+def _height_by_doubling(spec, c=0.5):
     """The truncation height as the one-call-per-height search chose it."""
-    c = spec.contour
     target = spec.log_mellin(complex(c)).real + math.log(1e-12) - 2.0 * math.log(2.0)
     height = 20.0
     while spec.log_mellin(complex(c, height)).real > target:
@@ -153,20 +171,20 @@ def _height_by_doubling(spec):
 
 class TestContourNodes:
     @pytest.mark.parametrize(
-        "spec",
-        [spec_from_mittag_leffler(a) for a in (0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)]
-        + [spec_from_fkp_quarter(step=0.02), spec_from_fkp_quarter(step=0.04)],
-        ids=lambda spec: f"{spec.label}-{spec.step:g}",
+        "spec, step",
+        [(spec_from_mittag_leffler(a), 0.04) for a in (0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)]
+        + [(spec_from_fkp_quarter(), 0.02), (spec_from_fkp_quarter(), 0.04)],
+        ids=lambda v: f"{v:g}" if isinstance(v, float) else v.label,
     )
-    def test_batched_height_matches_doubling_loop(self, spec):
+    def test_batched_height_matches_doubling_loop(self, spec, step):
         height = _height_by_doubling(spec)
-        assert mellin._contour_nodes(spec)[3] == math.ceil(height / spec.step) * spec.step
+        assert mellin._contour_nodes(spec, 0.5, step, None)[3] == math.ceil(height / step) * step
 
     def test_no_decay_is_refused(self):
         flat = MellinSpec(0.0, 0.0, ((1.0, 0.0, 1), (1.0, 0.0, -1)), "flat")
         assert _height_by_doubling(flat) is None
         with pytest.raises(MellinInversionError, match="does not decay"):
-            mellin._contour_nodes(flat)
+            mellin._contour_nodes(flat, 0.5, 0.04, None)
 
     @pytest.mark.parametrize(
         "spec",
@@ -174,8 +192,8 @@ class TestContourNodes:
         ids=lambda spec: spec.label,
     )
     def test_mirrored_half_equals_full_contour(self, spec):
-        u, lm, _weights, _height = mellin._contour_nodes(spec)
-        assert np.array_equal(lm, spec.log_mellin(spec.contour + 1j * u))
+        u, lm, _weights, _height = mellin._contour_nodes(spec, 0.5, 0.04, None)
+        assert np.array_equal(lm, spec.log_mellin(0.5 + 1j * u))
 
 
 class TestRoundTrip:
@@ -239,6 +257,19 @@ class TestDensityTable:
         table = invert(spec, default_grid(spec, 801))
         assert table.integral() == pytest.approx(1.0, abs=1e-8)
 
+    def test_even_count_log_grid_ends_with_a_trapezoid_panel(self):
+        # Simpson's rule over the first 39 points and the trapezoid rule on
+        # the last panel, both in ln x
+        x = np.exp(np.linspace(math.log(0.1), math.log(3.0), 40))
+        assert mellin._is_log_uniform(x)
+        y = [math.exp(-xi) * xi for xi in x.tolist()]
+        h = (math.log(3.0) - math.log(0.1)) / 39
+        simpson = y[0] + y[38] + sum((4 if i % 2 else 2) * y[i] for i in range(1, 38))
+        want = h / 3 * simpson + h / 2 * (y[38] + y[39])
+        got = mellin._integrate_log(x, np.exp(-x))
+        assert got == pytest.approx(want, rel=1e-14)
+        assert got == pytest.approx(math.exp(-0.1) - math.exp(-3.0), abs=1e-4)
+
     @pytest.mark.parametrize("points", [3, 200])
     def test_irregular_integral_is_numpys_trapezoid(self, points):
         # off a log-uniform grid the integral is the trapezoid rule in ln x,
@@ -249,6 +280,31 @@ class TestDensityTable:
         assert not mellin._is_log_uniform(x)
         expected = float(trapezoid(table.density * x, np.log(x)))
         assert table.integral().hex() == expected.hex()
+
+
+class TestLogGrid:
+    @pytest.mark.parametrize("points, size", [(40, 41), (41, 41), (2, 3), (9, 9)])
+    def test_odd_count(self, points, size):
+        grid = log_grid(1e-6, 20.0, points)
+        assert grid.size == size
+        assert grid[0] == pytest.approx(1e-6, rel=1e-14)
+        assert grid[-1] == pytest.approx(20.0, rel=1e-14)
+        assert np.array_equal(grid, np.exp(np.linspace(math.log(1e-6), math.log(20.0), size)))
+
+    @pytest.mark.parametrize(
+        "x_min, x_max",
+        [(2.0, 2.0), (2.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, math.inf), (math.nan, 1.0),
+         (1.0, math.nan)],
+    )
+    def test_refuses_bad_ends(self, x_min, x_max, recwarn):
+        with pytest.raises(ValueError, match=r"^log grid needs 0 < x_min < x_max < inf"):
+            log_grid(x_min, x_max, 41)
+        assert len(recwarn) == 0
+
+    def test_default_grid_is_a_log_grid_from_1e_9(self):
+        spec = spec_from_fkp_quarter()
+        x_max = (spec.mellin(11.0) / 1e-9) ** 0.1
+        assert np.array_equal(default_grid(spec, 600), log_grid(1e-9, x_max, 600))
 
 
 class TestDefaultGrid:
@@ -267,8 +323,8 @@ class TestDefaultGrid:
 
 
 _SPECS = {
-    "exp": lambda alpha, **kw: spec_from_exponential(**kw),
-    "fkp-quarter": lambda alpha, **kw: spec_from_fkp_quarter(**kw),
+    "exp": lambda alpha: spec_from_exponential(),
+    "fkp-quarter": lambda alpha: spec_from_fkp_quarter(),
     "mittag-leffler": spec_from_mittag_leffler,
 }
 
@@ -276,8 +332,8 @@ _SPECS = {
 _DIRECT_TERMS = 3_000_000
 
 
-def _nodes(spec):
-    return mellin._contour_nodes(spec)[:3]
+def _nodes(spec, contour=0.5, step=0.04):
+    return mellin._contour_nodes(spec, contour, step, None)[:3]
 
 
 def _log_grid(log_lo, log_span, points, jitter_seed=None):
@@ -309,8 +365,7 @@ class TestChirpZ:
     def test_matches_direct_sum(
         self, name, alpha, contour, step, points, log_lo, log_span, jitter_seed
     ):
-        spec = _SPECS[name](alpha, contour=contour, step=step)
-        u, lm, weights = _nodes(spec)
+        u, lm, weights = _nodes(_SPECS[name](alpha), contour, step)
         points = max(2, min(points, _DIRECT_TERMS // u.size))
         grid = _log_grid(log_lo, log_span, points, jitter_seed)
         fast = mellin._chirp_z_sum(grid, contour, step, lm, weights)
@@ -331,17 +386,17 @@ class TestChirpZ:
         grid = _log_grid(math.log(1e-9), 24.0, 2401, jitter_seed=3)
         assert mellin._is_log_uniform(grid)
         assert np.max(np.abs(mellin._log_residual(np.log(grid))[2])) > 1e-12
-        fast = mellin._chirp_z_sum(grid, spec.contour, spec.step, lm, weights)
-        direct = mellin._direct_sum(grid, spec.contour, u, lm, weights)
-        assert np.all(np.abs(fast - direct) <= mellin._noise_floor(grid, spec.contour, lm, weights))
+        fast = mellin._chirp_z_sum(grid, 0.5, 0.04, lm, weights)
+        direct = mellin._direct_sum(grid, 0.5, u, lm, weights)
+        assert np.all(np.abs(fast - direct) <= mellin._noise_floor(grid, 0.5, lm, weights))
 
     def test_irregular_grid_takes_direct_sum(self):
         spec = spec_from_exponential()
         u, lm, weights = _nodes(spec)
         grid = np.array([0.5, 1.0, 3.0])
-        assert mellin._chirp_z_sum(grid, spec.contour, spec.step, lm, weights) is None
+        assert mellin._chirp_z_sum(grid, 0.5, 0.04, lm, weights) is None
         table = invert(spec, grid)
-        direct = mellin._direct_sum(grid, spec.contour, u, lm, weights)
+        direct = mellin._direct_sum(grid, 0.5, u, lm, weights)
         assert np.array_equal(table.metadata["raw_density"], direct.real)
 
     @pytest.mark.parametrize(
@@ -383,7 +438,7 @@ class TestMpmathOracle:
         spec = spec_from_fkp_quarter()
         grid = np.array([0.3, math.sqrt(0.75), 2.5])
         _, lm, weights = _nodes(spec)
-        assert mellin._chirp_z_sum(grid, spec.contour, spec.step, lm, weights) is not None
+        assert mellin._chirp_z_sum(grid, 0.5, 0.04, lm, weights) is not None
         table = invert(spec, grid)
         raw = table.metadata["raw_density"]
         bound = table.metadata["noise_floor"] + table.truncation_estimate
@@ -413,13 +468,13 @@ class TestMpmathOracle:
         spec = spec_from_fkp_quarter()
         grid = default_grid(spec, 2401)
         u, lm, weights = _nodes(spec)
-        fast = mellin._chirp_z_sum(grid, spec.contour, spec.step, lm, weights)
-        unit = mellin._noise_floor(grid, spec.contour, lm, weights) / mellin._ROUNDOFF_UNITS
+        fast = mellin._chirp_z_sum(grid, 0.5, 0.04, lm, weights)
+        unit = mellin._noise_floor(grid, 0.5, lm, weights) / mellin._ROUNDOFF_UNITS
         n = u.size // 2
         with mp.workdps(25):
             terms = [
                 (mp.mpf(float(w)) * mp.exp(mp.mpc(float(l.real), float(l.imag))),
-                 mp.mpc(spec.contour, k * mp.mpf(spec.step)))
+                 mp.mpc(0.5, k * mp.mpf(0.04)))
                 for k, l, w in zip(range(-n, n + 1), lm, weights)
             ]
             for j in range(2170, 2200, 3):  # x from 2.7 to 3.6

@@ -126,6 +126,11 @@ class TestBesselParams:
         with pytest.raises(ValueError):
             BesselParams.from_alpha_beta(0.5, 0.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match=f"^beta must be finite and positive, got {beta}$"):
+            BesselParams.from_alpha_beta(0.5, beta)
+
 
 class TestFkpParams:
     def test_a_prime_offset(self):
@@ -314,6 +319,11 @@ class TestTiltedMoments:
             tilted_moments(1.0, 1.0, 5)
         with pytest.raises(ValueError):
             tilted_moments(0.5, 0.0, 5)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match=f"^beta must be finite and positive, got {beta}$"):
+            tilted_moments(0.5, beta, 3)
 
 
 class TestScale:
