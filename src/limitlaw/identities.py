@@ -12,6 +12,7 @@ import numpy as np
 from .moments import (
     BesselParams,
     MomentSequence,
+    _require_order,
     exp_functional_moments,
     laplace_exponent,
 )
@@ -271,9 +272,7 @@ def carleman_partial_sums(seq: MomentSequence, s_max: int | None = None) -> np.n
     """
     if s_max is None:
         s_max = seq.max_order // 2
-    s_max = int(s_max)
-    if s_max < 1:
-        raise ValueError(f"s_max must be >= 1, got {s_max!r}")
+    s_max = _require_order(s_max)
     if 2 * s_max > seq.max_order:
         raise ValueError(
             f"need even moments up to order {2 * s_max}, sequence stops at {seq.max_order}"

@@ -225,12 +225,14 @@ def _integrate_log(x: np.ndarray, g: np.ndarray) -> float:
 
 
 def log_grid(x_min: float, x_max: float, points: int) -> np.ndarray:
-    """Log-uniform grid from x_min to x_max: ``points`` points, an even count
-    raised by one so that Simpson's rule covers it."""
+    """Log-uniform grid from x_min to x_max: ``points`` points, at least 9,
+    an even count raised by one so that Simpson's rule covers it."""
+    points = int(points)
+    if points < 9:
+        raise ValueError(f"grid needs at least 9 points, got {points!r}")
     if not 0.0 < x_min < x_max < math.inf:
         raise ValueError(f"log grid needs 0 < x_min < x_max < inf, got {x_min=!r}, {x_max=!r}")
-    points = int(points) | 1
-    return np.exp(np.linspace(math.log(x_min), math.log(x_max), points))
+    return np.exp(np.linspace(math.log(x_min), math.log(x_max), points | 1))
 
 
 def default_grid(spec: MellinSpec, points: int = 1201) -> np.ndarray:
@@ -240,9 +242,6 @@ def default_grid(spec: MellinSpec, points: int = 1201) -> np.ndarray:
     tail mass 1e-9; the lower end 1e-9 keeps the missed mass below
     f(0+) * 1e-9 for the bounded densities shipped here.
     """
-    points = int(points)
-    if points < 9:
-        raise ValueError(f"grid needs at least 9 points, got {points!r}")
     return log_grid(1e-9, (spec.mellin(11.0) / 1e-9) ** 0.1, points)
 
 

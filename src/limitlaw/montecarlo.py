@@ -5,12 +5,16 @@ Y_n = Y_{K_n} + n^a with Y_1 = 1.
 Stream-splitting rule
 ---------------------
 Sampling is chunked in fixed blocks of 65536 draws.  Chunk i uses the PCG64
-generator seeded from ``numpy.random.SeedSequence(seed).spawn(...)[i]``, and
-within a chunk the draw order is fixed by the algorithm.  Chunks run one
-after another and their boundaries depend only on n, and every reduction is
-an exact sum rounded once (``_exact_means``, one pass over the sample for
-all orders, hence order-independent), so identical (seed, parameters)
-produce bit-identical summaries.
+generator seeded from child i of ``numpy.random.SeedSequence(seed)``; the
+children are spawned one at a time as the chunks are drawn, which gives the
+same spawn keys as one ``spawn(n_chunks)``.  Within a chunk the draw order
+is fixed by the algorithm.  Chunks run one after another and their
+boundaries depend only on n, and every reduction is an exact sum rounded
+once (``_exact_means``, one pass over the sample for all orders, hence
+order-independent), so identical (seed, parameters) produce bit-identical
+summaries.  ``_run_chunks`` yields the chunks lazily: the summaries reduce
+each one as it is drawn, in memory flat in n, and ``*_samples`` concatenate
+them.
 """
 
 from __future__ import annotations
@@ -92,34 +96,41 @@ def _binned_sum(block: np.ndarray, work: tuple) -> int:
     return total
 
 
-def _exact_means(values: np.ndarray, fs, names) -> tuple[list[float], list[float]]:
+def _exact_means(blocks, n: int, fs, names) -> tuple[list[float], list[float]]:
     """Means of f(values) for each f in ``fs`` and their standard errors
-    sd/sqrt(n), from exact sums of f and f**2 rounded once.
+    sd/sqrt(n), from exact sums of f and f**2 rounded once, over the n
+    values that the iterable ``blocks`` yields in blocks of at most _CHUNK.
+    Each f returns a new array, which is squared in place.
 
-    The values are read once, in _CHUNK blocks, and every f of a block adds
-    its two ``_binned_sum`` totals into Python ints through one
-    ``_workspace()``.  This is the small superaccumulator of Neal, "Fast
-    exact summation using small and large superaccumulators"
-    (arXiv:1505.05571): each mean is the correctly rounded exact sum over n,
-    the same double that ``math.fsum`` gives, whatever the block order.
-    Raises OverflowError with the first of ``names`` whose value, square or
-    sum is not finite; an f after the first failure is no longer summed.
+    Each block is read once, as it arrives, and dropped before the next one
+    is asked for, so a lazy ``blocks`` is summed in memory flat in n.  Every
+    f of a block adds the ``_binned_sum`` totals of its values and their
+    squares into Python ints through one ``_workspace()``, made after the
+    first block is drawn and kept: made per block, its pages were returned to
+    the system and faulted in again every block.  This is the small
+    superaccumulator of Neal, "Fast exact summation using small and large
+    superaccumulators" (arXiv:1505.05571): each mean is the correctly
+    rounded exact sum over n, the same double that ``math.fsum`` gives,
+    whatever the block order.  Raises OverflowError with the first of
+    ``names`` whose value, square or sum is not finite; an f after the
+    first failure is no longer summed.
     """
-    n = values.size
-    work = _workspace()
     sums, sums_sq = [0] * len(fs), [0] * len(fs)
     failed = len(fs)  # index of the first f whose value or square is not finite
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for start in range(0, n, _CHUNK):
-            block = values[start : start + _CHUNK]
+    work = None
+    for block in blocks:
+        if work is None:
+            work = _workspace()
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
             for i in range(failed):
                 v = fs[i](block)
                 try:
                     sums[i] += _binned_sum(v, work)
-                    sums_sq[i] += _binned_sum(v * v, work)
+                    sums_sq[i] += _binned_sum(np.square(v, out=v), work)
                 except OverflowError:
                     failed = i
                     break
+        block = v = None  # free both while the next block is drawn
     means, errors = [], []
     for i, name in enumerate(names):
         try:
@@ -175,8 +186,11 @@ class SampleSummary:
 
 
 def _chunk_generators(seed: int, n_chunks: int):
+    """Lazily, the generator of each of n_chunks chunks: child i of
+    ``SeedSequence(seed)``, spawned one at a time."""
     root = np.random.SeedSequence(int(seed))
-    return [np.random.default_rng(ss) for ss in root.spawn(n_chunks)]
+    for _ in range(n_chunks):
+        yield np.random.default_rng(root.spawn(1)[0])
 
 
 def _chunk_sizes(n: int):
@@ -186,10 +200,15 @@ def _chunk_sizes(n: int):
     return sizes
 
 
-def _run_chunks(chunk_fn, seed: int, n: int) -> np.ndarray:
+def _run_chunks(chunk_fn, seed: int, n: int):
+    """Lazy iterator over the chunk arrays ``chunk_fn(rng, m)`` of an n-draw
+    sample, one per chunk size m, each drawn only when it is asked for."""
     sizes = _chunk_sizes(n)
-    rngs = _chunk_generators(seed, len(sizes))
-    return np.concatenate([chunk_fn(rng, m) for rng, m in zip(rngs, sizes)])
+    for rng, m in zip(_chunk_generators(seed, len(sizes)), sizes):
+        with np.errstate(all="ignore"):  # the reducer refuses the inf of an overflow
+            chunk = chunk_fn(rng, m)
+        yield chunk
+        del chunk  # free it while the next chunk is drawn
 
 
 def _require_count(n: int, name: str = "n") -> int:
@@ -199,51 +218,65 @@ def _require_count(n: int, name: str = "n") -> int:
     return n
 
 
-def rayleigh_samples(sigma: float, n: int, seed: int) -> np.ndarray:
-    """Rayleigh draws X = sigma * sqrt(-2 ln U) with U uniform on (0, 1)."""
+def _rayleigh_chunks(sigma: float, n: int, seed: int):
+    """The lazy chunks of ``rayleigh_samples``."""
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
     n = _require_count(n)
 
     def chunk(rng, m):
-        u = rng.random(m)
-        x = sigma * np.sqrt(-2.0 * np.log1p(-u))
-        return np.maximum(x, _TINY)  # keep the open-interval contract at u == 0
+        # sigma * sqrt(-2 log1p(-u)), evaluated in place in the uniforms
+        x = rng.random(m)
+        np.log1p(np.negative(x, out=x), out=x)
+        x *= -2.0
+        np.sqrt(x, out=x)
+        x *= sigma
+        return np.maximum(x, _TINY, out=x)  # keep the open-interval contract at u == 0
 
-    with np.errstate(all="ignore"):  # summarize refuses the inf of an overflow
-        return _run_chunks(chunk, seed, n)
+    return _run_chunks(chunk, seed, n)
 
 
-def _stable_draws(alpha: float, n: int, seed: int, finish) -> np.ndarray:
-    """n draws of ``finish(log S)``, applied chunk by chunk to one-sided
-    alpha-stable S drawn by Kanter's construction (see
-    ``positive_stable_samples``)."""
+def rayleigh_samples(sigma: float, n: int, seed: int) -> np.ndarray:
+    """Rayleigh draws X = sigma * sqrt(-2 ln U) with U uniform on (0, 1)."""
+    return np.concatenate(list(_rayleigh_chunks(sigma, n, seed)))
+
+
+def _stable_chunks(alpha: float, n: int, seed: int, finish):
+    """The lazy chunks of n draws of ``finish(log S)``, applied chunk by
+    chunk to one-sided alpha-stable S drawn by Kanter's construction (see
+    ``positive_stable_samples``).  The uniforms, the exponentials and a
+    partial sum share two scratch arrays made once per sample."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
     n = _require_count(n)
     ratio = (1.0 - alpha) / alpha
+    scratch = np.empty(_CHUNK), np.empty(_CHUNK)
 
     def chunk(rng, m):
         # ratio * (log A(u) - log e), evaluated in place: each operation
         # rounds as in the plain expression, so the draws are the same doubles
-        u = np.maximum(rng.random(m), _TINY)
+        u, part = (a[:m] for a in scratch)
+        np.maximum(rng.random(out=u), _TINY, out=u)
         u *= math.pi
         log_a = np.multiply(u, alpha)
         np.log(np.sin(log_a, out=log_a), out=log_a)
         log_a *= alpha
-        part = np.multiply(u, 1.0 - alpha)
+        np.multiply(u, 1.0 - alpha, out=part)
         np.log(np.sin(part, out=part), out=part)
         part *= 1.0 - alpha
         log_a += part
         log_a -= np.log(np.sin(u, out=u), out=u)
         log_a /= 1.0 - alpha
-        e = np.maximum(rng.standard_exponential(m), _TINY)
+        e = np.maximum(rng.standard_exponential(out=u), _TINY, out=u)
         log_a -= np.log(e, out=e)
         log_a *= ratio
         return finish(log_a)
 
-    with np.errstate(all="ignore"):  # summarize refuses the inf of an overflow
-        return _run_chunks(chunk, seed, n)
+    return _run_chunks(chunk, seed, n)
+
+
+def _stable_from_log(log_s: np.ndarray) -> np.ndarray:
+    return np.exp(log_s, out=log_s)
 
 
 def positive_stable_samples(alpha: float, n: int, seed: int) -> np.ndarray:
@@ -253,17 +286,11 @@ def positive_stable_samples(alpha: float, n: int, seed: int) -> np.ndarray:
     U uniform on (0, pi), E unit exponential and
     A(u) = (sin(alpha u)^alpha sin((1-alpha) u)^{1-alpha} / sin u)^{1/(1-alpha)}.
     """
-    return _stable_draws(alpha, n, seed, lambda log_s: np.exp(log_s, out=log_s))
+    return np.concatenate(list(_stable_chunks(alpha, n, seed, _stable_from_log)))
 
 
-def mittag_leffler_samples(alpha: float, n: int, seed: int) -> np.ndarray:
-    """ML(alpha) draws L = S^{-alpha} with S the ``positive_stable_samples``
-    draws.
-
-    Where S overflows to inf or underflows to 0, L is exp(-alpha log S)
-    from the finite log S; S^{-alpha} would round it to 0 or inf.  Every
-    other draw is the double np.power(S, -alpha).
-    """
+def _mittag_leffler_chunks(alpha: float, n: int, seed: int):
+    """The lazy chunks of ``mittag_leffler_samples``."""
 
     def finish(log_s):
         # exp is finite and nonzero where |log S| <= 700, so only the logs
@@ -276,7 +303,36 @@ def mittag_leffler_samples(alpha: float, n: int, seed: int) -> np.ndarray:
         s[far[lost]] = np.exp(-alpha * log_far[lost])
         return s
 
-    return _stable_draws(alpha, n, seed, finish)
+    return _stable_chunks(alpha, n, seed, finish)
+
+
+def mittag_leffler_samples(alpha: float, n: int, seed: int) -> np.ndarray:
+    """ML(alpha) draws L = S^{-alpha} with S the ``positive_stable_samples``
+    draws.
+
+    Where S overflows to inf or underflows to 0, L is exp(-alpha log S)
+    from the finite log S; S^{-alpha} would round it to 0 or inf.  Every
+    other draw is the double np.power(S, -alpha).
+    """
+    return np.concatenate(list(_mittag_leffler_chunks(alpha, n, seed)))
+
+
+def _summary(blocks, n: int, s_max: int, seed: int, sampler: str, params) -> SampleSummary:
+    """``summarize`` over the n values that ``blocks`` yields in blocks of at
+    most _CHUNK, each reduced as it arrives."""
+    n = int(n)
+    orders = range(1, _require_order(s_max) + 1)
+    moments, errors = _exact_means(
+        blocks, n, [lambda x, s=s: x**s for s in orders], [f"moment of order {s}" for s in orders]
+    )
+    return SampleSummary(
+        sampler=sampler,
+        n=n,
+        seed=int(seed),
+        moments=[1.0, *moments],
+        standard_errors=[0.0, *errors],
+        params=dict(params or {}),
+    )
 
 
 def summarize(
@@ -293,28 +349,18 @@ def summarize(
     values = np.asarray(values, dtype=float)
     if values.size < 1:
         raise ValueError("values must be non-empty")
-    orders = range(1, _require_order(s_max) + 1)
-    moments, errors = _exact_means(
-        values, [lambda x, s=s: x**s for s in orders], [f"moment of order {s}" for s in orders]
-    )
-    return SampleSummary(
-        sampler=sampler,
-        n=values.size,
-        seed=int(seed),
-        moments=[1.0, *moments],
-        standard_errors=[0.0, *errors],
-        params=dict(params or {}),
-    )
+    blocks = (values[start : start + _CHUNK] for start in range(0, values.size, _CHUNK))
+    return _summary(blocks, values.size, s_max, seed, sampler, params)
 
 
 def sample_rayleigh(sigma: float, n: int, seed: int, s_max: int = 4) -> SampleSummary:
-    x = rayleigh_samples(sigma, n, seed)
-    return summarize(x, s_max, seed, "rayleigh", {"sigma": float(sigma)})
+    chunks = _rayleigh_chunks(sigma, n, seed)
+    return _summary(chunks, n, s_max, seed, "rayleigh", {"sigma": float(sigma)})
 
 
 def sample_mittag_leffler(alpha: float, n: int, seed: int, s_max: int = 4) -> SampleSummary:
-    x = mittag_leffler_samples(alpha, n, seed)
-    return summarize(x, s_max, seed, "mittag-leffler", {"alpha": float(alpha)})
+    chunks = _mittag_leffler_chunks(alpha, n, seed)
+    return _summary(chunks, n, s_max, seed, "mittag-leffler", {"alpha": float(alpha)})
 
 
 # One parsed kernel CSV row.
@@ -545,14 +591,8 @@ class SplitKernel:
         return 1 + np.minimum(j, sizes - 2)
 
 
-def tree_cost_samples(kernel: SplitKernel, a: float, n: int, reps: int, seed: int) -> np.ndarray:
-    """Replicates of the total cost Y_n: starting from size n, repeatedly add
-    size^a and split to K < size until size 1, whose toll is 1.
-
-    Each step works on the live replicates only, those still at size >= 2,
-    kept compacted in ascending order; they take the chunk's uniforms in
-    that order, as a pass over every replicate would hand them out.
-    """
+def _tree_chunks(kernel: SplitKernel, a: float, n: int, reps: int, seed: int):
+    """The lazy chunks of ``tree_cost_samples``."""
     if not (math.isfinite(float(a)) and a >= 0.0):
         raise ValueError(f"toll exponent a must be finite and >= 0, got {a!r}")
     n = _require_count(n, "n")
@@ -574,8 +614,18 @@ def tree_cost_samples(kernel: SplitKernel, a: float, n: int, reps: int, seed: in
         y += 1.0
         return y
 
-    with np.errstate(all="ignore"):  # summarize refuses the inf of an overflow
-        return _run_chunks(chunk, seed, reps)
+    return _run_chunks(chunk, seed, reps)
+
+
+def tree_cost_samples(kernel: SplitKernel, a: float, n: int, reps: int, seed: int) -> np.ndarray:
+    """Replicates of the total cost Y_n: starting from size n, repeatedly add
+    size^a and split to K < size until size 1, whose toll is 1.
+
+    Each step works on the live replicates only, those still at size >= 2,
+    kept compacted in ascending order; they take the chunk's uniforms in
+    that order, as a pass over every replicate would hand them out.
+    """
+    return np.concatenate(list(_tree_chunks(kernel, a, n, reps, seed)))
 
 
 def simulate_tree_cost(
@@ -586,9 +636,9 @@ def simulate_tree_cost(
     seed: int,
     s_max: int = 4,
 ) -> SampleSummary:
-    y = tree_cost_samples(kernel, a, n, reps, seed)
-    return summarize(
-        y, s_max, seed, "tree", {"a": float(a), "n": int(n), "kernel": kernel.family}
+    chunks = _tree_chunks(kernel, a, n, reps, seed)
+    return _summary(
+        chunks, reps, s_max, seed, "tree", {"a": float(a), "n": int(n), "kernel": kernel.family}
     )
 
 
@@ -664,10 +714,11 @@ def scale_free_ratio_check(summary: SampleSummary, a_prime: float) -> Comparison
 def stable_laplace_check(alpha: float, lambdas, n: int, seed: int) -> ComparisonReport:
     """Check mean exp(-lam S) against exp(-lam^alpha) for each lam, in units
     of the empirical standard error; tolerance is 3."""
-    s = positive_stable_samples(alpha, n, seed)
+    chunks = _stable_chunks(alpha, n, seed, _stable_from_log)
     lambdas = [float(lam) for lam in lambdas]
     means, errors = _exact_means(
-        s,
+        chunks,
+        int(n),
         [lambda x, lam=lam: np.exp(-lam * x) for lam in lambdas],
         [f"exp(-{lam:g} S)" for lam in lambdas],
     )

@@ -220,7 +220,7 @@ class TestDensityCommand:
         code, out, _ = run_cli(
             capsys,
             "density", "--spec", "mittag-leffler", "--alpha", "0.5",
-            "--grid-min", "0.5", "--grid-max", "2.0", "--grid-points", "5",
+            "--grid-min", "0.5", "--grid-max", "2.0", "--grid-points", "9",
         )
         assert code == 0
         header, rows = csv_rows(out)
@@ -277,6 +277,18 @@ class TestDensityCommand:
         assert out == ""
         assert err == f"error: log grid needs 0 < x_min < x_max < inf, got x_min=2.0, " \
                       f"x_max={float(grid_max)!r}\n"
+
+    @pytest.mark.parametrize("points", ["-4", "0", "3", "8"])
+    @pytest.mark.parametrize("grid", [(), ("--grid-min", "0.5", "--grid-max", "2")])
+    def test_fewer_than_9_grid_points_exit_2(self, capsys, grid, points):
+        code, out, err = run_cli(
+            capsys,
+            "density", "--spec", "mittag-leffler", "--alpha", "0.5", *grid,
+            "--grid-points", points,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: grid needs at least 9 points, got {points}\n"
 
     def test_negative_excursion_exits_1(self, capsys):
         code, out, err = run_cli(

@@ -191,3 +191,8 @@ class TestCarleman:
     def test_requires_even_orders(self):
         with pytest.raises(ValueError):
             carleman_partial_sums(fkp_moments(0.5, 10), 6)
+
+    @pytest.mark.parametrize("s_max", [0, -2])
+    def test_refuses_order_below_one(self, s_max):
+        with pytest.raises(ValueError, match=rf"^s_max must be >= 1, got {s_max}$"):
+            carleman_partial_sums(fkp_moments(0.5, 10), s_max)

@@ -283,7 +283,7 @@ class TestDensityTable:
 
 
 class TestLogGrid:
-    @pytest.mark.parametrize("points, size", [(40, 41), (41, 41), (2, 3), (9, 9)])
+    @pytest.mark.parametrize("points, size", [(40, 41), (41, 41), (10, 11), (9, 9)])
     def test_odd_count(self, points, size):
         grid = log_grid(1e-6, 20.0, points)
         assert grid.size == size
@@ -299,6 +299,14 @@ class TestLogGrid:
     def test_refuses_bad_ends(self, x_min, x_max, recwarn):
         with pytest.raises(ValueError, match=r"^log grid needs 0 < x_min < x_max < inf"):
             log_grid(x_min, x_max, 41)
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("points", [-4, 0, 2, 8])
+    def test_refuses_fewer_than_9_points(self, points, recwarn):
+        with pytest.raises(ValueError, match=rf"^grid needs at least 9 points, got {points}$"):
+            log_grid(1e-6, 20.0, points)
+        with pytest.raises(ValueError, match=rf"^grid needs at least 9 points, got {points}$"):
+            default_grid(spec_from_fkp_quarter(), points)
         assert len(recwarn) == 0
 
     def test_default_grid_is_a_log_grid_from_1e_9(self):

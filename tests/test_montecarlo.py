@@ -7,6 +7,8 @@ deterministic.  Statistical gates are 3 standard errors.
 
 import json
 import math
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,13 @@ from limitlaw import (
     summarize,
     tree_cost_samples,
 )
-from limitlaw.montecarlo import _CHUNK, _SUM_SCALE, _binned_sum, _workspace
+from limitlaw.montecarlo import (
+    _CHUNK,
+    _SUM_SCALE,
+    _binned_sum,
+    _chunk_generators,
+    _workspace,
+)
 
 RAYLEIGH_SEED = 20260810
 ML_SEED = 424242
@@ -263,6 +271,76 @@ class TestOnePassSummarize:
             mean = math.fsum(v.tolist()) / n
             var = max(math.fsum((v * v).tolist()) / n - mean * mean, 0.0)
             assert dev == abs(mean - math.exp(-(lam**0.5))) / math.sqrt(var / (n - 1))
+
+
+STREAM_LENGTHS = (1, 65535, 65536, 65537, 3 * 65536 + 5)
+
+
+def streamed_and_materialised(sampler, n, s_max=4):
+    """The summary a sampler's consumer reduces chunk by chunk, and
+    ``summarize`` of the same sample drawn as one array."""
+    if sampler == "rayleigh":
+        return (sample_rayleigh(1.0, n, RAYLEIGH_SEED, s_max),
+                summarize(rayleigh_samples(1.0, n, RAYLEIGH_SEED), s_max, RAYLEIGH_SEED,
+                          "rayleigh", {"sigma": 1.0}))
+    if sampler == "mittag-leffler":
+        return (sample_mittag_leffler(0.5, n, ML_SEED, s_max),
+                summarize(mittag_leffler_samples(0.5, n, ML_SEED), s_max, ML_SEED,
+                          "mittag-leffler", {"alpha": 0.5}))
+    kernel, size = {
+        "tree-uniform": (SplitKernel.uniform(), 20),
+        "tree-sparse-30": (SplitKernel.from_csv(DATA / "kernel-sparse-30.csv"), 30),
+    }[sampler]
+    params = {"a": 0.5, "n": size, "kernel": kernel.family}
+    return (simulate_tree_cost(kernel, 0.5, size, n, TREE_SEED, s_max),
+            summarize(tree_cost_samples(kernel, 0.5, size, n, TREE_SEED), s_max, TREE_SEED,
+                      "tree", params))
+
+
+class TestStreamedSummary:
+    """The samplers' consumers reduce each chunk as it is drawn; the exact
+    sums make that the summary of the whole sample, bit for bit."""
+
+    @pytest.mark.parametrize("n", STREAM_LENGTHS)
+    @pytest.mark.parametrize(
+        "sampler", ["rayleigh", "mittag-leffler", "tree-uniform", "tree-sparse-30"]
+    )
+    def test_equals_summary_of_the_sample_array(self, sampler, n):
+        streamed, materialised = streamed_and_materialised(sampler, n)
+        assert streamed.n == materialised.n == n
+        assert streamed.moments.tobytes() == materialised.moments.tobytes()
+        assert streamed.standard_errors.tobytes() == materialised.standard_errors.tobytes()
+        assert json.dumps(streamed.to_dict()) == json.dumps(materialised.to_dict())
+
+    def test_overflow_names_the_same_order_without_a_warning(self):
+        n = 3 * _CHUNK + 5
+        message = "^moment of order 2 is not finite: a value, its square or a sum overflows$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=message):
+                sample_rayleigh(1e100, n, RAYLEIGH_SEED, 4)
+            with pytest.raises(OverflowError, match=message):
+                summarize(rayleigh_samples(1e100, n, RAYLEIGH_SEED), 4, RAYLEIGH_SEED, "r")
+
+    def test_lazy_generators_are_one_spawn(self):
+        lazy = [rng.random(3).tolist() for rng in _chunk_generators(5, 4)]
+        eager = [np.random.default_rng(ss).random(3).tolist()
+                 for ss in np.random.SeedSequence(5).spawn(4)]
+        assert lazy == eager
+
+    def test_memory_is_flat_in_n(self):
+        def peak(n):
+            tracemalloc.start()
+            try:
+                sample_rayleigh(1.0, n, RAYLEIGH_SEED, 4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2 * _CHUNK)  # first-call allocations that stay for the process
+        small, large = peak(1 << 20), peak(1 << 22)
+        assert large < 8 << 20
+        assert abs(large - small) < 1 << 20
 
 
 class TestRayleigh:
