@@ -9,111 +9,15 @@ everything against seeded Monte Carlo samplers.
 
 __version__ = "0.1.0"
 
+from . import identities, mellin, moments, montecarlo
 from .gammakit import log_beta, log_gamma, log_gamma_complex
-from .identities import (
-    ComparisonReport,
-    HankelDiagnostics,
-    PhiAdjudication,
-    adjudicate_phi_convention,
-    carleman_partial_sums,
-    compare,
-    hankel_positive_definite,
-)
-from .mellin import (
-    DensityTable,
-    MellinInversionError,
-    MellinSpec,
-    default_grid,
-    invert,
-    log_grid,
-    roundtrip_moments,
-    spec_from_exponential,
-    spec_from_fkp_quarter,
-    spec_from_mittag_leffler,
-)
-from .moments import (
-    BesselParams,
-    FkpParams,
-    MomentSequence,
-    exp_functional_moments,
-    fkp_moments,
-    fkp_quarter_closed_form,
-    kappa,
-    laplace_exponent,
-    local_time_moments,
-    mean_local_time_at_1,
-    mittag_leffler_moments,
-    scale,
-    scaled_local_time_moments,
-    tilt,
-    tilted_moments,
-    tilted_moments_beta_fraction,
-)
-from .montecarlo import (
-    SampleSummary,
-    SplitKernel,
-    enumerate_tree_costs,
-    mittag_leffler_samples,
-    positive_stable_samples,
-    rayleigh_samples,
-    sample_mittag_leffler,
-    sample_rayleigh,
-    scale_free_ratio_check,
-    simulate_tree_cost,
-    stable_laplace_check,
-    summarize,
-    tree_cost_samples,
-)
+from .identities import *  # noqa: F403
+from .mellin import *  # noqa: F403
+from .moments import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
 
+# each module's __all__ is the one list of its public names
 __all__ = [
-    "__version__",
-    "log_gamma",
-    "log_gamma_complex",
-    "log_beta",
-    "MomentSequence",
-    "BesselParams",
-    "FkpParams",
-    "fkp_moments",
-    "fkp_quarter_closed_form",
-    "kappa",
-    "local_time_moments",
-    "scaled_local_time_moments",
-    "tilt",
-    "tilted_moments",
-    "tilted_moments_beta_fraction",
-    "scale",
-    "laplace_exponent",
-    "exp_functional_moments",
-    "mean_local_time_at_1",
-    "mittag_leffler_moments",
-    "ComparisonReport",
-    "HankelDiagnostics",
-    "PhiAdjudication",
-    "compare",
-    "adjudicate_phi_convention",
-    "hankel_positive_definite",
-    "carleman_partial_sums",
-    "MellinSpec",
-    "DensityTable",
-    "MellinInversionError",
-    "spec_from_fkp_quarter",
-    "spec_from_mittag_leffler",
-    "spec_from_exponential",
-    "default_grid",
-    "log_grid",
-    "invert",
-    "roundtrip_moments",
-    "SampleSummary",
-    "SplitKernel",
-    "rayleigh_samples",
-    "positive_stable_samples",
-    "mittag_leffler_samples",
-    "tree_cost_samples",
-    "sample_rayleigh",
-    "sample_mittag_leffler",
-    "simulate_tree_cost",
-    "enumerate_tree_costs",
-    "summarize",
-    "scale_free_ratio_check",
-    "stable_laplace_check",
+    "__version__", "log_gamma", "log_gamma_complex", "log_beta",
+    *moments.__all__, *identities.__all__, *mellin.__all__, *montecarlo.__all__,
 ]

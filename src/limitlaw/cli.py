@@ -51,6 +51,7 @@ from .moments import (
 )
 from .montecarlo import (
     SplitKernel,
+    _ratio_check_inputs,
     sample_mittag_leffler,
     sample_rayleigh,
     scale_free_ratio_check,
@@ -368,6 +369,9 @@ def _parse_check_against(text: str) -> float:
 
 
 def cmd_sample(args) -> int:
+    a_prime = None
+    if args.check_against is not None:  # refused before any draw
+        a_prime = _ratio_check_inputs(args.smax, _parse_check_against(args.check_against))
     sampler = args.sampler
     if sampler == "rayleigh":
         summary = sample_rayleigh(args.sigma, args.n, args.seed, args.smax)
@@ -386,9 +390,7 @@ def cmd_sample(args) -> int:
             kernel, args.toll_exponent, args.n, reps, args.seed, args.smax
         )
 
-    check = None
-    if args.check_against is not None:
-        check = scale_free_ratio_check(summary, _parse_check_against(args.check_against))
+    check = None if a_prime is None else scale_free_ratio_check(summary, a_prime)
 
     def table():
         comments = [[("sampler", summary.sampler), ("n", summary.n), ("seed", summary.seed)]]

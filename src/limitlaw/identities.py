@@ -13,6 +13,7 @@ from .moments import (
     BesselParams,
     MomentSequence,
     _require_order,
+    _require_positive,
     exp_functional_moments,
     laplace_exponent,
 )
@@ -74,8 +75,7 @@ class ComparisonReport:
 def compare(seq_a, seq_b, tolerance: float) -> ComparisonReport:
     """Relative deviation |a-b| / max(|a|, |b|, eps) per order, with a pass
     flag against the tolerance."""
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    tolerance = _require_positive(tolerance, "tolerance")
     a = np.asarray(seq_a.values if isinstance(seq_a, MomentSequence) else seq_a, dtype=float)
     b = np.asarray(seq_b.values if isinstance(seq_b, MomentSequence) else seq_b, dtype=float)
     if a.shape != b.shape:
@@ -91,7 +91,7 @@ def compare(seq_a, seq_b, tolerance: float) -> ComparisonReport:
     return ComparisonReport(
         label_a=label_a,
         label_b=label_b,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         deviations=devs,
         params=params,
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gammakit import _split_vec, _two_sum_vec, log_gamma_complex
-from .moments import MomentSequence, _require_order
+from .moments import MomentSequence, _require_alpha, _require_order, _require_positive
 
 __all__ = [
     "MellinSpec",
@@ -127,8 +127,7 @@ def spec_from_fkp_quarter() -> MellinSpec:
 
 def spec_from_mittag_leffler(alpha: float) -> MellinSpec:
     """Mellin transform of ML(alpha): M(s) = Gamma(s) / Gamma((s-1) alpha + 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _require_alpha(alpha)
     return MellinSpec(
         log_prefactor=0.0,
         log_base=0.0,
@@ -395,9 +394,10 @@ def invert(spec: MellinSpec, grid, *, contour: float = 0.5, step: float = 0.04,
     convolution; any other grid is integrated point by point.  Both give the
     same sum within ``noise_floor``.
     """
-    for name, value in (("contour", contour), ("step", step), ("height", height)):
-        if not (value is None and name == "height" or 0.0 < value < math.inf):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    contour = _require_positive(contour, "contour")
+    step = _require_positive(step, "step")
+    if height is not None:
+        height = _require_positive(height, "height")
     for a, b, sign in spec.factors:
         if sign == 1 and -b / a >= contour:
             raise ValueError(

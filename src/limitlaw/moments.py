@@ -120,7 +120,8 @@ class BesselParams:
 
     @classmethod
     def from_alpha_beta(cls, alpha: float, beta: float, t: float = 1.0) -> "BesselParams":
-        _require_alpha_beta(alpha, beta)
+        _require_alpha(alpha)
+        _require_positive(beta, "beta")
         return cls(d=2.0 * (1.0 - alpha), p=0.5 - alpha / (2.0 * beta), t=t)
 
     @property
@@ -147,10 +148,9 @@ class FkpParams:
     sigma: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(float(self.a)) and self.a >= 0.0):
-            raise ValueError(f"toll exponent a must be finite and >= 0, got {self.a!r}")
-        if self.sigma is not None and not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive when given, got {self.sigma!r}")
+        _require_toll(self.a)
+        if self.sigma is not None:
+            _require_positive(self.sigma, "sigma")
 
     @property
     def a_prime(self) -> float:
@@ -173,18 +173,31 @@ def _exp_sequence(log_values: np.ndarray, label: str) -> np.ndarray:
     return out
 
 
-def _require_order(s_max: int) -> int:
-    s_max = int(s_max)
-    if s_max < 1:
-        raise ValueError(f"s_max must be >= 1, got {s_max!r}")
-    return s_max
+# One checker per input rule of the package; the other modules import them.
 
 
-def _require_alpha_beta(alpha: float, beta: float) -> None:
+def _require_order(value: int, name: str = "s_max") -> int:
+    value = int(value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return value
+
+
+def _require_positive(value: float, name: str) -> float:
+    value = float(value)
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
+def _require_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not 0.0 < beta < math.inf:
-        raise ValueError(f"beta must be finite and positive, got {beta!r}")
+
+
+def _require_toll(a: float) -> None:
+    if not 0.0 <= float(a) < math.inf:
+        raise ValueError(f"toll exponent a must be finite and >= 0, got {a!r}")
 
 
 def fkp_moments(a_prime: float, s_max: int) -> MomentSequence:
@@ -194,9 +207,7 @@ def fkp_moments(a_prime: float, s_max: int) -> MomentSequence:
     with m_0 = 1.  Valid for any a' > 0; the tree recursion itself produces
     a' = a + 1/2 >= 1/2.
     """
-    a_prime = float(a_prime)
-    if not (math.isfinite(a_prime) and a_prime > 0.0):
-        raise ValueError(f"a_prime must be finite and > 0, got {a_prime!r}")
+    a_prime = _require_positive(a_prime, "a_prime")
     s_max = _require_order(s_max)
     label = f"fkp(a'={a_prime:g})"
     k = np.arange(1.0, s_max + 1.0)
@@ -273,7 +284,8 @@ def tilted_moments(alpha: float, beta: float, s_max: int) -> MomentSequence:
     E(T^s) = Gamma(s+1) * prod_{j=1..s} Gamma(j beta) / Gamma(alpha + j beta).
     Must equal tilt(scaled_local_time_moments(...)) entrywise.
     """
-    _require_alpha_beta(alpha, beta)
+    _require_alpha(alpha)
+    _require_positive(beta, "beta")
     s_max = _require_order(s_max)
     label = f"tilted(alpha={alpha:g}, beta={beta:g})"
     s = np.arange(1.0, s_max + 1.0)
@@ -287,11 +299,8 @@ def tilted_moments_beta_fraction(alpha: float, m: int, s_max: int) -> MomentSequ
     E(T^s) = Gamma(s+1) * prod_{j=1..m} Gamma(j alpha/m) / Gamma((s+j) alpha/m).
     Must equal tilted_moments(alpha, alpha/m, s_max) entrywise.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    _require_alpha(alpha)
+    m = _require_order(m, "m")
     s_max = _require_order(s_max)
     label = f"tilted-beta-fraction(alpha={alpha:g}, m={m})"
     frac = alpha / m
@@ -305,9 +314,7 @@ def tilted_moments_beta_fraction(alpha: float, m: int, s_max: int) -> MomentSequ
 
 def scale(seq: MomentSequence, c: float) -> MomentSequence:
     """Moments of c*X from the moments of X: out[s] = c^s * seq[s]."""
-    c = float(c)
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError(f"scale factor must be finite and > 0, got {c!r}")
+    c = _require_positive(c, "scale factor")
     label = f"scale({seq.label}, {c:g})"
     logs = np.log(seq.values[1:]) + np.arange(1.0, len(seq)) * math.log(c)
     return MomentSequence(_exp_sequence(logs, label), label, {**seq.params, "scale": c})
@@ -321,12 +328,8 @@ def laplace_exponent(r: float, a_prime: float, convention: str = "paper") -> flo
     convention.  The two conventions disagree; identities.adjudicate_phi_convention
     measures which one is consistent with the exponential-functional moments.
     """
-    r = float(r)
-    a_prime = float(a_prime)
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"r must be finite and > 0, got {r!r}")
-    if not (math.isfinite(a_prime) and a_prime > 0.0):
-        raise ValueError(f"a_prime must be finite and > 0, got {a_prime!r}")
+    r = _require_positive(r, "r")
+    a_prime = _require_positive(a_prime, "a_prime")
     if convention == "paper":
         m = 4.0 * a_prime
     elif convention == "half":
@@ -385,8 +388,7 @@ def fkp_quarter_closed_form(s_max: int) -> MomentSequence:
 
 def mittag_leffler_moments(alpha: float, s_max: int) -> MomentSequence:
     """Mittag-Leffler ML(alpha) moments: Gamma(s+1) / Gamma(s alpha + 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _require_alpha(alpha)
     s_max = _require_order(s_max)
     label = f"mittag-leffler(alpha={alpha:g})"
     s = np.arange(1.0, s_max + 1.0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .identities import ComparisonReport
-from .moments import _require_order, fkp_moments
+from .moments import _require_alpha, _require_order, _require_positive, _require_toll, fkp_moments
 
 __all__ = [
     "SampleSummary",
@@ -211,18 +211,10 @@ def _run_chunks(chunk_fn, seed: int, n: int):
         del chunk  # free it while the next chunk is drawn
 
 
-def _require_count(n: int, name: str = "n") -> int:
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n!r}")
-    return n
-
-
 def _rayleigh_chunks(sigma: float, n: int, seed: int):
     """The lazy chunks of ``rayleigh_samples``."""
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
-    n = _require_count(n)
+    _require_positive(sigma, "sigma")
+    n = _require_order(n, "n")
 
     def chunk(rng, m):
         # sigma * sqrt(-2 log1p(-u)), evaluated in place in the uniforms
@@ -246,9 +238,8 @@ def _stable_chunks(alpha: float, n: int, seed: int, finish):
     chunk to one-sided alpha-stable S drawn by Kanter's construction (see
     ``positive_stable_samples``).  The uniforms, the exponentials and a
     partial sum share two scratch arrays made once per sample."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    n = _require_count(n)
+    _require_alpha(alpha)
+    n = _require_order(n, "n")
     ratio = (1.0 - alpha) / alpha
     scratch = np.empty(_CHUNK), np.empty(_CHUNK)
 
@@ -593,10 +584,9 @@ class SplitKernel:
 
 def _tree_chunks(kernel: SplitKernel, a: float, n: int, reps: int, seed: int):
     """The lazy chunks of ``tree_cost_samples``."""
-    if not (math.isfinite(float(a)) and a >= 0.0):
-        raise ValueError(f"toll exponent a must be finite and >= 0, got {a!r}")
-    n = _require_count(n, "n")
-    reps = _require_count(reps, "reps")
+    _require_toll(a)
+    n = _require_order(n, "n")
+    reps = _require_order(reps, "reps")
     if kernel._start is not None:
         gaps = np.flatnonzero(kernel._start[2 : n + 1] < 0)
         if gaps.size:
@@ -645,9 +635,8 @@ def simulate_tree_cost(
 def enumerate_tree_costs(kernel: SplitKernel, a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact distribution of Y_n by dynamic programming over all splitting
     paths; the brute-force check for the simulator at small n."""
-    if not (math.isfinite(float(a)) and a >= 0.0):
-        raise ValueError(f"toll exponent a must be finite and >= 0, got {a!r}")
-    n = _require_count(n, "n")
+    _require_toll(a)
+    n = _require_order(n, "n")
     dists: list[dict[float, float]] = [dict() for _ in range(n + 1)]
     dists[1] = {1.0: 1.0}
     for m in range(2, n + 1):
@@ -678,6 +667,14 @@ def _standard_error_report(label_a: str, label_b: str, rows, params: dict) -> Co
     return ComparisonReport(label_a, label_b, 3.0, devs, params)
 
 
+def _ratio_check_inputs(s_max: int, a_prime: float) -> float:
+    """The refusals of ``scale_free_ratio_check`` for a summary up to order
+    s_max, which return a' as a float; the CLI runs them before any draw."""
+    if s_max < 3:
+        raise ValueError("summary needs moments up to order 3")
+    return _require_positive(a_prime, "a_prime")
+
+
 def scale_free_ratio_check(summary: SampleSummary, a_prime: float) -> ComparisonReport:
     """Compare the scale-invariant ratios m_2/m_1^2 and m_3/m_1^3 of a sample
     against the limit-law values for exponent a'.
@@ -686,8 +683,7 @@ def scale_free_ratio_check(summary: SampleSummary, a_prime: float) -> Comparison
     (first-order, cross-moment covariances dropped, which only widens the
     error bars); tolerance is 3.
     """
-    if summary.max_order < 3:
-        raise ValueError("summary needs moments up to order 3")
+    a_prime = _ratio_check_inputs(summary.max_order, a_prime)
     ref = fkp_moments(a_prime, 3)
     m = summary.moments
     se = summary.standard_errors
@@ -707,7 +703,7 @@ def scale_free_ratio_check(summary: SampleSummary, a_prime: float) -> Comparison
         f"ratios({summary.sampler}, n={summary.n})",
         f"ratios(fkp(a'={a_prime:g}))",
         rows,
-        {"a_prime": float(a_prime), "seed": summary.seed, **detail},
+        {"a_prime": a_prime, "seed": summary.seed, **detail},
     )
 
 

@@ -361,6 +361,34 @@ class TestSampleCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--check-against", "bogus"), "--check-against expects 'fkp:A', got 'bogus'"),
+            (("--check-against", "fkp:-1"), "a_prime must be finite and positive, got -1.0"),
+            (("--check-against", "fkp:inf"), "a_prime must be finite and positive, got inf"),
+            (("--check-against", "fkp:0.5", "--smax", "2"), "summary needs moments up to order 3"),
+        ],
+    )
+    @pytest.mark.parametrize("sampler", ["rayleigh", "mittag-leffler", "tree"])
+    def test_check_against_refused_before_any_draw(self, capsys, monkeypatch, sampler, flags,
+                                                   message):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the sample was drawn before --check-against was checked")
+
+        for name in ("sample_rayleigh", "sample_mittag_leffler", "simulate_tree_cost"):
+            monkeypatch.setattr(cli, name, no_draws)
+        code, out, err = run_cli(
+            capsys, "sample", "--sampler", sampler, "--alpha", "0.5", "--n", "100", *flags
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_alpha_outside_unit_interval_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sample", "--sampler", "mittag-leffler", "--alpha", "1.5", "--n", "100"
+        )
+        assert (code, out, err) == (2, "", "error: alpha must lie in (0, 1), got 1.5\n")
+
     def test_kernel_file(self, capsys, tmp_path):
         path = tmp_path / "kernel.csv"
         path.write_text("n,k,probability\n2,1,1.0\n3,2,1.0\n4,3,1.0\n")

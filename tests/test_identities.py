@@ -63,8 +63,10 @@ class TestCompare:
         assert report.max_deviation == float(np.max(report.deviations))
 
     def test_invalid_tolerance(self):
-        with pytest.raises(ValueError):
-            compare(fkp_moments(0.5, 3), fkp_moments(0.5, 3), 0.0)
+        # an infinite tolerance would pass every report
+        for tolerance in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^tolerance must be finite and positive, got "):
+                compare(fkp_moments(0.5, 3), fkp_moments(0.5, 3), tolerance)
 
     @pytest.mark.parametrize(
         "deviations, tolerance, expected",
@@ -156,6 +158,10 @@ class TestHankel:
     def test_requires_enough_moments(self):
         with pytest.raises(ValueError):
             hankel_positive_definite(fkp_moments(0.5, 6), 4)
+
+    def test_refuses_negative_order(self):
+        with pytest.raises(ValueError, match="^max_order must be >= 0, got -1$"):
+            hankel_positive_definite(fkp_moments(0.5, 6), -1)
 
     def test_carleman_attached_when_available(self):
         diag = hankel_positive_definite(fkp_moments(0.5, 8), 4)

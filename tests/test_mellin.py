@@ -75,6 +75,16 @@ class TestSpecs:
                 label="2*exp",
             )
 
+    @pytest.mark.parametrize(
+        "factors, message",
+        [((), "^at least one gamma factor is required$"),
+         (((0.0, 1.0, 1),), "^gamma factor needs a > 0, got a=0.0$"),
+         (((1.0, 0.0, 2),), "^gamma factor sign must be \\+-1, got 2$")],
+    )
+    def test_bad_factors_rejected(self, factors, message):
+        with pytest.raises(ValueError, match=message):
+            MellinSpec(log_prefactor=0.0, log_base=0.0, factors=factors, label="bad")
+
     def test_pole_right_of_contour_rejected(self):
         # the Gamma(1/4) law: M(s) = Gamma(s - 3/4) / Gamma(1/4) exists for Re(s) > 3/4
         spec = MellinSpec(
@@ -132,6 +142,17 @@ class TestInvert:
         coarse = invert(spec_from_mittag_leffler(0.5), grid)
         fine = invert(spec_from_mittag_leffler(0.5), grid, step=0.02)
         assert np.max(np.abs(coarse.density - fine.density)) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [([1.0], "^grid must be a 1-d array with at least 2 points$"),
+         ([[0.5, 1.0], [1.5, 2.0]], "^grid must be a 1-d array with at least 2 points$"),
+         ([0.0, 1.0], "^grid must be strictly positive and strictly increasing$"),
+         ([1.0, 0.5], "^grid must be strictly positive and strictly increasing$")],
+    )
+    def test_refuses_bad_grid(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            invert(spec_from_exponential(), grid)
 
     def test_refuses_insufficient_height(self):
         spec = spec_from_exponential()

@@ -70,6 +70,11 @@ class TestMomentSequence:
         with pytest.raises(ValueError):
             MomentSequence(np.array([2.0, 1.0]), "bad")
 
+    @pytest.mark.parametrize("values", [np.array([]), np.ones((2, 2))])
+    def test_values_must_be_a_non_empty_vector(self, values):
+        with pytest.raises(ValueError, match="^values must be a non-empty 1-d array$"):
+            MomentSequence(values, "bad")
+
     def test_entries_must_be_positive_finite(self):
         with pytest.raises(ValueError):
             MomentSequence(np.array([1.0, -1.0]), "bad")
@@ -114,6 +119,9 @@ class TestBesselParams:
             {"d": 1.0, "p": 0.5},
             {"d": 1.0, "p": 0.0, "t": 0.0},
             {"d": 1.0, "p": 0.0, "t": -1.0},
+            {"d": math.nan, "p": 0.0},
+            {"d": 1.0, "p": -math.inf},
+            {"d": 1.0, "p": 0.0, "t": math.inf},
         ],
     )
     def test_invalid_parameters(self, kwargs):
@@ -140,8 +148,9 @@ class TestFkpParams:
     def test_invalid(self):
         with pytest.raises(ValueError):
             FkpParams(a=-0.5)
-        with pytest.raises(ValueError):
-            FkpParams(a=1.0, sigma=0.0)
+        for sigma in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                FkpParams(a=1.0, sigma=sigma)
 
 
 class TestFkpMoments:
@@ -453,6 +462,8 @@ class TestGammaTypeClosedForms:
     def test_beta_fraction_domain(self):
         with pytest.raises(ValueError):
             tilted_moments_beta_fraction(0.5, 0, 4)
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got 1.0$"):
+            tilted_moments_beta_fraction(1.0, 2, 4)
 
 
 class TestMittagLefflerMoments:

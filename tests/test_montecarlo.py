@@ -19,6 +19,7 @@ from scipy import stats
 from scipy.special import erf
 
 from limitlaw import (
+    SampleSummary,
     SplitKernel,
     enumerate_tree_costs,
     mittag_leffler_moments,
@@ -225,6 +226,19 @@ class TestSummarize:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError, match="s_max must be >= 1"):
             summarize(np.ones(3), 0, 0, "unit")
+
+    def test_rejects_empty_values(self):
+        with pytest.raises(ValueError, match="^values must be non-empty$"):
+            summarize(np.array([]), 2, 0, "empty")
+
+    @pytest.mark.parametrize(
+        "moments, errors, message",
+        [([2.0, 1.0], [0.0, 0.1], "^empirical m_0 must be 1$"),
+         ([1.0, 1.0], [0.0, -0.1], "^standard errors must be nonnegative$")],
+    )
+    def test_summary_refuses_bad_fields(self, moments, errors, message):
+        with pytest.raises(ValueError, match=message):
+            SampleSummary("bad", 10, 0, moments, errors)
 
 
 def reference_summarize(values, s_max):
@@ -492,6 +506,16 @@ class TestSplitKernel:
         assert np.allclose(k.probs(5), 0.25)
         assert k.covers(10**6)
 
+    @pytest.mark.parametrize(
+        "kernel, size, message",
+        [(SplitKernel.uniform(), 1, "^split needs size >= 2, got 1$"),
+         (SplitKernel.from_table({2: [1.0], 4: [0.5, 0.25, 0.25]}), 3,
+          "^split kernel has no distribution for size 3$")],
+    )
+    def test_probs_refuses_size_without_row(self, kernel, size, message):
+        with pytest.raises(ValueError, match=message):
+            kernel.probs(size)
+
     def test_table_validation_sum(self):
         with pytest.raises(ValueError, match="sum"):
             SplitKernel.from_table({3: [0.5, 0.6]})
@@ -499,6 +523,15 @@ class TestSplitKernel:
     def test_table_validation_length(self):
         with pytest.raises(ValueError, match="probabilities"):
             SplitKernel.from_table({4: [1.0]})
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [({}, "^table kernel needs at least one size$"),
+         ({1: [], 2: [1.0]}, "^table rows need size >= 2, got 1$")],
+    )
+    def test_table_validation_sizes(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            SplitKernel.from_table(table)
 
     def test_table_validation_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -738,6 +771,8 @@ class TestTreeSimulation:
             tree_cost_samples(SplitKernel.uniform(), -1.0, 4, 10, 0)
         with pytest.raises(ValueError):
             tree_cost_samples(SplitKernel.uniform(), 0.0, 4, 0, 0)
+        with pytest.raises(ValueError):
+            enumerate_tree_costs(SplitKernel.uniform(), -1.0, 4)
 
 
 class TestScaleFreeRatioCheck:

@@ -1,0 +1,178 @@
+"""The package surface and its input rules.
+
+``limitlaw.__all__`` is built from each module's ``__all__``, so these tests
+pin the names it exports.  Each input rule is raised by one checker in
+``limitlaw.moments``, so entry points in every module that take such an
+input refuse a bad value with that rule's one wording.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import limitlaw
+from limitlaw import (
+    BesselParams,
+    FkpParams,
+    SplitKernel,
+    compare,
+    enumerate_tree_costs,
+    fkp_moments,
+    invert,
+    laplace_exponent,
+    mittag_leffler_moments,
+    sample_mittag_leffler,
+    sample_rayleigh,
+    scale,
+    scale_free_ratio_check,
+    simulate_tree_cost,
+    spec_from_exponential,
+    spec_from_mittag_leffler,
+    summarize,
+    tilted_moments,
+    tilted_moments_beta_fraction,
+)
+
+PUBLIC_NAMES = [
+    "__version__",
+    "log_gamma",
+    "log_gamma_complex",
+    "log_beta",
+    "MomentSequence",
+    "BesselParams",
+    "FkpParams",
+    "fkp_moments",
+    "fkp_quarter_closed_form",
+    "kappa",
+    "local_time_moments",
+    "scaled_local_time_moments",
+    "tilt",
+    "tilted_moments",
+    "tilted_moments_beta_fraction",
+    "scale",
+    "laplace_exponent",
+    "exp_functional_moments",
+    "mean_local_time_at_1",
+    "mittag_leffler_moments",
+    "ComparisonReport",
+    "HankelDiagnostics",
+    "PhiAdjudication",
+    "compare",
+    "adjudicate_phi_convention",
+    "hankel_positive_definite",
+    "carleman_partial_sums",
+    "MellinSpec",
+    "DensityTable",
+    "MellinInversionError",
+    "spec_from_fkp_quarter",
+    "spec_from_mittag_leffler",
+    "spec_from_exponential",
+    "default_grid",
+    "log_grid",
+    "invert",
+    "roundtrip_moments",
+    "SampleSummary",
+    "SplitKernel",
+    "rayleigh_samples",
+    "positive_stable_samples",
+    "mittag_leffler_samples",
+    "tree_cost_samples",
+    "sample_rayleigh",
+    "sample_mittag_leffler",
+    "simulate_tree_cost",
+    "enumerate_tree_costs",
+    "summarize",
+    "scale_free_ratio_check",
+    "stable_laplace_check",
+]
+
+
+class TestSurface:
+    def test_all_is_pinned(self):
+        assert limitlaw.__all__ == PUBLIC_NAMES
+        assert len(PUBLIC_NAMES) == 50
+
+    def test_no_duplicates(self):
+        assert len(set(limitlaw.__all__)) == len(limitlaw.__all__)
+
+    def test_every_name_resolves(self):
+        for name in limitlaw.__all__:
+            assert hasattr(limitlaw, name), name
+
+
+_SPEC = spec_from_exponential()
+_GRID = np.array([0.5, 1.0, 2.0])
+_SHORT = summarize(np.arange(1.0, 10.0), 3, 0, "short")
+
+# (entry point taking alpha as its first argument, the remaining arguments)
+_ALPHA_ENTRIES = [
+    (BesselParams.from_alpha_beta, (1.0,)),
+    (tilted_moments, (1.0, 4)),
+    (tilted_moments_beta_fraction, (2, 4)),
+    (mittag_leffler_moments, (4,)),
+    (spec_from_mittag_leffler, ()),
+    (sample_mittag_leffler, (10, 0)),
+]
+
+# (name in the message, call with the value)
+_POSITIVE_ENTRIES = [
+    ("beta", lambda v: BesselParams.from_alpha_beta(0.5, v)),
+    ("beta", lambda v: tilted_moments(0.5, v, 4)),
+    ("a_prime", lambda v: fkp_moments(v, 4)),
+    ("a_prime", lambda v: laplace_exponent(1.0, v)),
+    ("a_prime", lambda v: scale_free_ratio_check(_SHORT, v)),
+    ("r", lambda v: laplace_exponent(v, 0.5)),
+    ("scale factor", lambda v: scale(fkp_moments(0.5, 4), v)),
+    ("sigma", lambda v: sample_rayleigh(v, 10, 0)),
+    ("sigma", lambda v: FkpParams(a=0.0, sigma=v)),
+    ("contour", lambda v: invert(_SPEC, _GRID, contour=v)),
+    ("step", lambda v: invert(_SPEC, _GRID, step=v)),
+    ("height", lambda v: invert(_SPEC, _GRID, height=v)),
+    ("tolerance", lambda v: compare(fkp_moments(0.5, 4), fkp_moments(0.6, 4), v)),
+]
+
+_TOLL_ENTRIES = [
+    lambda a: FkpParams(a=a),
+    lambda a: simulate_tree_cost(SplitKernel.uniform(), a, 4, 10, 0),
+    lambda a: enumerate_tree_costs(SplitKernel.uniform(), a, 4),
+]
+
+# (name in the message, call with the count)
+_COUNT_ENTRIES = [
+    ("s_max", lambda k: fkp_moments(0.5, k)),
+    ("s_max", lambda k: summarize(np.ones(3), k, 0, "unit")),
+    ("m", lambda k: tilted_moments_beta_fraction(0.5, k, 4)),
+    ("n", lambda k: sample_rayleigh(1.0, k, 0)),
+    ("n", lambda k: sample_mittag_leffler(0.5, k, 0)),
+    ("n", lambda k: simulate_tree_cost(SplitKernel.uniform(), 0.0, k, 10, 0)),
+    ("reps", lambda k: simulate_tree_cost(SplitKernel.uniform(), 0.0, 4, k, 0)),
+]
+
+
+class TestOneWordingPerRule:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan])
+    @pytest.mark.parametrize("entry, rest", _ALPHA_ENTRIES)
+    def test_alpha(self, entry, rest, alpha):
+        with pytest.raises(ValueError, match=rf"^alpha must lie in \(0, 1\), got {alpha!r}$"):
+            entry(alpha, *rest)
+
+    @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("name, call", _POSITIVE_ENTRIES)
+    def test_finite_and_positive(self, name, call, value, recwarn):
+        message = f"^{name} must be finite and positive, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("a", [-0.5, math.inf, math.nan])
+    @pytest.mark.parametrize("call", _TOLL_ENTRIES)
+    def test_toll_exponent(self, call, a):
+        message = f"^toll exponent a must be finite and >= 0, got {a!r}$"
+        with pytest.raises(ValueError, match=message):
+            call(a)
+
+    @pytest.mark.parametrize("name, call", _COUNT_ENTRIES)
+    def test_count(self, name, call):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            call(0)
