@@ -451,6 +451,18 @@ class TestSampleCommand:
         assert err.startswith("error: Unable to allocate ")
         assert err.count("\n") == 1
 
+    def test_kernel_field_only_python_parses_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "kernel.csv"
+        path.write_text("n,k,probability\n2,1,1.0\n3,1,0.5\n3,2,1_0\n")
+        code, out, err = run_cli(
+            capsys,
+            "sample", "--sampler", "tree", "--n", "3", "--reps", "10",
+            "--kernel-file", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: could not convert string '1_0'")
+        assert err.count("\n") == 1
+
     def test_missing_kernel_file_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys,

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from limitlaw import mellin
 from limitlaw import (
     MellinInversionError,
+    DensityTable,
     MellinSpec,
     default_grid,
     fkp_moments,
@@ -246,6 +247,12 @@ class TestRoundTrip:
         table = invert(spec, grid)
         with pytest.raises(ValueError, match="tail coverage"):
             roundtrip_moments(table, 5)
+
+    def test_all_zero_table_rejected(self):
+        x = np.exp(np.linspace(-3.0, 3.0, 11))
+        table = DensityTable(x, np.zeros_like(x), np.zeros_like(x))
+        with pytest.raises(ValueError, match="^density table is numerically zero everywhere$"):
+            roundtrip_moments(table, 3)
 
 
 class TestDensityTable:

@@ -7,6 +7,7 @@ deterministic.  Statistical gates are 3 standard errors.
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -38,7 +39,9 @@ from limitlaw.montecarlo import (
     _CHUNK,
     _SUM_SCALE,
     _binned_sum,
+    _bucket,
     _chunk_generators,
+    _layout,
     _workspace,
 )
 
@@ -488,6 +491,59 @@ TABLES = st.sets(st.integers(2, 24), min_size=1, max_size=5).flatmap(
 UNIFORMS = st.sampled_from([0.0, 0.25, 0.5, 1.0 - 2**-53]) | st.floats(0.0, 1.0, exclude_max=True)
 
 
+def reference_table_build(table):
+    """(CDF, guide) of a table's flat layout, built one size at a time in
+    ascending order: each row is checked finite, then nonnegative, then
+    summing to 1, and its guide is a per-size search of its buckets.  The
+    table kernel must build the same arrays bit for bit and refuse the same
+    first bad size with the same message."""
+    sizes = np.array(sorted(table), dtype=np.int64)
+    start, probs = _layout(sizes)
+    cdf = np.full(probs.size, np.inf)
+    guide = np.empty(probs.size, dtype=np.int64)
+    for size, at in zip(sizes.tolist(), start[sizes].tolist()):
+        p = probs[at : at + size - 1]
+        p[:] = table[size]
+        if not np.isfinite(p).all():
+            raise ValueError(f"size {size}: probabilities must be finite")
+        if np.any(p < 0.0):
+            raise ValueError(f"size {size}: probabilities must be nonnegative")
+        if abs(float(p.sum()) - 1.0) > 1e-12:
+            raise ValueError(f"size {size}: probabilities sum to {float(p.sum())!r}, not 1")
+        row = np.cumsum(p, out=cdf[at : at + size - 1])
+        guide[at : at + size] = at + np.searchsorted(_bucket(row, size - 1), np.arange(size))
+    return cdf, guide
+
+
+def build_outcome(build, table):
+    """The raw bytes of the (CDF, guide) that ``build`` makes of ``table``,
+    or the message it refuses the table with."""
+    try:
+        return tuple(array.tobytes() for array in build(table))
+    except ValueError as exc:
+        return str(exc)
+
+
+def kernel_build(table):
+    kernel = SplitKernel.from_table(table)
+    return kernel._cdf, kernel._guide
+
+
+def linear_table(n_max):
+    """P(K_m = k) = k / (m(m-1)/2) for m = 2..n_max: every guide bucket of
+    a large size holds about one CDF entry, and the small sizes hold many."""
+    return {m: np.arange(1, m) / (m * (m - 1) / 2.0) for m in range(2, n_max + 1)}
+
+
+# each fault is applied to one size of a table, picked by index
+FAULTS = {
+    "nan": lambda row: np.where(np.arange(row.size) == row.size // 2, math.nan, row),
+    "inf": lambda row: np.where(np.arange(row.size) == 0, math.inf, row),
+    "negative": lambda row: np.where(np.arange(row.size) == row.size - 1, -row[-1] - 0.5, row),
+    "sum": lambda row: row * 1.5,
+}
+
+
 class TestSplitKernel:
     @pytest.mark.parametrize("u", [-0.5, 1.0, math.nan])
     @pytest.mark.parametrize(
@@ -587,6 +643,41 @@ class TestSplitKernel:
         for name in ("_start", "_probs", "_cdf", "_guide"):
             assert np.array_equal(getattr(from_csv, name), getattr(from_table, name)), name
 
+    @given(table=TABLES)
+    @settings(max_examples=100, deadline=None)
+    def test_build_matches_per_size_reference(self, table):
+        assert build_outcome(kernel_build, table) == build_outcome(reference_table_build, table)
+
+    def test_large_linear_build_matches_per_size_reference(self):
+        table = linear_table(600)
+        assert build_outcome(kernel_build, table) == build_outcome(reference_table_build, table)
+
+    @given(
+        table=TABLES,
+        faults=st.dictionaries(st.integers(0, 4), st.sampled_from(sorted(FAULTS)), max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_first_bad_size_named_as_the_reference_names_it(self, table, faults):
+        sizes = sorted(table)
+        bad = {sizes[pick % len(sizes)]: FAULTS[fault] for pick, fault in faults.items()}
+        table = {size: bad[size](row) if size in bad else row for size, row in table.items()}
+        assert build_outcome(kernel_build, table) == build_outcome(reference_table_build, table)
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [({2: [1.0], 3: [0.5, 0.6], 5: [math.nan] * 4}, "size 3: probabilities sum to 1.1, not 1"),
+         ({3: [0.4, 0.6], 4: [math.nan, -1.0, 2.0], 5: [-1.0, 1.0, 0.5, 0.5]},
+          "size 4: probabilities must be finite"),
+         ({3: [-0.5, 1.5], 4: [math.inf, 0.0, 0.0]}, "size 3: probabilities must be nonnegative"),
+         ({3: [0.5, 0.5], 4: [0.2, 0.2, 0.2], 6: [-1.0, 2.0, 0.0, 0.0, 0.0]},
+          "size 4: probabilities sum to 0.6000000000000001, not 1")],
+        ids=["sum-before-nan", "finite-before-negative", "negative-before-inf", "sum-before-negative"],
+    )
+    def test_first_bad_size_named(self, table, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SplitKernel.from_table(table)
+        assert build_outcome(reference_table_build, table) == message
+
     def test_missing_size_named(self):
         kernel = SplitKernel.from_table({2: [1.0], 4: [0.5, 0.25, 0.25]})
         with pytest.raises(ValueError, match="size 3"):
@@ -633,6 +724,15 @@ class TestSplitKernel:
         path.write_text(f"n,k,probability\n2,1,1.0\n{row}\n")
         with pytest.raises(ValueError, match=f"kernel row 3 '{row}'"):
             SplitKernel.from_csv(path)
+
+    def test_csv_field_only_python_parses_is_reraised(self, tmp_path):
+        # int() and float() accept "1_0" and numpy does not, so no row is
+        # named and numpy's own error is raised again
+        path = tmp_path / "underscore.csv"
+        path.write_text("n,k,probability\n2,1,1.0\n3,1,0.5\n3,2,1_0\n")
+        with pytest.raises(ValueError, match="could not convert string '1_0'") as caught:
+            SplitKernel.from_csv(path)
+        assert "kernel row" not in str(caught.value)
 
     def test_table_draw_of_uncovered_size_is_named(self):
         kernel = SplitKernel.from_table({2: [1.0], 4: [0.5, 0.25, 0.25]})
