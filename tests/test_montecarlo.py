@@ -711,6 +711,11 @@ class TestSplitKernel:
         assert kernel.probs(2)[0] != 0.1 + 0.2 + 0.7
         assert kernel.probs(3).tolist() == [0.0, 1.0]
 
+    def test_csv_contract_file(self):
+        # the file the numpy-only CI job samples from
+        kernel = SplitKernel.from_csv(DATA / "kernel-contract.csv")
+        assert kernel == SplitKernel.from_table({2: [1.0], 3: [0.5, 0.5], 4: [0.5, 0.0, 0.5]})
+
     def test_csv_rejects_out_of_range_split(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("n,k,probability\n3,3,1.0\n")
