@@ -363,9 +363,12 @@ def cmd_density(args) -> int:
 
 def _parse_check_against(text: str) -> float:
     family, _, value = text.partition(":")
-    if family != "fkp" or not value:
-        raise ValueError(f"--check-against expects 'fkp:A', got {text!r}")
-    return float(value)
+    if family == "fkp":
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ValueError(f"--check-against expects 'fkp:A', got {text!r}")
 
 
 def cmd_sample(args) -> int:

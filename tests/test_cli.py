@@ -365,6 +365,7 @@ class TestSampleCommand:
         "flags, message",
         [
             (("--check-against", "bogus"), "--check-against expects 'fkp:A', got 'bogus'"),
+            (("--check-against", "fkp:x"), "--check-against expects 'fkp:A', got 'fkp:x'"),
             (("--check-against", "fkp:-1"), "a_prime must be finite and positive, got -1.0"),
             (("--check-against", "fkp:inf"), "a_prime must be finite and positive, got inf"),
             (("--check-against", "fkp:0.5", "--smax", "2"), "summary needs moments up to order 3"),
