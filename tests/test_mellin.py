@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from limitlaw import mellin
 from limitlaw import (
-    MellinInversionError,
     DensityTable,
+    MellinInversionError,
     MellinSpec,
     default_grid,
     fkp_moments,
