@@ -200,6 +200,13 @@ def _require_toll(a: float) -> None:
         raise ValueError(f"toll exponent a must be finite and >= 0, got {a!r}")
 
 
+def _require_order_multiple(value: float, s_max: int, name: str) -> None:
+    """A sequence up to order s_max takes the gamma ratios at k * value for
+    k <= s_max, which must be finite."""
+    if not math.isfinite(value * s_max):
+        raise ValueError(f"{name} * {s_max} must be finite, got {name}={value!r}")
+
+
 def fkp_moments(a_prime: float, s_max: int) -> MomentSequence:
     """Moments of the one-sided tree-destruction limit law.
 
@@ -209,6 +216,7 @@ def fkp_moments(a_prime: float, s_max: int) -> MomentSequence:
     """
     a_prime = _require_positive(a_prime, "a_prime")
     s_max = _require_order(s_max)
+    _require_order_multiple(a_prime, s_max, "a_prime")
     label = f"fkp(a'={a_prime:g})"
     k = np.arange(1.0, s_max + 1.0)
     logs = log_gamma_array(k + 1.0) - 0.5 * k * LN2 + np.cumsum(log_gamma_ratio(k * a_prime, 0.5))
@@ -287,6 +295,7 @@ def tilted_moments(alpha: float, beta: float, s_max: int) -> MomentSequence:
     _require_alpha(alpha)
     _require_positive(beta, "beta")
     s_max = _require_order(s_max)
+    _require_order_multiple(beta, s_max, "beta")
     label = f"tilted(alpha={alpha:g}, beta={beta:g})"
     s = np.arange(1.0, s_max + 1.0)
     logs = log_gamma_array(s + 1.0) + np.cumsum(log_gamma_ratio(s * beta, alpha))

@@ -15,18 +15,34 @@ order-independent), so identical (seed, parameters) produce bit-identical
 summaries.  ``_run_chunks`` yields the chunks lazily: the summaries reduce
 each one as it is drawn, in memory flat in n, and ``*_samples`` concatenate
 them.
+
+Exact sums
+----------
+``_binned_sum`` adds each value's hi part (top 27 significant bits, scaled
+by 2**-26) and lo part (low 26 bits) into float bins by sign and exponent,
+exact for 2**26 values; ``_exact_sums`` keeps the bins for the whole sample
+and turns them into Python ints once.  A summary of S >= 2 orders sums 2S - 1
+arrays per block, as x**2 is both order 2's values and order 1's squares.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .identities import ComparisonReport
-from .moments import _require_alpha, _require_order, _require_positive, _require_toll, fkp_moments
+from .moments import (
+    _require_alpha,
+    _require_order,
+    _require_order_multiple,
+    _require_positive,
+    _require_toll,
+    fkp_moments,
+)
 
 __all__ = [
     "SampleSummary",
@@ -46,98 +62,122 @@ __all__ = [
 
 _CHUNK = 1 << 16
 _TINY = np.finfo(float).tiny
-# np.frexp exponents of finite doubles lie in -1073..1024, so exponent + 1074
-# is a nonnegative bin index, and every double is an integer multiple of
-# 2**-(1074 + 53) = 1 / _SUM_SCALE.
-_EXP_OFFSET = 1074
-_SUM_SCALE = 1 << (_EXP_OFFSET + 53)
-# weights 2**i of the adjacent bin coefficients folded into one exact double
-_FOLD = 2.0 ** np.arange(8)
+# Every double is an integer multiple of 2**-1074 = 1 / _SUM_SCALE.  Exact
+# sums bin a double by its top 12 bits, the sign and the 11-bit exponent
+# field e: the doubles of bin b are integer multiples of
+# 2**_BIN_SHIFT[b] / _SUM_SCALE (e = 0 holds zero and the subnormals, which
+# share the unit of e = 1).
+_SUM_SCALE = 1 << 1074
+_BINS = 1 << 12
+_BIN_SHIFT = np.maximum(np.arange(_BINS) % (_BINS // 2), 1) - 1
+# keeps the sign, the exponent field and the top 26 of the 52 fraction bits
+_HI = np.uint64(2**64 - 2**26)
+# A bin's hi parts, scaled by 2**-26, are below 2**27 units of the bin and
+# its lo parts below 2**26, so float bins hold the sums of 2**26 values
+# exactly, below 2**53 units; unscaled, the hi sums would overflow from
+# values of about 2**997 on.
+_BIN_VALUES = 1 << 26
 
 
 def _workspace() -> tuple:
     """Work arrays for ``_binned_sum``, one _CHUNK long each.  Fresh
     temporaries of that size fault in new pages on every block, which took
     more than half the time of each exact sum."""
-    return np.empty(_CHUNK), np.empty(_CHUNK, np.int32), np.empty(_CHUNK, np.intp), np.empty(_CHUNK)
+    return np.empty(_CHUNK, np.intp), np.empty(_CHUNK), np.empty(_CHUNK)
 
 
-def _binned_sum(block: np.ndarray, work: tuple) -> int:
-    """Exact sum of at most _CHUNK doubles, in units of 1 / _SUM_SCALE.
+def _binned_sum(bins: np.ndarray, block: np.ndarray, work: tuple) -> None:
+    """Add the exact sum of at most _CHUNK doubles to ``bins``, a
+    (2, _BINS) float array of the hi and lo sums of each bin.
 
-    Each value is mant * 2**exp with the 53-bit integer mantissa
-    mant * 2**53 split into hi = floor(mant * 2**27) and a 26-bit remainder
-    lo.  np.bincount adds the hi and lo parts of equal exponent in float64.
-    Those bin totals are exact: a block has at most 2**16 values, so every bin
-    stays below 2**43 (in units of 2**-26 for lo), far inside the 53 bits of
-    a double.  The hi totals weigh 2**26 times their lo neighbours, so they
-    merge into one coefficient per power of two, each below 2**44; groups
-    of _FOLD.size adjacent coefficients then fold into one integer below
-    2**52, still exact in float64, and only those merge into a Python int.
+    One shift of the raw bits gives each value's bin, and one mask its hi
+    part; lo = value - hi, the low 26 fraction bits, is exact.  np.bincount
+    adds each part of equal bin in float64, exactly while the bins have
+    taken at most _BIN_VALUES values.  A non-finite value leaves its bin
+    inf or nan.
     """
-    mant, exp, index, hi = (a[: block.size] for a in work)
-    np.frexp(block, out=(mant, exp))
-    np.add(exp, _EXP_OFFSET, out=index)  # the intp np.bincount wants
-    mant *= 2.0**27
-    np.floor(mant, out=hi)
-    mant -= hi  # lo / 2**26, in [0, 1)
-    hi_bins = np.bincount(index, weights=hi)
-    if not math.isfinite(hi_bins.sum()):  # inf and nan poison their bin
+    index, hi, lo = (a[: block.size] for a in work)
+    bits = block.view(np.uint64)
+    np.right_shift(bits, 52, out=index.view(np.uint64))
+    np.bitwise_and(bits, _HI, out=hi.view(np.uint64))
+    np.subtract(block, hi, out=lo)
+    hi *= 2.0**-26
+    for part, weights in zip(bins, (hi, lo)):
+        sums = np.bincount(index, weights)
+        part[: sums.size] += sums
+
+
+def _bins_total(bins: np.ndarray) -> int:
+    """The exact sum that ``bins`` hold, in units of 1 / _SUM_SCALE.  Raises
+    OverflowError if a value summed into them was not finite."""
+    if not np.isfinite(bins).all():
         raise OverflowError("exact sum of non-finite values")
-    n = hi_bins.size
-    coef = np.zeros(-(-(n + 26) // _FOLD.size) * _FOLD.size)
-    coef[26 : n + 26] = hi_bins
-    coef[:n] += np.bincount(index, weights=mant) * 2.0**26
-    groups = coef.reshape(-1, _FOLD.size) @ _FOLD
-    nonzero = np.flatnonzero(groups)
-    total = 0
-    for g, v in zip(nonzero.tolist(), groups[nonzero].tolist()):
-        total += int(v) << (g * _FOLD.size)
-    return total
+    counts = np.ldexp(bins, 1074 - _BIN_SHIFT)  # integers below 2**53
+    used = np.flatnonzero(counts.any(axis=0))
+    hi, lo, shifts = *counts[:, used].tolist(), _BIN_SHIFT[used].tolist()
+    return sum(((int(h) << 26) + int(l)) << s for h, l, s in zip(hi, lo, shifts))
 
 
-def _exact_means(blocks, n: int, fs, names) -> tuple[list[float], list[float]]:
-    """Means of f(values) for each f in ``fs`` and their standard errors
-    sd/sqrt(n), from exact sums of f and f**2 rounded once, over the n
-    values that the iterable ``blocks`` yields in blocks of at most _CHUNK.
-    Each f returns a new array, which is squared in place.
+def _exact_sums(blocks, terms, k: int) -> list:
+    """Exact sums, in units of 1 / _SUM_SCALE, of the k arrays that
+    ``terms(block)`` yields for each block of at most _CHUNK values from the
+    iterable ``blocks``; None for a sum over a non-finite value.
 
-    Each block is read once, as it arrives, and dropped before the next one
-    is asked for, so a lazy ``blocks`` is summed in memory flat in n.  Every
-    f of a block adds the ``_binned_sum`` totals of its values and their
-    squares into Python ints through one ``_workspace()``, made after the
-    first block is drawn and kept: made per block, its pages were returned to
-    the system and faulted in again every block.  This is the small
-    superaccumulator of Neal, "Fast exact summation using small and large
-    superaccumulators" (arXiv:1505.05571): each mean is the correctly
-    rounded exact sum over n, the same double that ``math.fsum`` gives,
-    whatever the block order.  Raises OverflowError with the first of
-    ``names`` whose value, square or sum is not finite; an f after the
-    first failure is no longer summed.
+    Each block is dropped before the next one is asked for, so a lazy
+    ``blocks`` is summed in memory flat in n, and each array is binned
+    before the next is asked for, so ``terms`` may then overwrite it.  The
+    bins and the ``_workspace()`` are made once, after the first block is
+    drawn (made per block, their pages were faulted in again every block),
+    and the bins turn into ints at the end and before they pass _BIN_VALUES.
     """
-    sums, sums_sq = [0] * len(fs), [0] * len(fs)
-    failed = len(fs)  # index of the first f whose value or square is not finite
-    work = None
-    for block in blocks:
-        if work is None:
-            work = _workspace()
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            for i in range(failed):
-                v = fs[i](block)
+    totals, bins, work, held = [0] * k, None, None, 0
+
+    def flush():
+        for t, part in enumerate(bins):
+            if totals[t] is not None:
                 try:
-                    sums[i] += _binned_sum(v, work)
-                    sums_sq[i] += _binned_sum(np.square(v, out=v), work)
+                    totals[t] += _bins_total(part)
                 except OverflowError:
-                    failed = i
-                    break
-        block = v = None  # free both while the next block is drawn
+                    totals[t] = None
+
+    for block in blocks:
+        if bins is None:
+            bins, work = np.zeros((k, 2, _BINS)), _workspace()
+        if held + block.size > _BIN_VALUES:
+            flush()
+            bins[:], held = 0.0, 0
+        held += block.size
+        with np.errstate(over="ignore", invalid="ignore"):  # refused at the end
+            for part, values in zip(bins, terms(block), strict=True):
+                _binned_sum(part, values, work)
+        block = values = None  # free both while the next block is drawn
+    if bins is not None:
+        flush()
+    return totals
+
+
+def _exact_means(blocks, n: int, terms, pairs, names) -> tuple[list[float], list[float]]:
+    """Means and standard errors sd/sqrt(n) over the n values that
+    ``blocks`` yields, from exact sums (``_exact_sums``) rounded once.
+
+    Mean i is the sum of the arrays that ``terms`` yields at position
+    ``pairs[i][0]``, over n; the sum at ``pairs[i][1]``, which must be
+    their squares, gives its variance.  A sum may serve several means, as
+    order 2's values serve as order 1's squares in ``_summary``.  This is
+    the small superaccumulator of Neal, "Fast exact summation using small
+    and large superaccumulators" (arXiv:1505.05571): each mean is the
+    correctly rounded exact sum over n, the same double that ``math.fsum``
+    gives, whatever the block order.  Raises OverflowError with the first of
+    ``names`` whose value, square or sum is not finite.
+    """
+    totals = _exact_sums(blocks, terms, 1 + max(map(max, pairs)))
     means, errors = [], []
-    for i, name in enumerate(names):
+    for name, (value, square) in zip(names, pairs):
         try:
-            if i == failed:
+            if totals[value] is None or totals[square] is None:
                 raise OverflowError  # a value or a square, found in a block
-            mean = sums[i] / _SUM_SCALE / n  # int / int rounds correctly
-            mean_sq = sums_sq[i] / _SUM_SCALE / n
+            mean = totals[value] / _SUM_SCALE / n  # int / int rounds correctly
+            mean_sq = totals[square] / _SUM_SCALE / n
         except OverflowError:
             raise OverflowError(
                 f"{name} is not finite: a value, its square or a sum overflows"
@@ -312,10 +352,22 @@ def _summary(blocks, n: int, s_max: int, seed: int, sampler: str, params) -> Sam
     """``summarize`` over the n values that ``blocks`` yields in blocks of at
     most _CHUNK, each reduced as it arrives."""
     n = int(n)
-    orders = range(1, _require_order(s_max) + 1)
-    moments, errors = _exact_means(
-        blocks, n, [lambda x, s=s: x**s for s in orders], [f"moment of order {s}" for s in orders]
-    )
+    s_max = _require_order(s_max)
+
+    def terms(x):
+        # x, then x**s and its square for each order s >= 2; numpy computes
+        # x**2 as np.square(x), so x**2 is order 1's square as well
+        yield x
+        if s_max == 1:
+            yield np.square(x)
+        for s in range(2, s_max + 1):
+            v = x**s
+            yield v
+            yield np.square(v, out=v)
+
+    pairs = [(0, 1), *((2 * s - 3, 2 * s - 2) for s in range(2, s_max + 1))]
+    names = [f"moment of order {s}" for s in range(1, s_max + 1)]
+    moments, errors = _exact_means(blocks, n, terms, pairs, names)
     return SampleSummary(
         sampler=sampler,
         n=n,
@@ -331,11 +383,12 @@ def summarize(
 ) -> SampleSummary:
     """Empirical moments up to order s_max with standard errors.
 
-    The sums of X**s and X**(2s) = (X**s)**2 for every order s are exact
-    (``_exact_means``: exponent-binned integer mantissas, rounded once),
-    taken in one pass over _CHUNK blocks; naive accumulation loses digits
-    in fourth moments at n = 1e6.  Raises OverflowError naming the first
-    order whose power, squared power or sum is not finite.
+    The sums of X**s and (X**s)**2 for every order s are exact
+    (``_exact_means``: float bins by sign and exponent, turned into an
+    integer and rounded once), taken in one pass over _CHUNK blocks; naive
+    accumulation loses digits in fourth moments at n = 1e6.  Raises
+    OverflowError naming the first order whose power, squared power or sum
+    is not finite.
     """
     values = np.asarray(values, dtype=float)
     if values.size < 1:
@@ -523,8 +576,15 @@ class SplitKernel:
         ``#`` starts a comment and empty lines are skipped.  The first row
         left is a header when its first field is not an integer; every other
         row must parse.  Rows repeating an (n, k) pair add up in file order,
-        and missing (n, k) pairs have probability 0.
+        and missing (n, k) pairs have probability 0.  A name ending in a
+        suffix that numpy reads as compressed is refused before any read.
         """
+        suffix = os.path.splitext(path)[1]  # as numpy splits it to pick a decompressor
+        if suffix in (".gz", ".bz2", ".xz", ".lzma"):
+            raise ValueError(
+                f"kernel file {os.fspath(path)!r} ends in {suffix}, which numpy reads as "
+                "compressed; kernel files are plain-text CSV"
+            )
         with open(path) as fh:
             first = next(_kernel_lines(fh), None)
         header = first[0] if first and not _parses(first[2], (int,)) else 0
@@ -707,7 +767,9 @@ def _ratio_check_inputs(s_max: int, a_prime: float) -> float:
     s_max, which return a' as a float; the CLI runs them before any draw."""
     if s_max < 3:
         raise ValueError("summary needs moments up to order 3")
-    return _require_positive(a_prime, "a_prime")
+    a_prime = _require_positive(a_prime, "a_prime")
+    _require_order_multiple(a_prime, 3, "a_prime")
+    return a_prime
 
 
 def scale_free_ratio_check(summary: SampleSummary, a_prime: float) -> ComparisonReport:
@@ -747,10 +809,18 @@ def stable_laplace_check(alpha: float, lambdas, n: int, seed: int) -> Comparison
     of the empirical standard error; tolerance is 3."""
     chunks = _stable_chunks(alpha, n, seed, _stable_from_log)
     lambdas = [float(lam) for lam in lambdas]
+
+    def terms(x):
+        for lam in lambdas:
+            v = np.exp(-lam * x)
+            yield v
+            yield np.square(v, out=v)
+
     means, errors = _exact_means(
         chunks,
         int(n),
-        [lambda x, lam=lam: np.exp(-lam * x) for lam in lambdas],
+        terms,
+        [(2 * i, 2 * i + 1) for i in range(len(lambdas))],
         [f"exp(-{lam:g} S)" for lam in lambdas],
     )
     targets = [math.exp(-lam**alpha) for lam in lambdas]

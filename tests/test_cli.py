@@ -58,6 +58,16 @@ def csv_rows(text):
 
 
 class TestMomentsCommand:
+    @pytest.mark.parametrize("smax", ["2", "9"])
+    def test_overflowing_order_multiple_exits_2_with_one_line(self, smax):
+        # k * a' overflows from k = 2 on: refused before numpy can warn
+        code, out, err = run_cli_showing_warnings(
+            ["moments", "--which", "fkp", "--a-prime", "1e308", "--smax", smax]
+        )
+        assert (code, out, err) == (
+            2, "", f"error: a_prime * {smax} must be finite, got a_prime=1e+308\n"
+        )
+
     def test_fkp_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, "moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "2"
@@ -368,6 +378,7 @@ class TestSampleCommand:
             (("--check-against", "fkp:x"), "--check-against expects 'fkp:A', got 'fkp:x'"),
             (("--check-against", "fkp:-1"), "a_prime must be finite and positive, got -1.0"),
             (("--check-against", "fkp:inf"), "a_prime must be finite and positive, got inf"),
+            (("--check-against", "fkp:1e308"), "a_prime * 3 must be finite, got a_prime=1e+308"),
             (("--check-against", "fkp:0.5", "--smax", "2"), "summary needs moments up to order 3"),
         ],
     )
@@ -463,6 +474,18 @@ class TestSampleCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: could not convert string '1_0'")
         assert err.count("\n") == 1
+
+    def test_compressed_kernel_name_exits_2_naming_the_suffix(self, capsys, tmp_path):
+        path = tmp_path / "kernel.csv.gz"
+        path.write_text("n,k,probability\n2,1,1.0\n3,1,0.5\n3,2,0.5\n")
+        code, out, err = run_cli(
+            capsys,
+            "sample", "--sampler", "tree", "--n", "3", "--reps", "10",
+            "--kernel-file", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err == (f"error: kernel file '{path}' ends in .gz, which numpy reads as "
+                       "compressed; kernel files are plain-text CSV\n")
 
     def test_missing_kernel_file_exits_2(self, capsys):
         code, _, _ = run_cli(

@@ -36,11 +36,14 @@ from limitlaw import (
     tree_cost_samples,
 )
 from limitlaw.montecarlo import (
+    _BINS,
     _CHUNK,
     _SUM_SCALE,
     _binned_sum,
+    _bins_total,
     _bucket,
     _chunk_generators,
+    _exact_sums,
     _layout,
     _workspace,
 )
@@ -94,10 +97,18 @@ def exact_reference(xs):
 
 
 def binned_total(x):
-    """Exact sum of x in units of 1 / _SUM_SCALE, as _binned_sum totals of
-    its _CHUNK blocks."""
-    work = _workspace()
-    return sum(_binned_sum(x[start : start + _CHUNK], work) for start in range(0, x.size, _CHUNK))
+    """Exact sum of x in units of 1 / _SUM_SCALE, from the bins that
+    _binned_sum fills with its _CHUNK blocks."""
+    bins, work = np.zeros((2, _BINS)), _workspace()
+    for start in range(0, x.size, _CHUNK):
+        _binned_sum(bins, x[start : start + _CHUNK], work)
+    return _bins_total(bins)
+
+
+def exact_units(x):
+    """x in units of 1 / _SUM_SCALE, from float.as_integer_ratio."""
+    p, q = float(x).as_integer_ratio()
+    return p * (_SUM_SCALE // q)
 
 
 def assert_matches_fsum(xs):
@@ -162,24 +173,59 @@ class TestExactSum:
         assert binned_total(x) / _SUM_SCALE == math.fsum(x)
 
     def test_sums_sharing_work_arrays(self):
-        # interleaved blocks of several sizes, as _exact_means sums them
+        # interleaved blocks of several sizes, as _exact_sums bins them
         rng = np.random.default_rng(5)
         work = _workspace()
-        a = b = 0
+        a, b = np.zeros((2, _BINS)), np.zeros((2, _BINS))
         xs = [np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-60, 60, n))
               for n in (65_536, 17, 65_536, 40_000)]
         for x in xs:
-            a += _binned_sum(x, work)
-            b += _binned_sum(x * x, work)
+            _binned_sum(a, x, work)
+            _binned_sum(b, x * x, work)
         whole = np.concatenate(xs)
-        assert a / _SUM_SCALE == math.fsum(whole)
-        assert b / _SUM_SCALE == math.fsum(whole * whole)
+        assert _bins_total(a) / _SUM_SCALE == math.fsum(whole)
+        assert _bins_total(b) / _SUM_SCALE == math.fsum(whole * whole)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_values(self, bad):
+        x = np.array([1.0, bad, 2.0])
+        bins = np.zeros((2, _BINS))
+        _binned_sum(bins, x, _workspace())
         with pytest.raises(OverflowError):
-            _binned_sum(np.array([1.0, bad, 2.0]), _workspace())
+            _bins_total(bins)
+        assert _exact_sums([x, x], lambda block: iter([block]), 1) == [None]
+
+    @pytest.mark.parametrize(
+        "x", [1.7976931348623157e308, -1.7976931348623157e308, -2.225073858507201e-308,
+              5e-324, 1.0 - 2.0**-53]
+    )
+    def test_bins_to_int_at_the_bound(self, x):
+        # the bins of 2**26 copies of x: every add is exact, so they are
+        # 2**26 times the bins of one copy; all fraction bits set gives the
+        # largest hi and lo sums a bin can hold
+        bins = np.zeros((2, _BINS))
+        _binned_sum(bins, np.array([x]), _workspace())
+        bins *= 2.0**26
+        assert _bins_total(bins) == 2**26 * exact_units(x)
+
+    def test_bins_hold_the_bound_and_turn_into_ints_past_it(self):
+        # 2**26 copies of the largest double fill its bin to just below
+        # overflow; the next block makes _exact_sums turn the bins into an
+        # int first
+        block = np.full(_CHUNK, 1.7976931348623157e308)
+        for blocks in (1024, 1025):
+            totals = _exact_sums([block] * blocks, lambda x: iter([x]), 1)
+            assert totals == [blocks * _CHUNK * exact_units(block[0])]
+
+    def test_square_is_the_second_power(self):
+        # _summary takes order 1's square sum from order 2's values, x**2
+        rng = np.random.default_rng(11)
+        x = rng.integers(0, 2**64, 1 << 16, dtype=np.uint64).view(float)
+        x = np.concatenate([x[~np.isnan(x)], [0.0, -0.0, 5e-324, np.inf, -np.inf],
+                            mittag_leffler_samples(0.5, 1000, ML_SEED)])
+        with np.errstate(over="ignore", under="ignore"):
+            assert (x**2).tobytes() == np.square(x).tobytes()
 
 
 class TestSummarize:
@@ -203,10 +249,15 @@ class TestSummarize:
         assert summary.moments[1] == 2.0
         assert summary.standard_errors[1] == 0.0
 
-    def test_non_finite_summary_names_first_order(self):
-        # (1e100**2)**2 overflows, so order 2 has no finite standard error
-        with pytest.raises(OverflowError, match="order 2"):
-            summarize(np.array([1e100, 2.0]), 4, 0, "huge")
+    @pytest.mark.parametrize(
+        "values, s_max, order",
+        [([1e100, 2.0], 4, 2),  # (1e100**2)**2 overflows: order 2 has no finite error
+         ([1e100, 3.0], 4, 2),
+         ([1e160, 2.0], 2, 1)],  # 1e160**2 is order 1's square and order 2's value
+    )
+    def test_non_finite_summary_names_first_order(self, values, s_max, order):
+        with pytest.raises(OverflowError, match=f"^moment of order {order} "):
+            summarize(np.array(values), s_max, 0, "huge")
 
     def test_overflowing_sum_names_its_order(self):
         with pytest.raises(OverflowError, match="order 1"):
@@ -715,6 +766,21 @@ class TestSplitKernel:
         # the file the numpy-only CI job samples from
         kernel = SplitKernel.from_csv(DATA / "kernel-contract.csv")
         assert kernel == SplitKernel.from_table({2: [1.0], 3: [0.5, 0.5], 4: [0.5, 0.0, 0.5]})
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_csv_refuses_compression_suffix_before_reading(self, tmp_path, suffix):
+        # numpy would open these names through a decompressor
+        plain = tmp_path / f"kernel.csv{suffix}"
+        plain.write_text("n,k,probability\n2,1,1.0\n")
+        for path in (plain, tmp_path / f"missing{suffix}"):
+            message = f"^kernel file '{path}' ends in \\{suffix}, which numpy reads as compressed"
+            with pytest.raises(ValueError, match=message):
+                SplitKernel.from_csv(path)
+        # numpy decompresses by these exact suffixes only
+        for name in (f"kernel{suffix.upper()}", suffix, f"kernel{suffix}.csv"):
+            other = tmp_path / name
+            other.write_text("n,k,probability\n2,1,1.0\n")
+            assert SplitKernel.from_csv(other) == SplitKernel.from_table({2: [1.0]})
 
     def test_csv_rejects_out_of_range_split(self, tmp_path):
         path = tmp_path / "bad.csv"

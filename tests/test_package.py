@@ -7,6 +7,7 @@ input refuse a bad value with that rule's one wording.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,15 @@ _POSITIVE_ENTRIES = [
     ("tolerance", lambda v: compare(fkp_moments(0.5, 4), fkp_moments(0.6, 4), v)),
 ]
 
+# (name in the message, largest order, call with the value): k * value must
+# stay finite for every order k up to the largest
+_ORDER_MULTIPLE_ENTRIES = [
+    ("a_prime", 4, lambda v: fkp_moments(v, 4)),
+    ("beta", 4, lambda v: tilted_moments(0.5, v, 4)),
+    ("beta", 3, lambda v: tilted_moments(0.5, v, 3)),
+    ("a_prime", 3, lambda v: scale_free_ratio_check(_SHORT, v)),
+]
+
 _TOLL_ENTRIES = [
     lambda a: FkpParams(a=a),
     lambda a: simulate_tree_cost(SplitKernel.uniform(), a, 4, 10, 0),
@@ -161,6 +171,14 @@ class TestOneWordingPerRule:
     @pytest.mark.parametrize("name, call", _POSITIVE_ENTRIES)
     def test_finite_and_positive(self, name, call, value, recwarn):
         message = f"^{name} must be finite and positive, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("value", [1e308, 6e307])
+    @pytest.mark.parametrize("name, order, call", _ORDER_MULTIPLE_ENTRIES)
+    def test_finite_order_multiple(self, name, order, call, value, recwarn):
+        message = "^" + re.escape(f"{name} * {order} must be finite, got {name}={value!r}") + "$"
         with pytest.raises(ValueError, match=message):
             call(value)
         assert len(recwarn) == 0
