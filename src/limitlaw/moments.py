@@ -203,6 +203,7 @@ def _require_toll(a: float) -> None:
 def _require_order_multiple(value: float, s_max: int, name: str) -> None:
     """A sequence up to order s_max takes the gamma ratios at k * value for
     k <= s_max, which must be finite."""
+    value = float(value)  # a Python float product never warns
     if not math.isfinite(value * s_max):
         raise ValueError(f"{name} * {s_max} must be finite, got {name}={value!r}")
 

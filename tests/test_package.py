@@ -175,10 +175,11 @@ class TestOneWordingPerRule:
             call(value)
         assert len(recwarn) == 0
 
-    @pytest.mark.parametrize("value", [1e308, 6e307])
+    @pytest.mark.parametrize("value", [1e308, 6e307, np.float64(1e308)])
     @pytest.mark.parametrize("name, order, call", _ORDER_MULTIPLE_ENTRIES)
     def test_finite_order_multiple(self, name, order, call, value, recwarn):
-        message = "^" + re.escape(f"{name} * {order} must be finite, got {name}={value!r}") + "$"
+        got = f"{name}={float(value)!r}"
+        message = "^" + re.escape(f"{name} * {order} must be finite, got {got}") + "$"
         with pytest.raises(ValueError, match=message):
             call(value)
         assert len(recwarn) == 0
