@@ -39,6 +39,7 @@ from .mellin import (
 from .moments import (
     BesselParams,
     MomentSequence,
+    _require_positive,
     exp_functional_moments,
     fkp_moments,
     kappa,
@@ -70,10 +71,10 @@ def _finite_float(text: str) -> float:
 
 
 def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a finite positive value, got {text!r}")
-    return value
+    try:
+        return _require_positive(_finite_float(text), "value")
+    except ValueError as exc:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -228,11 +229,11 @@ def _write(args, table, payload) -> None:
 
 def _resolve_bessel(args, t: float) -> BesselParams:
     if args.alpha is not None and args.beta is not None:
-        return BesselParams.from_alpha_beta(args.alpha, args.beta, t=t)
+        return BesselParams(args.alpha, args.beta, t)
     if args.d is not None and args.p is not None:
-        return BesselParams(d=args.d, p=args.p, t=t)
+        return BesselParams.from_d_p(args.d, args.p, t)
     if args.a_prime is not None:
-        return BesselParams.from_alpha_beta(0.5, args.a_prime, t=t)
+        return BesselParams(0.5, args.a_prime, t)
     raise ValueError("provide --alpha/--beta, --d/--p, or --a-prime")
 
 
@@ -263,7 +264,7 @@ def cmd_moments(args) -> int:
 
 
 def _tilt_sides(alpha, beta, s_max):
-    params = BesselParams.from_alpha_beta(alpha, beta)
+    params = BesselParams(alpha, beta)
     return tilt(scaled_local_time_moments(params, s_max + 1)), tilted_moments(alpha, beta, s_max)
 
 
@@ -274,19 +275,19 @@ def _corollary_sides(a_prime, s_max):
 def _mittag_leffler_sides(alpha, s_max):
     # the p = 0 local time at the t where its scale factor equals 1
     t = 0.5 * math.exp((log_gamma(1.0 - alpha) - log_gamma(1.0 + alpha)) / alpha)
-    params = BesselParams.from_alpha_beta(alpha, alpha, t=t)
+    params = BesselParams(alpha, alpha, t)
     return local_time_moments(params, s_max), mittag_leffler_moments(alpha, s_max)
 
 
 def _exp_functional_sides(alpha, beta, s_max):
-    params = BesselParams.from_alpha_beta(alpha, beta, t=1.0)
+    params = BesselParams(alpha, beta)
     tilted = scale(tilted_moments(alpha, beta, s_max), kappa(params))
     return exp_functional_moments(params, s_max), tilted
 
 
 def _t_independence_sides(alpha, beta, s_max):
     def scaled_via(t):
-        params = BesselParams.from_alpha_beta(alpha, beta, t=t)
+        params = BesselParams(alpha, beta, t)
         values = local_time_moments(params, s_max).values / kappa(params) ** np.arange(s_max + 1)
         values[0] = 1.0
         label = f"scaled-via-t={t:g}(alpha={alpha:g}, beta={beta:g})"

@@ -72,28 +72,20 @@ class ComparisonReport:
         }
 
 
-def compare(seq_a, seq_b, tolerance: float) -> ComparisonReport:
+def compare(seq_a: MomentSequence, seq_b: MomentSequence, tolerance: float) -> ComparisonReport:
     """Relative deviation |a-b| / max(|a|, |b|, eps) per order, with a pass
     flag against the tolerance."""
     tolerance = _require_positive(tolerance, "tolerance")
-    a = np.asarray(seq_a.values if isinstance(seq_a, MomentSequence) else seq_a, dtype=float)
-    b = np.asarray(seq_b.values if isinstance(seq_b, MomentSequence) else seq_b, dtype=float)
+    a, b = seq_a.values, seq_b.values
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     devs = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), _DENOM_EPS)
-    label_a = seq_a.label if isinstance(seq_a, MomentSequence) else "array"
-    label_b = seq_b.label if isinstance(seq_b, MomentSequence) else "array"
-    params = {}
-    if isinstance(seq_a, MomentSequence):
-        params["a"] = dict(seq_a.params)
-    if isinstance(seq_b, MomentSequence):
-        params["b"] = dict(seq_b.params)
     return ComparisonReport(
-        label_a=label_a,
-        label_b=label_b,
+        label_a=seq_a.label,
+        label_b=seq_b.label,
         tolerance=tolerance,
         deviations=devs,
-        params=params,
+        params={"a": dict(seq_a.params), "b": dict(seq_b.params)},
     )
 
 
@@ -151,8 +143,7 @@ def adjudicate_phi_convention(
     Never asserts a winner; returns both reports so the outcome can be
     recorded.  Deterministic in (a_prime, s_max, tolerance).
     """
-    params = BesselParams.from_alpha_beta(0.5, a_prime, t=1.0)
-    oracle = exp_functional_moments(params, s_max)
+    oracle = exp_functional_moments(BesselParams(0.5, a_prime), s_max)
 
     reports: dict = {}
     slopes: dict = {}

@@ -3,8 +3,8 @@ local-time / exponential-functional laws it coincides with, together with the
 tilt and scale operators that connect them.
 
 All sequences are generated in log space and exponentiated once per entry;
-an entry whose log exceeds the double-precision range raises OverflowError
-naming the failing order.
+an entry whose log exceeds the double-precision range raises OverflowError,
+and one that underflows to 0 FloatingPointError, naming the failing order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .gammakit import log_beta, log_gamma, log_gamma_array, log_gamma_ratio
 __all__ = [
     "MomentSequence",
     "BesselParams",
-    "FkpParams",
     "fkp_moments",
     "fkp_quarter_closed_form",
     "kappa",
@@ -97,69 +96,51 @@ class MomentSequence:
 class BesselParams:
     """Parameters of the reinforced Bessel local-time law.
 
-    d is the dimension in (0, 2), p < 1/2 the reinforcement parameter and t
-    the time horizon.  The derived exponents are alpha = 1 - d/2 in (0, 1)
-    and beta = alpha / (1 - 2p) > 0; either pair determines the other
-    exactly.
+    alpha in (0, 1) and beta > 0 are the exponents the moment formulas
+    read, and t > 0 is the time horizon; they are held as given.  The
+    dimension d = 2(1 - alpha) in (0, 2) and the reinforcement parameter
+    p = 1/2 - alpha/(2 beta) < 1/2 are derived from them.
     """
 
-    d: float
-    p: float
+    alpha: float
+    beta: float
     t: float = 1.0
 
     def __post_init__(self):
-        for name, v in (("d", self.d), ("p", self.p), ("t", self.t)):
-            if not math.isfinite(float(v)):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-        if not 0.0 < self.d < 2.0:
-            raise ValueError(f"d must lie in (0, 2) so that alpha is in (0, 1), got {self.d!r}")
-        if not self.p < 0.5:
-            raise ValueError(f"p must be < 1/2, got {self.p!r}")
-        if not self.t > 0.0:
-            raise ValueError(f"t must be positive, got {self.t!r}")
+        _require_alpha(self.alpha)
+        _require_positive(self.beta, "beta")
+        _require_positive(self.t, "t")
 
     @classmethod
-    def from_alpha_beta(cls, alpha: float, beta: float, t: float = 1.0) -> "BesselParams":
-        _require_alpha(alpha)
-        _require_positive(beta, "beta")
-        return cls(d=2.0 * (1.0 - alpha), p=0.5 - alpha / (2.0 * beta), t=t)
+    def from_d_p(cls, d: float, p: float, t: float = 1.0) -> "BesselParams":
+        """The law at dimension d in (0, 2) and reinforcement p < 1/2,
+        converted once to alpha = 1 - d/2 and beta = alpha / (1 - 2p)."""
+        for name, v in (("d", d), ("p", p)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
+        if not 0.0 < d < 2.0:
+            raise ValueError(f"d must lie in (0, 2) so that alpha is in (0, 1), got {d!r}")
+        if not p < 0.5:
+            raise ValueError(f"p must be < 1/2, got {p!r}")
+        alpha = 1.0 - d / 2.0
+        return cls(alpha, alpha / (1.0 - 2.0 * p), t)
 
     @property
-    def alpha(self) -> float:
-        return 1.0 - self.d / 2.0
+    def d(self) -> float:
+        return 2.0 * (1.0 - self.alpha)
 
     @property
-    def beta(self) -> float:
-        return self.alpha / (1.0 - 2.0 * self.p)
+    def p(self) -> float:
+        return 0.5 - self.alpha / (2.0 * self.beta)
 
     def to_dict(self) -> dict:
         return {"d": self.d, "p": self.p, "t": self.t, "alpha": self.alpha, "beta": self.beta}
 
 
-@dataclass(frozen=True)
-class FkpParams:
-    """Toll exponent a >= 0 of the tree recursion; a_prime = a + 1/2.
-
-    sigma is the (unknown in general) scale of the n^{a'} normalisation and
-    is only meaningful for simulation.
-    """
-
-    a: float
-    sigma: float | None = None
-
-    def __post_init__(self):
-        _require_toll(self.a)
-        if self.sigma is not None:
-            _require_positive(self.sigma, "sigma")
-
-    @property
-    def a_prime(self) -> float:
-        return self.a + 0.5
-
-
 def _exp_sequence(log_values: np.ndarray, label: str) -> np.ndarray:
     """exp of per-order logs (orders 1..S) prefixed with m_0 = 1; raises
-    OverflowError naming the first order that leaves double range."""
+    OverflowError naming the first order that overflows double range, and
+    FloatingPointError the first that underflows to 0."""
     over = log_values > _LOG_MAX
     if over.any():
         s_fail = int(np.argmax(over)) + 1
@@ -169,7 +150,13 @@ def _exp_sequence(log_values: np.ndarray, label: str) -> np.ndarray:
         )
     out = np.empty(log_values.size + 1)
     out[0] = 1.0
-    out[1:] = np.exp(log_values)
+    out[1:] = np.exp(log_values)  # numpy ignores underflow by default
+    if not out.all():
+        s_fail = int(np.argmin(out))  # the first 0
+        raise FloatingPointError(
+            f"{label}: moment underflows double precision to 0 at order s={s_fail} "
+            f"(log value {log_values[s_fail - 1]:.1f})"
+        )
     return out
 
 

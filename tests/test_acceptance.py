@@ -96,7 +96,7 @@ def test_ac02_tilt_identity():
         worst = 0.0
         for alpha in ALPHA_GRID:
             for beta in BETA_GRID:
-                params = BesselParams.from_alpha_beta(alpha, beta)
+                params = BesselParams(alpha, beta)
                 via_tilt = tilt(scaled_local_time_moments(params, S_MAX + 1))
                 closed = tilted_moments(alpha, beta, S_MAX)
                 worst = max(worst, rel_dev(via_tilt.values, closed.values))
@@ -125,7 +125,7 @@ def test_ac04_mittag_leffler_reduction():
     worst = 0.0
     for alpha in ML_ALPHA_GRID:
         t_unit = 0.5 * (math.gamma(1.0 - alpha) / math.gamma(1.0 + alpha)) ** (1.0 / alpha)
-        params = BesselParams(d=2.0 * (1.0 - alpha), p=0.0, t=t_unit)
+        params = BesselParams(alpha, alpha, t=t_unit)
         got = local_time_moments(params, S_MAX)
         want = mittag_leffler_moments(alpha, S_MAX)
         worst = max(worst, rel_dev(got.values, want.values))
@@ -139,7 +139,7 @@ def test_ac05_exponential_functional():
     worst_mean = 0.0
     for alpha in ALPHA_GRID:
         for beta in BETA_GRID:
-            params = BesselParams.from_alpha_beta(alpha, beta, t=1.0)
+            params = BesselParams(alpha, beta, t=1.0)
             got = exp_functional_moments(params, S_MAX)
             want = scale(tilted_moments(alpha, beta, S_MAX), kappa(params))
             worst_seq = max(worst_seq, rel_dev(got.values, want.values))
@@ -292,7 +292,7 @@ def test_ac10_moment_problem_diagnostics():
     sequences = []
     for alpha in ALPHA_GRID:
         for beta in BETA_GRID:
-            params = BesselParams.from_alpha_beta(alpha, beta, t=1.0)
+            params = BesselParams(alpha, beta, t=1.0)
             sequences.append(scaled_local_time_moments(params, S_MAX))
             sequences.append(tilted_moments(alpha, beta, S_MAX))
             sequences.append(local_time_moments(params, S_MAX))

@@ -68,6 +68,29 @@ class TestMomentsCommand:
             2, "", f"error: a_prime * {smax} must be finite, got a_prime=1e+308\n"
         )
 
+    def test_underflowing_moment_exits_2_naming_the_order(self):
+        # log m_3 = -1036.3 is below the smallest subnormal's log, so m_3 is 0
+        code, out, err = run_cli_showing_warnings(
+            ["moments", "--which", "fkp", "--a-prime", "1e300", "--smax", "3"]
+        )
+        assert (code, out, err) == (
+            2, "", "error: fkp(a'=1e+300): moment underflows double precision to 0 at order "
+            "s=3 (log value -1036.3)\n"
+        )
+
+    # a record that held (d, p) printed, and computed at, the (alpha, beta)
+    # it derived back from them: 0.09999999999999998 for 0.1
+    @pytest.mark.parametrize("which", ["tilted", "local-time", "exp-functional"])
+    @pytest.mark.parametrize("alpha, beta", [("0.1", "0.25"), ("0.3", "2"), ("0.1", "2")])
+    def test_alpha_and_beta_print_as_given(self, capsys, which, alpha, beta):
+        code, out, _ = run_cli(
+            capsys, "moments", "--which", which, "--alpha", alpha, "--beta", beta,
+            "--smax", "3", "--format", "json",
+        )
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert (params["alpha"], params["beta"]) == (float(alpha), float(beta))
+
     def test_fkp_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, "moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "2"
@@ -650,9 +673,12 @@ class TestPlumbing:
                 ("check", "--identity", "phi-adjudicate"),
                 "1097dd78602e1b4337ed588486df3f25892d7627f3be77b956cb051e5432a475",
             ),
+            # this and tilt-csv re-pinned when BesselParams came to hold
+            # (alpha, beta) as given, so both sides of the identity are
+            # computed at the same point
             (
                 ("check", "--identity", "tilt", "--manifest"),
-                "4aa9e9daff69badf3c6e1db5e40b582798db180da718317f0f4c594c2db7e2b6",
+                "6dc1c2f02b5d8c7ad71cd2a77f087a2c714da6ce4bf956aeafd694baf0fcca7b",
             ),
             (
                 ("density", "--spec", "mittag-leffler", "--alpha", "0.5",
@@ -675,7 +701,7 @@ class TestPlumbing:
             # order and the default density grid
             (
                 ("check", "--identity", "tilt", "--format", "csv"),
-                "ea565ddbe691b85145be90e45ecc798eea9013a94b34ec2e9ab7d77aab10bdc2",
+                "120b10e11d329c26d387393f909f5a9b3c468983e69aac02126ed26b33d98c7d",
             ),
             (
                 ("check", "--identity", "corollary", "--format", "csv", "--manifest"),
@@ -890,8 +916,11 @@ class TestPlumbing:
              "argument --alpha: invalid float value: 'x'"),
             (("density", "--spec", "fkp-quarter", "--contour", "x"),
              "argument --contour: invalid float value: 'x'"),
+            (("check", "--identity", "tilt", "--tol", "-1"),
+             "argument --tol: value must be finite and positive, got -1.0"),
         ],
-        ids=["moments-manifest", "sample-sigma", "check-grid", "check-grid-text", "positive-text"],
+        ids=["moments-manifest", "sample-sigma", "check-grid", "check-grid-text", "positive-text",
+             "positive-negative"],
     )
     def test_bad_float_flag_is_a_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from limitlaw import (
     BesselParams,
-    FkpParams,
     MomentSequence,
     exp_functional_moments,
     fkp_moments,
@@ -98,59 +97,57 @@ class TestMomentSequence:
 
 
 class TestBesselParams:
-    def test_alpha_beta_derivation(self):
-        params = BesselParams(d=1.0, p=0.0, t=2.0)
-        assert params.alpha == 0.5
-        assert params.beta == 0.5
+    def test_d_p_derivation(self):
+        params = BesselParams.from_d_p(1.0, 0.0, t=2.0)
+        assert (params.alpha, params.beta, params.t) == (0.5, 0.5, 2.0)
+        assert (params.d, params.p) == (1.0, 0.0)
 
-    def test_round_trip_from_alpha_beta(self):
-        for alpha in (0.1, 0.5, 0.9):
-            for beta in (0.25, 1.0, 2.0):
-                params = BesselParams.from_alpha_beta(alpha, beta)
-                assert abs(params.alpha - alpha) <= 1e-14
-                assert abs(params.beta - beta) <= 1e-14
-                assert abs(params.p - (0.5 - alpha / (2.0 * beta))) <= 1e-14
+    # == on positive floats is bitwise equality: neither -0.0 nor NaN can occur
+    @given(
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        beta=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        t=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_holds_alpha_and_beta_as_given(self, alpha, beta, t):
+        params = BesselParams(alpha, beta, t)
+        assert (params.alpha, params.beta, params.t) == (alpha, beta, t)
+        assert (params.d, params.p) == (2.0 * (1.0 - alpha), 0.5 - alpha / (2.0 * beta))
+
+    @given(
+        d=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+        p=st.floats(max_value=0.5, exclude_max=True, allow_infinity=False),
+    )
+    def test_from_d_p_is_the_d_p_derivation(self, d, p):
+        # the (alpha, beta) a (d, p) record derived: alpha = 1 - d/2 and
+        # beta = alpha / (1 - 2p)
+        alpha = 1.0 - d / 2.0
+        beta = alpha / (1.0 - 2.0 * p)
+        if alpha < 1.0 and beta > 0.0:
+            params = BesselParams.from_d_p(d, p)
+            assert (params.alpha, params.beta) == (alpha, beta)
+        else:  # d below 2^-53 rounds alpha to 1, a vast -p rounds beta to 0
+            with pytest.raises(ValueError, match="^(alpha|beta) must"):
+                BesselParams.from_d_p(d, p)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "d, p, message",
         [
-            {"d": 0.0, "p": 0.0},
-            {"d": 2.0, "p": 0.0},
-            {"d": 1.0, "p": 0.5},
-            {"d": 1.0, "p": 0.0, "t": 0.0},
-            {"d": 1.0, "p": 0.0, "t": -1.0},
-            {"d": math.nan, "p": 0.0},
-            {"d": 1.0, "p": -math.inf},
-            {"d": 1.0, "p": 0.0, "t": math.inf},
+            (0.0, 0.0, r"d must lie in \(0, 2\) so that alpha is in \(0, 1\), got 0.0"),
+            (2.0, 0.0, r"d must lie in \(0, 2\) so that alpha is in \(0, 1\), got 2.0"),
+            (1.0, 0.5, "p must be < 1/2, got 0.5"),
+            (math.nan, 0.0, "d must be finite, got nan"),
+            (1.0, -math.inf, "p must be finite, got -inf"),
         ],
     )
-    def test_invalid_parameters(self, kwargs):
-        with pytest.raises(ValueError):
-            BesselParams(**kwargs)
+    def test_invalid_d_p(self, d, p, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BesselParams.from_d_p(d, p)
 
     def test_invalid_alpha_beta(self):
         with pytest.raises(ValueError):
-            BesselParams.from_alpha_beta(1.0, 0.5)
+            BesselParams(1.0, 0.5)
         with pytest.raises(ValueError):
-            BesselParams.from_alpha_beta(0.5, 0.0)
-
-    @pytest.mark.parametrize("beta", [math.inf, math.nan])
-    def test_non_finite_beta(self, beta):
-        with pytest.raises(ValueError, match=f"^beta must be finite and positive, got {beta}$"):
-            BesselParams.from_alpha_beta(0.5, beta)
-
-
-class TestFkpParams:
-    def test_a_prime_offset(self):
-        assert FkpParams(a=0.0).a_prime == 0.5
-        assert FkpParams(a=1.25).a_prime == 1.75
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            FkpParams(a=-0.5)
-        for sigma in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                FkpParams(a=1.0, sigma=sigma)
+            BesselParams(0.5, 0.0)
 
 
 class TestFkpMoments:
@@ -179,6 +176,12 @@ class TestFkpMoments:
         with pytest.raises(OverflowError, match=r"s=\d+"):
             fkp_moments(0.01, 250)
 
+    @pytest.mark.parametrize("s_max", [3, 6])
+    def test_underflow_reports_first_failing_order(self, s_max):
+        # log m_2 = -691.1 still gives a positive double; log m_3 = -1036.3 gives 0
+        with pytest.raises(FloatingPointError, match=r"at order s=3 \(log value -1036\.3\)$"):
+            fkp_moments(1e300, s_max)
+
     @given(st.floats(min_value=0.1, max_value=2.5))
     @settings(max_examples=50)
     def test_log_convex(self, a_prime):
@@ -199,12 +202,12 @@ class TestFkpMoments:
 
 class TestKappa:
     def test_half_alpha_half_time(self):
-        assert kappa(BesselParams.from_alpha_beta(0.5, 0.5, t=0.5)) == pytest.approx(
+        assert kappa(BesselParams(0.5, 0.5, t=0.5)) == pytest.approx(
             0.5, rel=1e-13
         )
 
     def test_half_alpha_unit_time(self):
-        assert kappa(BesselParams.from_alpha_beta(0.5, 0.5, t=1.0)) == pytest.approx(
+        assert kappa(BesselParams(0.5, 0.5, t=1.0)) == pytest.approx(
             math.sqrt(2.0) / 2.0, rel=1e-13
         )
 
@@ -213,27 +216,27 @@ class TestKappa:
         t = 0.5 * (math.gamma(1.0 - alpha) / math.gamma(1.0 + alpha)) ** (1.0 / alpha) * (
             1.0 - 2.0 * p
         )
-        params = BesselParams(d=2.0 * (1.0 - alpha), p=p, t=t)
+        params = BesselParams.from_d_p(2.0 * (1.0 - alpha), p, t=t)
         assert kappa(params) == pytest.approx(1.0, rel=1e-13)
 
 
 class TestLocalTimeMoments:
     def test_first_moment_example(self):
-        params = BesselParams.from_alpha_beta(0.5, 0.5, t=0.5)
+        params = BesselParams(0.5, 0.5, t=0.5)
         assert local_time_moments(params, 1)[1] == pytest.approx(1.0 / SQRT_PI, rel=1e-12)
 
     def test_mittag_leffler_reduction_at_unit_scale(self):
-        params = BesselParams(d=1.0, p=0.0, t=unit_scale_time(0.5))
+        params = BesselParams(0.5, 0.5, t=unit_scale_time(0.5))
         seq = local_time_moments(params, 2)
         assert seq[2] == pytest.approx(2.0, rel=1e-12)
 
     def test_zeroth_is_one(self):
-        params = BesselParams.from_alpha_beta(0.3, 1.5, t=3.0)
+        params = BesselParams(0.3, 1.5, t=3.0)
         assert local_time_moments(params, 5)[0] == 1.0
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_mittag_leffler_reduction_full_sequence(self, alpha):
-        params = BesselParams(d=2.0 * (1.0 - alpha), p=0.0, t=unit_scale_time(alpha))
+        params = BesselParams(alpha, alpha, t=unit_scale_time(alpha))
         got = local_time_moments(params, 20)
         want = mittag_leffler_moments(alpha, 20)
         assert rel_dev(got.values, want.values) <= 1e-12
@@ -241,26 +244,26 @@ class TestLocalTimeMoments:
 
 class TestScaledLocalTimeMoments:
     def test_first_moment(self):
-        params = BesselParams.from_alpha_beta(0.5, 0.5)
+        params = BesselParams(0.5, 0.5)
         # (1-2p)/Gamma(3/2) with p = 0
         assert scaled_local_time_moments(params, 1)[1] == pytest.approx(
             2.0 / SQRT_PI, rel=1e-12
         )
 
     def test_second_moment(self):
-        params = BesselParams.from_alpha_beta(0.5, 0.5)
+        params = BesselParams(0.5, 0.5)
         assert scaled_local_time_moments(params, 2)[2] == pytest.approx(2.0, rel=1e-12)
 
     def test_zeroth_is_one(self):
-        params = BesselParams.from_alpha_beta(0.7, 2.0)
+        params = BesselParams(0.7, 2.0)
         assert scaled_local_time_moments(params, 3)[0] == 1.0
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("beta", [0.25, 1.0, 2.0])
     def test_t_independence(self, alpha, beta):
-        direct = scaled_local_time_moments(BesselParams.from_alpha_beta(alpha, beta), 20)
+        direct = scaled_local_time_moments(BesselParams(alpha, beta), 20)
         for t in (0.3, 7.0):
-            params = BesselParams.from_alpha_beta(alpha, beta, t=t)
+            params = BesselParams(alpha, beta, t=t)
             raw = local_time_moments(params, 20).values
             ratio = raw / kappa(params) ** np.arange(21)
             assert rel_dev(ratio, direct.values) <= 1e-12
@@ -306,7 +309,7 @@ class TestTiltedMoments:
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
     @pytest.mark.parametrize("beta", [0.25, 0.5, 1.0, 2.0])
     def test_matches_tilt_of_scaled_local_time(self, alpha, beta):
-        params = BesselParams.from_alpha_beta(alpha, beta)
+        params = BesselParams(alpha, beta)
         via_tilt = tilt(scaled_local_time_moments(params, 21))
         closed = tilted_moments(alpha, beta, 20)
         assert rel_dev(via_tilt.values, closed.values) <= 1e-12
@@ -389,48 +392,48 @@ class TestLaplaceExponent:
 
 class TestExpFunctionalMoments:
     def test_first_moment(self):
-        params = BesselParams.from_alpha_beta(0.5, 0.5, t=1.0)
+        params = BesselParams(0.5, 0.5, t=1.0)
         expected = kappa(params) * SQRT_PI  # = sqrt(pi/2)
         seq = exp_functional_moments(params, 3)
         assert seq[1] == pytest.approx(expected, rel=1e-12)
         assert seq[1] == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
 
     def test_zeroth_is_one(self):
-        params = BesselParams.from_alpha_beta(0.3, 1.0, t=1.0)
+        params = BesselParams(0.3, 1.0, t=1.0)
         assert exp_functional_moments(params, 4)[0] == 1.0
 
     @pytest.mark.parametrize("a_prime", [0.5, 1.0, 2.5])
     def test_corollary_rescaling_gives_fkp(self, a_prime):
-        params = BesselParams.from_alpha_beta(0.5, a_prime, t=1.0)
+        params = BesselParams(0.5, a_prime, t=1.0)
         seq = exp_functional_moments(params, 20)
         rescaled = scale(seq, 1.0 / (kappa(params) * math.sqrt(2.0)))
         assert rel_dev(rescaled.values, fkp_moments(a_prime, 20).values) <= 1e-11
 
     def test_requires_unit_time(self):
         with pytest.raises(ValueError):
-            exp_functional_moments(BesselParams.from_alpha_beta(0.5, 0.5, t=2.0), 3)
+            exp_functional_moments(BesselParams(0.5, 0.5, t=2.0), 3)
 
 
 class TestMeanLocalTime:
     def test_closed_form_at_p_zero(self):
-        params = BesselParams.from_alpha_beta(0.5, 0.5, t=1.0)
+        params = BesselParams(0.5, 0.5, t=1.0)
         assert mean_local_time_at_1(params) == pytest.approx(
             math.sqrt(2.0) / SQRT_PI, rel=1e-13
         )
 
     def test_quarter_p(self):
-        params = BesselParams(d=1.0, p=0.25, t=1.0)
+        params = BesselParams.from_d_p(1.0, 0.25)
         assert mean_local_time_at_1(params) == pytest.approx(1.0 / SQRT_PI, rel=1e-13)
 
     @pytest.mark.parametrize("alpha,beta", [(0.2, 0.5), (0.5, 0.5), (0.8, 2.0)])
     def test_matches_first_raw_moment(self, alpha, beta):
-        params = BesselParams.from_alpha_beta(alpha, beta, t=1.0)
+        params = BesselParams(alpha, beta, t=1.0)
         raw = local_time_moments(params, 1)[1]
         assert abs(mean_local_time_at_1(params) - raw) / raw <= 1e-12
 
     @pytest.mark.parametrize("alpha,beta", [(0.2, 0.5), (0.5, 1.5)])
     def test_matches_mu1_times_kappa(self, alpha, beta):
-        params = BesselParams.from_alpha_beta(alpha, beta, t=1.0)
+        params = BesselParams(alpha, beta, t=1.0)
         mu1 = scaled_local_time_moments(params, 1)[1]
         assert mean_local_time_at_1(params) == pytest.approx(mu1 * kappa(params), rel=1e-12)
 
@@ -482,7 +485,7 @@ class TestLogConvexityAcrossGenerators:
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("beta", [0.25, 1.0, 2.0])
     def test_local_time_family(self, alpha, beta):
-        params = BesselParams.from_alpha_beta(alpha, beta, t=1.0)
+        params = BesselParams(alpha, beta, t=1.0)
         assert local_time_moments(params, 20).is_log_convex()
         assert scaled_local_time_moments(params, 20).is_log_convex()
         assert tilted_moments(alpha, beta, 20).is_log_convex()

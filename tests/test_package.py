@@ -15,7 +15,6 @@ import pytest
 import limitlaw
 from limitlaw import (
     BesselParams,
-    FkpParams,
     SplitKernel,
     compare,
     enumerate_tree_costs,
@@ -42,7 +41,6 @@ PUBLIC_NAMES = [
     "log_beta",
     "MomentSequence",
     "BesselParams",
-    "FkpParams",
     "fkp_moments",
     "fkp_quarter_closed_form",
     "kappa",
@@ -92,7 +90,7 @@ PUBLIC_NAMES = [
 class TestSurface:
     def test_all_is_pinned(self):
         assert limitlaw.__all__ == PUBLIC_NAMES
-        assert len(PUBLIC_NAMES) == 50
+        assert len(PUBLIC_NAMES) == 49
 
     def test_no_duplicates(self):
         assert len(set(limitlaw.__all__)) == len(limitlaw.__all__)
@@ -108,7 +106,7 @@ _SHORT = summarize(np.arange(1.0, 10.0), 3, 0, "short")
 
 # (entry point taking alpha as its first argument, the remaining arguments)
 _ALPHA_ENTRIES = [
-    (BesselParams.from_alpha_beta, (1.0,)),
+    (BesselParams, (1.0,)),
     (tilted_moments, (1.0, 4)),
     (tilted_moments_beta_fraction, (2, 4)),
     (mittag_leffler_moments, (4,)),
@@ -118,7 +116,8 @@ _ALPHA_ENTRIES = [
 
 # (name in the message, call with the value)
 _POSITIVE_ENTRIES = [
-    ("beta", lambda v: BesselParams.from_alpha_beta(0.5, v)),
+    ("beta", lambda v: BesselParams(0.5, v)),
+    ("t", lambda v: BesselParams(0.5, 0.5, v)),
     ("beta", lambda v: tilted_moments(0.5, v, 4)),
     ("a_prime", lambda v: fkp_moments(v, 4)),
     ("a_prime", lambda v: laplace_exponent(1.0, v)),
@@ -126,7 +125,6 @@ _POSITIVE_ENTRIES = [
     ("r", lambda v: laplace_exponent(v, 0.5)),
     ("scale factor", lambda v: scale(fkp_moments(0.5, 4), v)),
     ("sigma", lambda v: sample_rayleigh(v, 10, 0)),
-    ("sigma", lambda v: FkpParams(a=0.0, sigma=v)),
     ("contour", lambda v: invert(_SPEC, _GRID, contour=v)),
     ("step", lambda v: invert(_SPEC, _GRID, step=v)),
     ("height", lambda v: invert(_SPEC, _GRID, height=v)),
@@ -143,7 +141,6 @@ _ORDER_MULTIPLE_ENTRIES = [
 ]
 
 _TOLL_ENTRIES = [
-    lambda a: FkpParams(a=a),
     lambda a: simulate_tree_cost(SplitKernel.uniform(), a, 4, 10, 0),
     lambda a: enumerate_tree_costs(SplitKernel.uniform(), a, 4),
 ]
