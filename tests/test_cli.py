@@ -78,8 +78,8 @@ class TestMomentsCommand:
             "s=3 (log value -1036.3)\n"
         )
 
-    # a record that held (d, p) printed, and computed at, the (alpha, beta)
-    # it derived back from them: 0.09999999999999998 for 0.1
+    # (alpha, beta) are computed at and printed as given, with no round trip
+    # through (d, p) that turns 0.1 into 0.09999999999999998
     @pytest.mark.parametrize("which", ["tilted", "local-time", "exp-functional"])
     @pytest.mark.parametrize("alpha, beta", [("0.1", "0.25"), ("0.3", "2"), ("0.1", "2")])
     def test_alpha_and_beta_print_as_given(self, capsys, which, alpha, beta):

@@ -118,8 +118,7 @@ class TestBesselParams:
         p=st.floats(max_value=0.5, exclude_max=True, allow_infinity=False),
     )
     def test_from_d_p_is_the_d_p_derivation(self, d, p):
-        # the (alpha, beta) a (d, p) record derived: alpha = 1 - d/2 and
-        # beta = alpha / (1 - 2p)
+        # one conversion: alpha = 1 - d/2 and beta = alpha / (1 - 2p)
         alpha = 1.0 - d / 2.0
         beta = alpha / (1.0 - 2.0 * p)
         if alpha < 1.0 and beta > 0.0:
@@ -202,14 +201,11 @@ class TestFkpMoments:
 
 class TestKappa:
     def test_half_alpha_half_time(self):
-        assert kappa(BesselParams(0.5, 0.5, t=0.5)) == pytest.approx(
-            0.5, rel=1e-13
-        )
+        assert kappa(BesselParams(0.5, 0.5, t=0.5)) == pytest.approx(0.5, rel=1e-13)
 
     def test_half_alpha_unit_time(self):
-        assert kappa(BesselParams(0.5, 0.5, t=1.0)) == pytest.approx(
-            math.sqrt(2.0) / 2.0, rel=1e-13
-        )
+        kappa_half = kappa(BesselParams(0.5, 0.5, t=1.0))
+        assert kappa_half == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-13)
 
     @pytest.mark.parametrize("alpha,p", [(0.25, 0.0), (0.5, 0.2), (0.75, -1.0)])
     def test_unit_scale_cancellation(self, alpha, p):
