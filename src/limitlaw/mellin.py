@@ -48,15 +48,11 @@ _TRUNCATION_RATIO = 1e-12
 # (20 * 2**12 = 81920 is the last height below 1e5).
 _HEIGHT_DOUBLINGS = 13
 
-# Grid points per block of the direct sum: bounds its grid x nodes complex
-# temporary to about 8 MB at the 4001 nodes of the default fkp-quarter step.
-_GRID_BLOCK = 128
-
 # Quadrature roundoff allowance in units of eps * x^-c * (weighted |M| mass).
 # Over 1300 random specs, contours 0.25-2, steps 0.01-0.2 and log grids the
-# chirp-z and direct sums stayed within 13 units of each other.  Against the
-# same sum in 25-digit arithmetic the chirp-z sum was within 2.5 units and
-# the direct sum within 12.
+# chirp-z sum and the tests' direct-sum oracle stayed within 13 units of each
+# other.  Against the same sum in 25-digit arithmetic the chirp-z sum was
+# within 2.5 units and the direct sum within 12.
 _ROUNDOFF_UNITS = 32.0
 
 # pi to 64 digits, and the binary precision of reduced phases in turns
@@ -107,10 +103,6 @@ class MellinSpec:
     def mellin(self, s: float) -> float:
         """M(s) at a real point; M(s+1) is the s-th moment of the density."""
         return float(np.exp(self.log_mellin(complex(s))).real)
-
-    def moments(self, s_max: int) -> MomentSequence:
-        vals = np.array([1.0] + [self.mellin(s + 1.0) for s in range(1, s_max + 1)])
-        return MomentSequence(vals, f"mellin-moments({self.label})", {"spec": self.label})
 
 
 def spec_from_fkp_quarter() -> MellinSpec:
@@ -244,14 +236,15 @@ def default_grid(spec: MellinSpec, points: int = 1201) -> np.ndarray:
     return log_grid(1e-9, (spec.mellin(11.0) / 1e-9) ** 0.1, points)
 
 
-def _contour_nodes(spec: MellinSpec, c: float, h: float,
-                   height: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Contour ordinates, log M values along them, their trapezoid weights,
-    and the height used, for contour c, step h and truncation height
-    ``height`` (None chooses it from the decay of |M|).
+def _contour_nodes(spec: MellinSpec, c: float, h: float, height: float | None,
+                   points: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """log M at the contour nodes u_k = k h, their trapezoid weights and the
+    height used, for contour c, step h, truncation height ``height`` (None
+    chooses it from the decay of |M|) and a grid of ``points`` points.
 
-    Refuses when |M| at the contour ends is not at least 1e-12 below its
-    peak (truncation would pollute the reconstruction).
+    Refuses a transform of 2^26 or more terms before any node is evaluated,
+    and a contour whose |M| at the ends is not at least 1e-12 below its peak
+    (truncation would pollute the reconstruction).
     """
     if height is None:
         # the first of the doubling heights 20 * 2**k <= 1e5 where |M| has
@@ -267,9 +260,14 @@ def _contour_nodes(spec: MellinSpec, c: float, h: float,
             )
         height = float(heights[low[0]])
     n_half = int(math.ceil(height / h))
-    u = np.arange(-n_half, n_half + 1) * h
+    if points + 2 * n_half >= 1 << 26:
+        raise ValueError(
+            f"{points} grid points and {2 * n_half + 1} contour nodes (step {h:g}, "
+            f"height {height:g}) exceed the 2**26 terms of one transform; "
+            "raise the step or lower the height"
+        )
     # log M is conjugate-symmetric to the bit, so only u >= 0 is evaluated
-    upper = spec.log_mellin(c + 1j * u[n_half:])
+    upper = spec.log_mellin(c + 1j * (np.arange(n_half + 1) * h))
     lm = np.concatenate((np.conj(upper[:0:-1]), upper))
     log_peak = float(np.max(lm.real))
     log_end = float(lm.real[-1])
@@ -279,9 +277,9 @@ def _contour_nodes(spec: MellinSpec, c: float, h: float,
             f"{math.exp(log_end - log_peak):.2e} of its peak "
             f"(needs <= {_TRUNCATION_RATIO:g}); increase the truncation height U"
         )
-    weights = np.full(u.size, h)
+    weights = np.full(lm.size, h)
     weights[0] = weights[-1] = 0.5 * h
-    return u, lm, weights, n_half * h
+    return lm, weights, n_half * h
 
 
 def _reduced_phase(num: int, den: int, m: np.ndarray) -> np.ndarray:
@@ -327,8 +325,7 @@ def _log_residual(lx: np.ndarray) -> tuple[float, float, np.ndarray]:
 
 
 def _chirp_z_sum(grid: np.ndarray, c: float, h: float, lm: np.ndarray, weights: np.ndarray):
-    """The quadrature sum of ``invert`` by one Bluestein convolution, or None
-    when the grid is not log-uniform enough.
+    """The quadrature sum of ``invert`` by one Bluestein convolution.
 
     With x_j = exp(L + j d + r_j) and u_k = k h for k = -n..n the sum is
     x_j^-c / 2pi * sum_k a_k e^{-i theta k j} (1 - i u_k r_j), where
@@ -336,7 +333,8 @@ def _chirp_z_sum(grid: np.ndarray, c: float, h: float, lm: np.ndarray, weights: 
     k j = (k^2 + j^2 - (j - k)^2) / 2 turns each sum over k into a
     convolution with the chirp e^{i theta m^2 / 2}, whose phases are reduced
     exactly.  The residual r_j enters to first order; the grid is refused
-    when the second-order term could exceed one roundoff unit.
+    with ValueError, before any transform, when the second-order term could
+    exceed one roundoff unit.
     """
     size = grid.size + lm.size - 1
     origin, d, resid = _log_residual(np.log(grid))
@@ -345,8 +343,11 @@ def _chirp_z_sum(grid: np.ndarray, c: float, h: float, lm: np.ndarray, weights: 
     u = k * h
     mass = weights * np.exp(lm.real)
     second_order = 0.5 * float(np.max(resid**2)) * float(np.dot(mass, u * u))
-    if size >= 1 << 26 or second_order > np.finfo(float).eps * float(mass.sum()):
-        return None
+    if second_order > np.finfo(float).eps * float(mass.sum()):
+        raise ValueError(
+            "grid is not log-uniform to within roundoff; build it with "
+            "log_grid(x_min, x_max, points)"
+        )
     hn, hd = h.as_integer_ratio()
     ln, ld = origin.as_integer_ratio()
     dn, dd = d.as_integer_ratio()
@@ -359,18 +360,6 @@ def _chirp_z_sum(grid: np.ndarray, c: float, h: float, lm: np.ndarray, weights: 
     conv = np.fft.ifft(np.fft.fft(signal, fft_size) * kernel)[:, 2 * n : size]
     plain, slope = conv * np.conj(chirp[: grid.size])
     return grid ** (-c) * (plain - 1j * resid * slope) / (2.0 * math.pi)
-
-
-def _direct_sum(grid: np.ndarray, c: float, u: np.ndarray, lm: np.ndarray,
-                weights: np.ndarray) -> np.ndarray:
-    """The quadrature sum of ``invert`` point by point, in blocks of
-    _GRID_BLOCK grid points."""
-    s_line = c + 1j * u
-    parts = []
-    for i in range(0, grid.size, _GRID_BLOCK):
-        integrand = np.exp(-np.outer(np.log(grid[i : i + _GRID_BLOCK]), s_line) + lm)
-        parts.append(integrand @ weights / (2.0 * math.pi))
-    return np.concatenate(parts)
 
 
 def _noise_floor(grid: np.ndarray, c: float, lm: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -390,9 +379,11 @@ def invert(spec: MellinSpec, grid, *, contour: float = 0.5, step: float = 0.04,
     the contour, and the table's metadata records all three.
 
     The quadrature nodes along the contour are shared and evaluated once,
-    walking the contour monotonically.  A log-uniform grid takes one chirp-z
-    convolution; any other grid is integrated point by point.  Both give the
-    same sum within ``noise_floor``.
+    walking the contour monotonically, and one chirp-z convolution sums them
+    at every grid point.  The grid must be log-uniform to roundoff, as
+    ``log_grid`` builds it, and x_min ** -contour must be finite; both are
+    refused with ValueError before the quadrature, as is a transform of 2^26
+    or more terms.  A sum that overflows raises MellinInversionError.
     """
     contour = _require_positive(contour, "contour")
     step = _require_positive(step, "step")
@@ -410,24 +401,32 @@ def invert(spec: MellinSpec, grid, *, contour: float = 0.5, step: float = 0.04,
     if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly positive and strictly increasing")
 
-    u, lm, weights, height = _contour_nodes(spec, contour, step, height)
+    with np.errstate(over="ignore"):
+        if np.isinf(grid[:1] ** -contour)[0]:
+            raise ValueError(
+                f"x ** -contour overflows double precision at x_min={grid[0]:g} with "
+                f"contour={contour:g}; raise x_min or lower the contour"
+            )
 
-    f_complex = _chirp_z_sum(grid, contour, step, lm, weights)
-    if f_complex is None:
-        f_complex = _direct_sum(grid, contour, u, lm, weights)
+    lm, weights, height = _contour_nodes(spec, contour, step, height, grid.size)
 
+    # A sum or floor that overflows is refused, so numpy need not warn of it.
+    # Realness is certifiable at 1e-10 relative only where the density sits
+    # at least 1e10 above the roundoff floor (0 only where x^-c underflows);
+    # below that both parts are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_complex = _chirp_z_sum(grid, contour, step, lm, weights)
+        noise_floor = _noise_floor(grid, contour, lm, weights)
+        certifiable = (f_complex.real != 0.0) & (np.abs(f_complex.real) >= 1e10 * noise_floor)
+    overflow = ~(np.isfinite(f_complex) & np.isfinite(noise_floor))
+    if overflow.any():
+        raise MellinInversionError(
+            f"{spec.label}: the contour sum overflows double precision at "
+            f"x={grid[overflow][0]:g}; lower the contour"
+        )
     raw = f_complex.real
     imag_abs = np.abs(f_complex.imag)
-
-    noise_floor = _noise_floor(grid, contour, lm, weights)
-
-    # Realness is certifiable at 1e-10 relative only where the density sits
-    # at least 1e10 above the roundoff floor; below that both parts are noise.
-    certifiable = np.abs(raw) >= 1e10 * noise_floor
-    if certifiable.any():
-        imag_ratio = float(np.max(imag_abs[certifiable] / np.abs(raw[certifiable])))
-    else:
-        imag_ratio = 0.0
+    imag_ratio = float(np.max(imag_abs[certifiable] / np.abs(raw[certifiable]), initial=0.0))
 
     if float(np.min(raw)) < -1e-8:
         raise MellinInversionError(
@@ -442,7 +441,8 @@ def invert(spec: MellinSpec, grid, *, contour: float = 0.5, step: float = 0.04,
 
     integral_grid = _integrate_log(grid, raw)
     lower_tail = float(grid[0] * max(raw[0], 0.0))
-    upper_tail = float(spec.mellin(11.0) / grid[-1] ** 10)
+    with np.errstate(over="ignore"):  # x_max ** 10 past DBL_MAX leaves no tail
+        upper_tail = float(spec.mellin(11.0) / grid[-1] ** 10)
     integral_raw = float(integral_grid + lower_tail + upper_tail)
 
     clamped = np.maximum(raw, 0.0)

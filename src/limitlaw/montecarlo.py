@@ -616,9 +616,6 @@ class SplitKernel:
         np.add.at(probs, start[n] + k - 1, rows["p"])
         return cls(start, probs)
 
-    def covers(self, size: int) -> bool:
-        return self._start is None or bool(self._start.take(int(size), mode="clip") >= 0)
-
     def probs(self, size: int) -> np.ndarray:
         """P(K_size = k) for k = 1..size-1; a read-only view for a table."""
         size = int(size)

@@ -323,6 +323,44 @@ class TestDensityCommand:
         assert out == ""
         assert err == f"error: grid needs at least 9 points, got {points}\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_x_min_power_exits_2_with_one_line(self, fmt):
+        # 1e-300 ** -2 overflows: refused before the quadrature, where every
+        # density came out NaN after five numpy warnings
+        code, out, err = run_cli_showing_warnings(
+            ["density", "--spec", "fkp-quarter", "--grid-min", "1e-300", "--grid-max", "1e-290",
+             "--grid-points", "9", "--contour", "2", "--format", fmt]
+        )
+        assert (code, out, err) == (
+            2, "", "error: x ** -contour overflows double precision at x_min=1e-300 with "
+            "contour=2; raise x_min or lower the contour\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_contour_sum_exits_1_with_one_line(self, fmt):
+        # 0.001 ** -100 is finite, but times |M| along Re(s) = 100 it is not
+        code, out, err = run_cli_showing_warnings(
+            ["density", "--spec", "mittag-leffler", "--alpha", "0.5", "--contour", "100",
+             "--grid-min", "1e-3", "--grid-max", "1", "--grid-points", "9", "--format", fmt]
+        )
+        assert (code, out, err) == (
+            1, "", "error: mittag-leffler(0.5): the contour sum overflows double precision "
+            "at x=0.001; lower the contour\n"
+        )
+
+    def test_far_grid_end_prints_strict_json_without_warning(self):
+        # x ** -2 underflows to 0 above x = 1e154, where the density and its
+        # roundoff floor are both 0 and realness is not certified (only x = 1
+        # is), and 1e280 ** 10 overflows, leaving no upper tail
+        code, out, err = run_cli_showing_warnings(
+            ["density", "--spec", "fkp-quarter", "--grid-min", "1", "--grid-max", "1e280",
+             "--grid-points", "9", "--contour", "2", "--format", "json"]
+        )
+        assert (code, err) == (0, "")
+        metadata = json.loads(out, parse_constant=_reject_constant)["metadata"]
+        assert metadata["upper_tail"] == 0.0
+        assert metadata["realness_points"] == 1
+
     def test_negative_excursion_exits_1(self, capsys):
         code, out, err = run_cli(
             capsys,

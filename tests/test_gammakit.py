@@ -241,7 +241,9 @@ class TestMpmathOracle:
         mp = pytest.importorskip("mpmath")
         args = []
         for spec in (mellin.spec_from_fkp_quarter(), mellin.spec_from_mittag_leffler(0.5)):
-            u = mellin._contour_nodes(spec, 0.5, 0.04, None)[0]
+            height = mellin._contour_nodes(spec, 0.5, 0.04, None, 2)[2]
+            n = round(height / 0.04)
+            u = np.arange(-n, n + 1) * 0.04
             args += [a * (0.5 + 1j * u) + b for a, b, _sign in spec.factors]
         err, size = self._errors(mp, np.unique(np.concatenate(args)))
         assert np.max(err) < 1e-13

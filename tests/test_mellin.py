@@ -2,18 +2,20 @@
 
 The Exp(1) and ML(1/2) specs have closed-form densities (e^{-x} and the
 half-normal e^{-x^2/4}/sqrt(pi)) which act as end-to-end oracles for the
-contour quadrature.  The chirp-z sum is checked against the direct sum, and
-the fkp-quarter density against an mpmath contour integral when mpmath is
-installed.
+contour quadrature.  The chirp-z sum is checked against the direct
+grid-by-contour sum, which lives here as its oracle, and the fkp-quarter
+density against an mpmath contour integral when mpmath is installed.
 """
 
 import json
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from limitlaw import mellin
@@ -63,9 +65,10 @@ class TestSpecs:
         assert spec.mellin(4.0) == pytest.approx(6.0, rel=1e-12)
 
     def test_moments_helper(self):
-        seq = spec_from_mittag_leffler(0.5).moments(5)
-        ref = mittag_leffler_moments(0.5, 5)
-        assert np.max(np.abs(seq.values - ref.values) / ref.values) <= 1e-12
+        spec = spec_from_mittag_leffler(0.5)
+        got = np.array([spec.mellin(s + 1.0) for s in range(1, 6)])
+        ref = mittag_leffler_moments(0.5, 5).values[1:]
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
     def test_unnormalized_spec_rejected(self):
         with pytest.raises(ValueError, match="M\\(1\\)"):
@@ -172,6 +175,19 @@ class TestInvert:
             invert(spec_from_exponential(), np.array([0.5, 1.0, 2.0]), **{name: value})
         assert len(recwarn) == 0
 
+    def test_refuses_overflow_without_warning(self, recwarn):
+        # 1e-160 ** -2 overflows; 1e-150 ** -2 does not, but times the
+        # weighted |M| of Exp(1) scaled by 1e30 the roundoff floor does
+        with pytest.raises(ValueError, match=r"^x \*\* -contour overflows double precision at "
+                           r"x_min=1e-160 with contour=2; raise x_min or lower the contour$"):
+            invert(spec_from_exponential(), log_grid(1e-160, 1.0, 9), contour=2.0)
+        scaled = MellinSpec(-30.0 * math.log(10.0), 30.0 * math.log(10.0), ((1.0, 0.0, 1),),
+                            "exp(1e30)")
+        with pytest.raises(MellinInversionError, match=r"^exp\(1e30\): the contour sum "
+                           r"overflows double precision at x=1e-150; lower the contour$"):
+            invert(scaled, log_grid(1e-150, 1.0, 9), contour=2.0)
+        assert len(recwarn) == 0
+
     def test_grid_validation(self):
         spec = spec_from_exponential()
         with pytest.raises(ValueError):
@@ -200,13 +216,14 @@ class TestContourNodes:
     )
     def test_batched_height_matches_doubling_loop(self, spec, step):
         height = _height_by_doubling(spec)
-        assert mellin._contour_nodes(spec, 0.5, step, None)[3] == math.ceil(height / step) * step
+        got = mellin._contour_nodes(spec, 0.5, step, None, 2)[2]
+        assert got == math.ceil(height / step) * step
 
     def test_no_decay_is_refused(self):
         flat = MellinSpec(0.0, 0.0, ((1.0, 0.0, 1), (1.0, 0.0, -1)), "flat")
         assert _height_by_doubling(flat) is None
         with pytest.raises(MellinInversionError, match="does not decay"):
-            mellin._contour_nodes(flat, 0.5, 0.04, None)
+            mellin._contour_nodes(flat, 0.5, 0.04, None, 2)
 
     @pytest.mark.parametrize(
         "spec",
@@ -214,8 +231,35 @@ class TestContourNodes:
         ids=lambda spec: spec.label,
     )
     def test_mirrored_half_equals_full_contour(self, spec):
-        u, lm, _weights, _height = mellin._contour_nodes(spec, 0.5, 0.04, None)
-        assert np.array_equal(lm, spec.log_mellin(0.5 + 1j * u))
+        lm, _weights, height = mellin._contour_nodes(spec, 0.5, 0.04, None, 2)
+        assert np.array_equal(lm, spec.log_mellin(0.5 + 1j * _ordinates(0.04, height)))
+
+    @pytest.mark.parametrize("points, refused", [(2**26 - 2000, True), (2**26 - 2001, False)])
+    def test_transform_of_2_26_terms_is_refused(self, points, refused):
+        # height 40 at step 0.04 is 2001 nodes
+        spec = spec_from_exponential()
+        if refused:
+            with pytest.raises(ValueError, match=r"^67106864 grid points and 2001 contour nodes "):
+                mellin._contour_nodes(spec, 0.5, 0.04, 40.0, points)
+        else:
+            assert mellin._contour_nodes(spec, 0.5, 0.04, 40.0, points)[0].size == 2001
+
+    def test_too_many_terms_is_refused_before_any_node(self):
+        # 1.6e11 nodes would take 2.6 TB of log M values alone; the refusal
+        # comes before any array of node size is allocated
+        grid = log_grid(0.1, 10.0, 41)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                r"^41 grid points and 163840000001 contour nodes \(step 1e-06, height 81920\) "
+                r"exceed the 2\*\*26 terms of one transform; raise the step or lower the "
+                r"height$"
+            )):
+                invert(spec_from_exponential(), grid, step=1e-6, height=81920.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRoundTrip:
@@ -300,11 +344,12 @@ class TestDensityTable:
 
     @pytest.mark.parametrize("points", [3, 200])
     def test_irregular_integral_is_numpys_trapezoid(self, points):
-        # off a log-uniform grid the integral is the trapezoid rule in ln x,
-        # and its sum is the one numpy's trapezoid (trapz in numpy 1.x) makes
+        # off a log-uniform grid, which only a table built by hand can have,
+        # the integral is the trapezoid rule in ln x, and its sum is the one
+        # numpy's trapezoid (trapz in numpy 1.x) makes
         trapezoid = getattr(np, "trapezoid", None) or np.trapz
         x = np.sort(np.random.default_rng(points).uniform(0.01, 9.0, points))
-        table = invert(spec_from_exponential(), x)
+        table = DensityTable(x, np.exp(-x), np.zeros_like(x))
         assert not mellin._is_log_uniform(x)
         expected = float(trapezoid(table.density * x, np.log(x)))
         assert table.integral().hex() == expected.hex()
@@ -367,9 +412,35 @@ _SPECS = {
 # Direct sums above this many grid x contour terms run on fewer grid points.
 _DIRECT_TERMS = 3_000_000
 
+# Grid points per block of the direct sum: bounds its grid x nodes complex
+# temporary to about 8 MB at the 4001 nodes of the default fkp-quarter step.
+_GRID_BLOCK = 128
+
+_IRREGULAR = (r"^grid is not log-uniform to within roundoff; build it with "
+              r"log_grid\(x_min, x_max, points\)$")
+
+
+def _ordinates(step, height):
+    """The contour ordinates u_k = k h, |u_k| <= height, of _contour_nodes."""
+    n = round(height / step)
+    return np.arange(-n, n + 1) * step
+
 
 def _nodes(spec, contour=0.5, step=0.04):
-    return mellin._contour_nodes(spec, contour, step, None)[:3]
+    """Ordinates, log M values and weights at the adaptive height."""
+    lm, weights, height = mellin._contour_nodes(spec, contour, step, None, 2)
+    return _ordinates(step, height), lm, weights
+
+
+def _direct_sum(grid, c, u, lm, weights):
+    """The quadrature sum of ``invert`` point by point, in blocks of
+    _GRID_BLOCK grid points: the oracle for the chirp-z sum."""
+    s_line = c + 1j * u
+    parts = []
+    for i in range(0, grid.size, _GRID_BLOCK):
+        integrand = np.exp(-np.outer(np.log(grid[i : i + _GRID_BLOCK]), s_line) + lm)
+        parts.append(integrand @ weights / (2.0 * math.pi))
+    return np.concatenate(parts)
 
 
 def _log_grid(log_lo, log_span, points, jitter_seed=None):
@@ -401,15 +472,19 @@ class TestChirpZ:
     def test_matches_direct_sum(
         self, name, alpha, contour, step, points, log_lo, log_span, jitter_seed
     ):
-        u, lm, weights = _nodes(_SPECS[name](alpha), contour, step)
+        spec = _SPECS[name](alpha)
+        u, lm, weights = _nodes(spec, contour, step)
         points = max(2, min(points, _DIRECT_TERMS // u.size))
         grid = _log_grid(log_lo, log_span, points, jitter_seed)
-        fast = mellin._chirp_z_sum(grid, contour, step, lm, weights)
-        if fast is None:
-            # only a jittered grid may be refused; invert then sums directly
+        try:
+            fast = mellin._chirp_z_sum(grid, contour, step, lm, weights)
+        except ValueError as exc:
+            # only a jittered grid may be refused, and invert refuses it too
             assert jitter_seed is not None
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                invert(spec, grid, contour=contour, step=step)
             return
-        direct = mellin._direct_sum(grid, contour, u, lm, weights)
+        direct = _direct_sum(grid, contour, u, lm, weights)
         floor = mellin._noise_floor(grid, contour, lm, weights)
         assert np.all(np.abs(fast - direct) <= floor)
 
@@ -423,17 +498,40 @@ class TestChirpZ:
         assert mellin._is_log_uniform(grid)
         assert np.max(np.abs(mellin._log_residual(np.log(grid))[2])) > 1e-12
         fast = mellin._chirp_z_sum(grid, 0.5, 0.04, lm, weights)
-        direct = mellin._direct_sum(grid, 0.5, u, lm, weights)
+        direct = _direct_sum(grid, 0.5, u, lm, weights)
         assert np.all(np.abs(fast - direct) <= mellin._noise_floor(grid, 0.5, lm, weights))
 
-    def test_irregular_grid_takes_direct_sum(self):
+    def test_irregular_grid_is_refused(self):
         spec = spec_from_exponential()
-        u, lm, weights = _nodes(spec)
+        _, lm, weights = _nodes(spec)
         grid = np.array([0.5, 1.0, 3.0])
-        assert mellin._chirp_z_sum(grid, 0.5, 0.04, lm, weights) is None
-        table = invert(spec, grid)
-        direct = mellin._direct_sum(grid, 0.5, u, lm, weights)
-        assert np.array_equal(table.metadata["raw_density"], direct.real)
+        with pytest.raises(ValueError, match=_IRREGULAR):
+            mellin._chirp_z_sum(grid, 0.5, 0.04, lm, weights)
+        with pytest.raises(ValueError, match=_IRREGULAR):
+            invert(spec, grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_SPECS)),
+        alpha=st.floats(0.3, 0.8),
+        log10_ends=st.lists(st.floats(-300.0, 300.0), min_size=2, max_size=2),
+        points=st.integers(9, 4001),
+        contour=st.floats(0.1, 2.0),
+        step=st.floats(0.01, 0.3),
+    )
+    @example("fkp-quarter", 0.5, [-300.0, 300.0], 4001, 0.1, 0.01)
+    @example("mittag-leffler", 0.8, [-9.0, 2.0], 9, 2.0, 0.3)
+    def test_log_grid_is_never_refused_as_irregular(
+        self, name, alpha, log10_ends, points, contour, step
+    ):
+        # other refusals (overflow at x_min, a negative excursion) may happen
+        x_min, x_max = sorted(10.0**e for e in log10_ends)
+        assume(x_min < x_max)
+        grid = log_grid(x_min, x_max, points)
+        try:
+            invert(_SPECS[name](alpha), grid, contour=contour, step=step)
+        except (ValueError, MellinInversionError) as exc:
+            assert not re.match(_IRREGULAR, str(exc)), exc
 
     @pytest.mark.parametrize(
         "grid",
@@ -473,8 +571,6 @@ class TestMpmathOracle:
         mp = pytest.importorskip("mpmath")
         spec = spec_from_fkp_quarter()
         grid = np.array([0.3, math.sqrt(0.75), 2.5])
-        _, lm, weights = _nodes(spec)
-        assert mellin._chirp_z_sum(grid, 0.5, 0.04, lm, weights) is not None
         table = invert(spec, grid)
         raw = table.metadata["raw_density"]
         bound = table.metadata["noise_floor"] + table.truncation_estimate
