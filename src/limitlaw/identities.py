@@ -172,29 +172,16 @@ def adjudicate_phi_convention(
 
 @dataclass(frozen=True)
 class HankelDiagnostics:
-    """Pivot record of the Hankel matrices H_j = [m_{u+v}] for j <= max_order,
-    plus Carleman partial sums when enough even orders are available."""
+    """Per-order record of the Hankel matrices H_j = [m_{u+v}]_{u,v<=j} for
+    j = 0..max_order: the smallest LDL^T pivot of each and whether it is
+    positive definite."""
 
-    orders: tuple
     smallest_pivots: tuple
     positive_definite: tuple
-    pivot_threshold: float
-    carleman: np.ndarray | None = None
 
     @property
     def all_positive_definite(self) -> bool:
         return all(self.positive_definite)
-
-    def to_dict(self) -> dict:
-        return {
-            "orders": list(self.orders),
-            "smallest_pivots": [float(p) for p in self.smallest_pivots],
-            "positive_definite": [bool(b) for b in self.positive_definite],
-            "pivot_threshold": float(self.pivot_threshold),
-            "carleman_partial_sums": None
-            if self.carleman is None
-            else [float(c) for c in self.carleman],
-        }
 
 
 def _ldl_pivots(h: np.ndarray) -> np.ndarray:
@@ -213,11 +200,16 @@ def _ldl_pivots(h: np.ndarray) -> np.ndarray:
 
 
 def hankel_positive_definite(seq: MomentSequence, max_order: int) -> HankelDiagnostics:
-    """Attempt an LDL^T factorization of every Hankel matrix H_j, j <= max_order.
+    """Positive-definiteness of every Hankel matrix H_j, j <= max_order, from
+    one LDL^T factorization of H_max_order.
 
-    A pivot below 1e-10 times the largest diagonal entry counts as a
-    positive-definiteness failure at that order; failures are recorded, not
-    raised.  Requires moments up to order 2*max_order.
+    Pivot k reads only rows and columns <= k, so the pivots of H_j are the
+    first j + 1 pivots of H_max_order, and its smallest pivot is their
+    running minimum; past a non-positive pivot, where the factorization
+    stops, that pivot is held.  H_j fails when its smallest pivot is not
+    above 1e-10 times its largest diagonal entry, max(m_0, m_2, ..., m_2j);
+    failures are recorded, not raised.  Requires moments up to order
+    2*max_order.
     """
     max_order = int(max_order)
     if max_order < 0:
@@ -227,30 +219,13 @@ def hankel_positive_definite(seq: MomentSequence, max_order: int) -> HankelDiagn
             f"need at least {2 * max_order + 1} moments for Hankel order {max_order}, "
             f"got {len(seq)}"
         )
-    vals = seq.values
-    orders = []
-    pivots = []
-    flags = []
-    threshold = 0.0
-    for j in range(max_order + 1):
-        idx = np.arange(j + 1)
-        h = vals[idx[:, None] + idx[None, :]]
-        threshold = 1e-10 * float(np.max(np.diag(h)))
-        d = _ldl_pivots(h)
-        orders.append(j)
-        pivots.append(float(np.min(d)))
-        flags.append(bool(d.size == j + 1 and np.all(d > threshold)))
-
-    carleman = None
-    half = seq.max_order // 2
-    if half >= 1:
-        carleman = carleman_partial_sums(seq, half)
+    idx = np.arange(max_order + 1)
+    d = _ldl_pivots(seq.values[idx[:, None] + idx[None, :]])
+    smallest = np.minimum.accumulate(np.pad(d, (0, max_order + 1 - d.size), mode="edge"))
+    largest_diagonal = np.maximum.accumulate(seq.values[: 2 * max_order + 1 : 2])
     return HankelDiagnostics(
-        orders=tuple(orders),
-        smallest_pivots=tuple(pivots),
-        positive_definite=tuple(flags),
-        pivot_threshold=threshold,
-        carleman=carleman,
+        smallest_pivots=tuple(smallest.tolist()),
+        positive_definite=tuple((smallest > 1e-10 * largest_diagonal).tolist()),
     )
 
 

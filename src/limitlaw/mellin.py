@@ -13,8 +13,9 @@ and U, and ``log_grid`` builds every log-uniform grid.
 
 On a log-uniform grid x_j = exp(L + j d) with nodes u_k = k h the quadrature
 sum is a chirp-z transform in the product k j, and one Bluestein convolution
-(Rabiner, Schafer & Rader 1969) evaluates it at every grid point.  Other grids
-take the direct grid-by-contour sum.
+(Rabiner, Schafer & Rader 1969) evaluates it at every grid point.  That is
+the only quadrature: ``invert`` refuses a grid that is not log-uniform to
+within roundoff.
 """
 
 from __future__ import annotations
@@ -380,10 +381,12 @@ def invert(spec: MellinSpec, grid, *, contour: float = 0.5, step: float = 0.04,
 
     The quadrature nodes along the contour are shared and evaluated once,
     walking the contour monotonically, and one chirp-z convolution sums them
-    at every grid point.  The grid must be log-uniform to roundoff, as
-    ``log_grid`` builds it, and x_min ** -contour must be finite; both are
-    refused with ValueError before the quadrature, as is a transform of 2^26
-    or more terms.  A sum that overflows raises MellinInversionError.
+    at every grid point.  The grid must be finite, increasing and log-uniform
+    to roundoff, as ``log_grid`` builds it, and x_min ** -contour must be
+    finite; each is refused with ValueError before the quadrature, as is a
+    transform of 2^26 or more terms.  A sum that overflows raises
+    MellinInversionError.  The upper tail is the Markov bound
+    m_10 / x_max ** 10 capped at 1, and a capped bound never renormalises.
     """
     contour = _require_positive(contour, "contour")
     step = _require_positive(step, "step")
@@ -398,7 +401,7 @@ def invert(spec: MellinSpec, grid, *, contour: float = 0.5, step: float = 0.04,
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least 2 points")
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
+    if not np.isfinite(grid).all() or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly positive and strictly increasing")
 
     with np.errstate(over="ignore"):
@@ -441,14 +444,19 @@ def invert(spec: MellinSpec, grid, *, contour: float = 0.5, step: float = 0.04,
 
     integral_grid = _integrate_log(grid, raw)
     lower_tail = float(grid[0] * max(raw[0], 0.0))
-    with np.errstate(over="ignore"):  # x_max ** 10 past DBL_MAX leaves no tail
-        upper_tail = float(spec.mellin(11.0) / grid[-1] ** 10)
+    # The Markov bound P(X > x_max) <= m_10 / x_max ** 10, capped at 1: an
+    # x_max ** 10 past DBL_MAX leaves no tail, and one that underflows the cap.
+    m_10 = spec.mellin(11.0)
+    with np.errstate(over="ignore", under="ignore"):
+        x_max_10 = grid[-1] ** 10
+    upper_tail = float(m_10 / x_max_10) if m_10 < x_max_10 else 1.0
     integral_raw = float(integral_grid + lower_tail + upper_tail)
 
     clamped = np.maximum(raw, 0.0)
-    # Renormalise only when the grid credibly covers the whole mass; on a
-    # partial grid the pointwise values are the meaningful output.
-    renormalized = bool(abs(integral_raw - 1.0) <= 1e-3)
+    # Renormalise only when the grid credibly covers the whole mass (a capped
+    # tail bound covers nothing); on a partial grid the pointwise values are
+    # the meaningful output.
+    renormalized = bool(upper_tail < 1.0 and abs(integral_raw - 1.0) <= 1e-3)
     density = clamped / integral_raw if renormalized else clamped
 
     metadata = {

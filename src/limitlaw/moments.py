@@ -212,21 +212,22 @@ def fkp_moments(a_prime: float, s_max: int) -> MomentSequence:
 
 
 def kappa(params: BesselParams) -> float:
-    """Scale factor (2t)^alpha Gamma(1+alpha) / ((1-2p)^alpha Gamma(1-alpha))."""
+    """Scale factor (2t)^alpha Gamma(1+alpha) / ((1-2p)^alpha Gamma(1-alpha)),
+    with 1 - 2p = alpha/beta."""
     a = params.alpha
     return math.exp(
         a * math.log(2.0 * params.t)
         + log_gamma(1.0 + a)
-        - a * math.log(1.0 - 2.0 * params.p)
+        - a * math.log(a / params.beta)
         - log_gamma(1.0 - a)
     )
 
 
 def _log_scaled_local_time(params: BesselParams, s_max: int) -> np.ndarray:
     """log of mu_s = (1-2p)/Gamma(1+alpha) * Gamma(s) * prod_{j<s} Gamma(j b)/Gamma(a+j b)
-    for s = 1..s_max."""
+    for s = 1..s_max, with 1 - 2p = alpha/beta."""
     a, b = params.alpha, params.beta
-    head = math.log(1.0 - 2.0 * params.p) - log_gamma(1.0 + a)
+    head = math.log(a / b) - log_gamma(1.0 + a)
     s = np.arange(1.0, s_max + 1.0)
     acc = np.zeros(s_max)
     if s_max >= 2:
@@ -294,11 +295,15 @@ def tilted_moments_beta_fraction(alpha: float, m: int, s_max: int) -> MomentSequ
     """Telescoped tilted moments for beta = alpha/m, m a positive integer.
 
     E(T^s) = Gamma(s+1) * prod_{j=1..m} Gamma(j alpha/m) / Gamma((s+j) alpha/m).
-    Must equal tilted_moments(alpha, alpha/m, s_max) entrywise.
+    Must equal tilted_moments(alpha, alpha/m, s_max) entrywise.  The s_max x m
+    table of gamma arguments is refused beyond 2**26 entries, the terms of one
+    chirp-z transform, before any allocation.
     """
     _require_alpha(alpha)
     m = _require_order(m, "m")
     s_max = _require_order(s_max)
+    if m * s_max > 1 << 26:
+        raise ValueError(f"m * s_max must be at most 2**26, got m={m} and s_max={s_max}")
     label = f"tilted-beta-fraction(alpha={alpha:g}, m={m})"
     frac = alpha / m
     j = np.arange(1.0, m + 1.0)
@@ -355,11 +360,9 @@ def exp_functional_moments(params: BesselParams, s_max: int) -> MomentSequence:
 
 def mean_local_time_at_1(params: BesselParams) -> float:
     """Closed form of the mean local time at t = 1:
-    2^alpha (1-2p)^{1-alpha} / Gamma(1-alpha)."""
+    2^alpha (1-2p)^{1-alpha} / Gamma(1-alpha), with 1 - 2p = alpha/beta."""
     a = params.alpha
-    return math.exp(
-        a * LN2 + (1.0 - a) * math.log(1.0 - 2.0 * params.p) - log_gamma(1.0 - a)
-    )
+    return math.exp(a * LN2 + (1.0 - a) * math.log(a / params.beta) - log_gamma(1.0 - a))
 
 
 def fkp_quarter_closed_form(s_max: int) -> MomentSequence:

@@ -361,6 +361,25 @@ class TestDensityCommand:
         assert metadata["upper_tail"] == 0.0
         assert metadata["realness_points"] == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_underflowing_tail_power_prints_the_capped_bound(self, fmt):
+        # 1e-40 ** 10 underflows to 0, where m_10 / x_max ** 10 was inf; the
+        # Markov bound prints capped at 1, and a capped bound is not coverage
+        code, out, err = run_cli_showing_warnings(
+            ["density", "--spec", "mittag-leffler", "--alpha", "0.5", "--grid-min", "1e-60",
+             "--grid-max", "1e-40", "--grid-points", "9", "--contour", "0.1", "--format", fmt]
+        )
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            metadata = json.loads(out, parse_constant=_reject_constant)["metadata"]
+            assert metadata["upper_tail"] == 1.0
+            assert not metadata["renormalized"]
+            integral_raw = metadata["integral_raw"]
+        else:
+            assert "upper_tail=1\n" in out
+            integral_raw = float(out.split("integral_raw=")[1].split("\n")[0])
+        assert math.isfinite(integral_raw)
+
     def test_negative_excursion_exits_1(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -712,11 +731,11 @@ class TestPlumbing:
                 "1097dd78602e1b4337ed588486df3f25892d7627f3be77b956cb051e5432a475",
             ),
             # this and tilt-csv re-pinned when BesselParams came to hold
-            # (alpha, beta) as given, so both sides of the identity are
-            # computed at the same point
+            # (alpha, beta) as given, and with tilt-csv-user-grid when the
+            # Bessel formulas came to read 1 - 2p as alpha / beta
             (
                 ("check", "--identity", "tilt", "--manifest"),
-                "6dc1c2f02b5d8c7ad71cd2a77f087a2c714da6ce4bf956aeafd694baf0fcca7b",
+                "224154257d9f7e118864259d823483cd07855b75f35f6862068231feea656aba",
             ),
             (
                 ("density", "--spec", "mittag-leffler", "--alpha", "0.5",
@@ -739,7 +758,7 @@ class TestPlumbing:
             # order and the default density grid
             (
                 ("check", "--identity", "tilt", "--format", "csv"),
-                "120b10e11d329c26d387393f909f5a9b3c468983e69aac02126ed26b33d98c7d",
+                "408ccf42df8900aa5c96077e569a618210c069354d2f2d4e6f335102e581b3e8",
             ),
             (
                 ("check", "--identity", "corollary", "--format", "csv", "--manifest"),
@@ -748,7 +767,7 @@ class TestPlumbing:
             (
                 ("check", "--identity", "tilt", "--alpha", "0.3,0.7", "--beta", "2",
                  "--format", "csv"),
-                "970686e31b19e4469b460d82f8f074759e7d24bb07201d5c62000fc4921a1cc1",
+                "4c670edd5370b88fee1daf9320b0ac6fde53265a1b8604b41085d718fcd6ba96",
             ),
             (
                 ("density", "--spec", "fkp-quarter", "--grid-points", "601"),

@@ -1,27 +1,78 @@
 """Tests for the comparison engine, the Laplace-exponent adjudication and
 the moment-problem diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from limitlaw import (
+    BesselParams,
     ComparisonReport,
+    HankelDiagnostics,
     MomentSequence,
     PhiAdjudication,
     adjudicate_phi_convention,
     carleman_partial_sums,
     compare,
+    exp_functional_moments,
     fkp_moments,
     hankel_positive_definite,
+    identities,
+    local_time_moments,
     scale,
+    scaled_local_time_moments,
+    tilted_moments,
 )
 
 
 def rayleigh_closed_form(s_max):
     s = np.arange(s_max + 1)
     return 2.0 ** (s / 2.0) * np.array([math.gamma(1.0 + k / 2.0) for k in s])
+
+
+def _hankel_sequences():
+    """The four Bessel sequences at each (alpha, beta) of acceptance
+    criterion AC-10's grid, fkp at seven a', unit mass, the factorials and
+    three lognormal laws: 92 sequences, each with moments to order 12.  The
+    lognormal H_j pass at low orders and fail from order 3, 4 or 5 on, where
+    m_2j outgrows the pivots, so each order's own threshold decides."""
+    seqs = []
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for beta in (0.25, 0.5, 1.0, 2.0):
+            params = BesselParams(alpha, beta)
+            seqs += [
+                scaled_local_time_moments(params, 12),
+                tilted_moments(alpha, beta, 12),
+                local_time_moments(params, 12),
+                exp_functional_moments(params, 12),
+            ]
+    seqs += [fkp_moments(a, 12) for a in (0.25, 0.5, 0.75, 1.0, 1.5, 2.5, 4.0)]
+    seqs.append(MomentSequence(np.ones(13), "unit-mass"))
+    seqs.append(MomentSequence([math.gamma(s + 1.0) for s in range(13)], "factorial"))
+    s = np.arange(13)
+    seqs += [MomentSequence(np.exp(sigma**2 * s**2 / 2.0), f"lognormal({sigma})")
+             for sigma in (0.7, 1.0, 1.3)]
+    return seqs
+
+
+HANKEL_SEQUENCES = _hankel_sequences()
+
+
+def per_order_hankel(seq, max_order):
+    """The oracle: factor each H_j, j <= max_order, on its own, and judge it
+    against 1e-10 times its largest diagonal entry.  Returns the smallest
+    pivot and the flag of each order."""
+    pivots, flags = [], []
+    for j in range(max_order + 1):
+        idx = np.arange(j + 1)
+        h = seq.values[idx[:, None] + idx[None, :]]
+        threshold = 1e-10 * float(np.max(np.diag(h)))
+        d = identities._ldl_pivots(h)
+        pivots.append(float(np.min(d)))
+        flags.append(bool(d.size == j + 1 and np.all(d > threshold)))
+    return pivots, flags
 
 
 class TestCompare:
@@ -134,11 +185,40 @@ class TestPhiAdjudication:
 
 class TestHankel:
     def test_point_mass_singular_at_order_one(self):
+        # H_1 = [[1, 1], [1, 1]] has pivots 1 and 0, where the factorization
+        # stops; every larger order holds that 0
         seq = MomentSequence(np.ones(9), "unit-mass")
         diag = hankel_positive_definite(seq, 4)
-        assert diag.positive_definite[0]  # H_0 = [1]
-        assert not diag.positive_definite[1]
-        assert abs(diag.smallest_pivots[1]) <= 1e-12
+        assert diag.positive_definite == (True, False, False, False, False)
+        assert diag.smallest_pivots == (1.0, 0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("seq", HANKEL_SEQUENCES, ids=lambda seq: seq.label)
+    def test_matches_per_order_factorization(self, seq):
+        for max_order in range(7):
+            diag = hankel_positive_definite(seq, max_order)
+            pivots, flags = per_order_hankel(seq, max_order)
+            assert diag.positive_definite == tuple(flags)
+            # one factorization rounds its matrix-vector products over more
+            # rows than the per-order ones
+            largest_diagonal = np.maximum.accumulate(seq.values[: 2 * max_order + 1 : 2])
+            gap = np.abs(np.subtract(diag.smallest_pivots, pivots))
+            assert np.all(gap <= 1e-14 * largest_diagonal)
+
+    def test_factors_once_and_keeps_only_read_fields(self, monkeypatch):
+        calls = []
+
+        def counted(h):
+            calls.append(h.shape)
+            return ldl_pivots(h)
+
+        ldl_pivots = identities._ldl_pivots
+        monkeypatch.setattr(identities, "_ldl_pivots", counted)
+        diag = hankel_positive_definite(fkp_moments(0.5, 12), 6)
+        assert calls == [(7, 7)]
+        assert len(diag.smallest_pivots) == len(diag.positive_definite) == 7
+        assert [f.name for f in dataclasses.fields(HankelDiagnostics)] == [
+            "smallest_pivots", "positive_definite"
+        ]
 
     @pytest.mark.parametrize("a_prime", [0.25, 0.5])
     def test_fkp_positive_definite_to_order_four(self, a_prime):
@@ -162,11 +242,6 @@ class TestHankel:
     def test_refuses_negative_order(self):
         with pytest.raises(ValueError, match="^max_order must be >= 0, got -1$"):
             hankel_positive_definite(fkp_moments(0.5, 6), -1)
-
-    def test_carleman_attached_when_available(self):
-        diag = hankel_positive_definite(fkp_moments(0.5, 8), 4)
-        assert diag.carleman is not None
-        assert diag.carleman.size == 4
 
 
 class TestCarleman:

@@ -152,7 +152,12 @@ class TestInvert:
         [([1.0], "^grid must be a 1-d array with at least 2 points$"),
          ([[0.5, 1.0], [1.5, 2.0]], "^grid must be a 1-d array with at least 2 points$"),
          ([0.0, 1.0], "^grid must be strictly positive and strictly increasing$"),
-         ([1.0, 0.5], "^grid must be strictly positive and strictly increasing$")],
+         ([1.0, 0.5], "^grid must be strictly positive and strictly increasing$"),
+         # NaN fails every comparison and inf - x > 0, so neither may reach the
+         # transform's integer ratios
+         ([0.5, math.nan, 2.0], "^grid must be strictly positive and strictly increasing$"),
+         ([0.5, 1.0, math.inf], "^grid must be strictly positive and strictly increasing$"),
+         ([math.nan, 1.0, 2.0], "^grid must be strictly positive and strictly increasing$")],
     )
     def test_refuses_bad_grid(self, grid, message):
         with pytest.raises(ValueError, match=message):

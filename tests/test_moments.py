@@ -6,6 +6,7 @@ gamma evaluations frozen as constants.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from limitlaw import (
     tilted_moments,
     tilted_moments_beta_fraction,
 )
+from limitlaw import moments
+from limitlaw.gammakit import log_gamma
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -214,6 +217,18 @@ class TestKappa:
         )
         params = BesselParams.from_d_p(2.0 * (1.0 - alpha), p, t=t)
         assert kappa(params) == pytest.approx(1.0, rel=1e-13)
+
+    def test_reads_alpha_over_beta(self):
+        # 1 - 2p from the derived p is 0.050000000000000044 at (0.1, 2); the
+        # formulas read alpha / beta = 0.05 as given
+        params = BesselParams(0.1, 2.0)
+        assert 1.0 - 2.0 * params.p != 0.05
+        assert kappa(params) == math.exp(
+            0.1 * math.log(2.0) + log_gamma(1.1) - 0.1 * math.log(0.05) - log_gamma(0.9)
+        )
+        assert mean_local_time_at_1(params) == math.exp(
+            0.1 * math.log(2.0) + 0.9 * math.log(0.05) - log_gamma(0.9)
+        )
 
 
 class TestLocalTimeMoments:
@@ -463,6 +478,38 @@ class TestGammaTypeClosedForms:
             tilted_moments_beta_fraction(0.5, 0, 4)
         with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got 1.0$"):
             tilted_moments_beta_fraction(1.0, 2, 4)
+
+    @pytest.mark.parametrize(
+        "m,s_max", [(10**300, 3), (2**26, 2), (2**24 + 1, 4)], ids=["1e300", "2^26", "2^24+1"]
+    )
+    def test_beta_fraction_refuses_a_table_past_2_26_entries(self, m, s_max):
+        # the telescoped form stays an s_max x m table, because it is the
+        # independent oracle for tilted_moments; a table past the bound is
+        # refused before any array is allocated
+        tracemalloc.start()
+        try:
+            message = rf"^m \* s_max must be at most 2\*\*26, got m={m} and s_max={s_max}$"
+            with pytest.raises(ValueError, match=message):
+                tilted_moments_beta_fraction(0.5, m, s_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_beta_fraction_allows_a_table_of_2_26_entries(self, monkeypatch):
+        # m = s_max = 2**13 passes the bound; stop at the first gamma call,
+        # before the table is formed
+        class Reached(Exception):
+            pass
+
+        def stop(x):
+            raise Reached
+
+        monkeypatch.setattr(moments, "log_gamma_array", stop)
+        with pytest.raises(Reached):
+            tilted_moments_beta_fraction(0.5, 2**13, 2**13)
+        with pytest.raises(ValueError, match="^m \\* s_max must be at most 2"):
+            tilted_moments_beta_fraction(0.5, 2**13 + 1, 2**13)
 
 
 class TestMittagLefflerMoments:
