@@ -397,7 +397,7 @@ def cmd_sample(args) -> int:
     check = None if a_prime is None else scale_free_ratio_check(summary, a_prime)
 
     def table():
-        comments = [[("sampler", summary.sampler), ("n", summary.n), ("seed", summary.seed)]]
+        comments = [[("sampler", summary.sampler), *summary.sizes, ("seed", summary.seed)]]
         if check is not None:
             comments.append(
                 [("check", check.label_b), ("max_deviation", check.max_deviation),

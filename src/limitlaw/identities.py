@@ -173,8 +173,10 @@ def adjudicate_phi_convention(
 @dataclass(frozen=True)
 class HankelDiagnostics:
     """Per-order record of the Hankel matrices H_j = [m_{u+v}]_{u,v<=j} for
-    j = 0..max_order: the smallest LDL^T pivot of each and whether it is
-    positive definite."""
+    j = 0..max_order: the smallest LDL^T pivot of each, relative to its
+    diagonal entry (a pivot of D^{-1/2} H_j D^{-1/2} with D = diag H_j, in
+    (0, 1] when H_j is positive definite), and whether H_j is positive
+    definite."""
 
     smallest_pivots: tuple
     positive_definite: tuple
@@ -201,15 +203,16 @@ def _ldl_pivots(h: np.ndarray) -> np.ndarray:
 
 def hankel_positive_definite(seq: MomentSequence, max_order: int) -> HankelDiagnostics:
     """Positive-definiteness of every Hankel matrix H_j, j <= max_order, from
-    one LDL^T factorization of H_max_order.
+    one LDL^T factorization of D^{-1/2} H_max_order D^{-1/2}, D = diag H.
 
-    Pivot k reads only rows and columns <= k, so the pivots of H_j are the
-    first j + 1 pivots of H_max_order, and its smallest pivot is their
-    running minimum; past a non-positive pivot, where the factorization
-    stops, that pivot is held.  H_j fails when its smallest pivot is not
-    above 1e-10 times its largest diagonal entry, max(m_0, m_2, ..., m_2j);
-    failures are recorded, not raised.  Requires moments up to order
-    2*max_order.
+    Pivot k is judged against its own diagonal entry m_2k, so the verdict
+    does not depend on the scale of the moments.  Pivot k reads only rows and
+    columns <= k, so the pivots of order j are the first j + 1, and its
+    smallest pivot is their running minimum; past a non-positive pivot, where
+    the factorization stops, that pivot is held.  H_j fails when its smallest
+    relative pivot is not above 1e-10, that is, when some pivot k <= j is
+    not above 1e-10 * m_2k; failures are recorded, not raised.  Requires
+    moments up to order 2*max_order.
     """
     max_order = int(max_order)
     if max_order < 0:
@@ -220,12 +223,12 @@ def hankel_positive_definite(seq: MomentSequence, max_order: int) -> HankelDiagn
             f"got {len(seq)}"
         )
     idx = np.arange(max_order + 1)
-    d = _ldl_pivots(seq.values[idx[:, None] + idx[None, :]])
+    scale = 1.0 / np.sqrt(seq.values[: 2 * max_order + 1 : 2])
+    d = _ldl_pivots(scale[:, None] * seq.values[idx[:, None] + idx[None, :]] * scale)
     smallest = np.minimum.accumulate(np.pad(d, (0, max_order + 1 - d.size), mode="edge"))
-    largest_diagonal = np.maximum.accumulate(seq.values[: 2 * max_order + 1 : 2])
     return HankelDiagnostics(
         smallest_pivots=tuple(smallest.tolist()),
-        positive_definite=tuple((smallest > 1e-10 * largest_diagonal).tolist()),
+        positive_definite=tuple((smallest > 1e-10).tolist()),
     )
 
 

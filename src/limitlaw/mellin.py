@@ -94,11 +94,17 @@ class MellinSpec:
             raise ValueError(f"M(1) must equal 1 (total mass), got {total_mass!r}")
 
     def log_mellin(self, s):
-        """log M(s) for scalar or array s with Re(a s + b) > 0 for every factor."""
+        """log M(s) for scalar or array s with Re(a s + b) > 0 for every factor.
+
+        Every factor's log-gamma comes from one stacked kernel call, whose
+        points are computed on their own, and the parts are added in factor
+        order: the same bits as one call per factor.
+        """
         s = np.asarray(s, dtype=complex)
+        parts = log_gamma_complex(np.stack([a * s + b for a, b, _ in self.factors]))
         out = self.log_prefactor + self.log_base * s
-        for a, b, sg in self.factors:
-            out = out + sg * log_gamma_complex(a * s + b)
+        for (_, _, sg), part in zip(self.factors, parts):
+            out = out + sg * part
         return out
 
     def mellin(self, s: float) -> float:
@@ -325,6 +331,20 @@ def _log_residual(lx: np.ndarray) -> tuple[float, float, np.ndarray]:
     return origin, step, ((diff - j * hi) - j * lo) + diff_err
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, for n >= 1: the shortest length whose
+    FFT runs in radix-2, 3 and 5 passes alone."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:  # odd runs over 3^b 5^c
+        power = odd
+        while power < best:
+            best = min(best, power << (-(-n // power) - 1).bit_length())
+            power *= 3
+        odd *= 5
+    return best
+
+
 def _chirp_z_sum(grid: np.ndarray, c: float, h: float, lm: np.ndarray, weights: np.ndarray):
     """The quadrature sum of ``invert`` by one Bluestein convolution.
 
@@ -355,10 +375,11 @@ def _chirp_z_sum(grid: np.ndarray, c: float, h: float, lm: np.ndarray, weights: 
     a = weights * np.exp(lm - 1j * _reduced_phase(hn * ln, hd * ld, k))
     m = np.arange(grid.size + n, dtype=np.int64)
     chirp = np.exp(1j * _reduced_phase(hn * dn, 2 * hd * dd, m * m))
-    fft_size = 1 << (size - 1).bit_length()
+    fft_size = _fft_length(size)
     kernel = np.fft.fft(chirp[np.abs(np.arange(size) - n)], fft_size)
-    signal = np.stack([a, u * a]) * np.conj(chirp[np.abs(k)])
-    conv = np.fft.ifft(np.fft.fft(signal, fft_size) * kernel)[:, 2 * n : size]
+    spectrum = np.fft.fft(np.stack([a, u * a]) * np.conj(chirp[np.abs(k)]), fft_size)
+    spectrum *= kernel
+    conv = np.fft.ifft(spectrum)[:, 2 * n : size]
     plain, slope = conv * np.conj(chirp[: grid.size])
     return grid ** (-c) * (plain - 1j * resid * slope) / (2.0 * math.pi)
 

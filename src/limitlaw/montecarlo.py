@@ -214,6 +214,15 @@ class SampleSummary:
     def max_order(self) -> int:
         return self.moments.size - 1
 
+    @property
+    def sizes(self) -> tuple:
+        """``(name, value)`` pairs of the sample's sizes, named as the CLI
+        flags name them: a tree summary, whose params record the tree size
+        n, counts its draws as reps; any other counts them as n."""
+        if "n" in self.params:
+            return (("n", self.params["n"]), ("reps", self.n))
+        return (("n", self.n),)
+
     def to_dict(self) -> dict:
         return {
             "sampler": self.sampler,
@@ -794,7 +803,7 @@ def scale_free_ratio_check(summary: SampleSummary, a_prime: float) -> Comparison
             "standard_error": ratio_se,
         }
     return _standard_error_report(
-        f"ratios({summary.sampler}, n={summary.n})",
+        f"ratios({summary.sampler}, {', '.join(f'{k}={v}' for k, v in summary.sizes)})",
         f"ratios(fkp(a'={a_prime:g}))",
         rows,
         {"a_prime": a_prime, "seed": summary.seed, **detail},

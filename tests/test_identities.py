@@ -34,10 +34,14 @@ def rayleigh_closed_form(s_max):
 
 def _hankel_sequences():
     """The four Bessel sequences at each (alpha, beta) of acceptance
-    criterion AC-10's grid, fkp at seven a', unit mass, the factorials and
-    three lognormal laws: 92 sequences, each with moments to order 12.  The
-    lognormal H_j pass at low orders and fail from order 3, 4 or 5 on, where
-    m_2j outgrows the pivots, so each order's own threshold decides."""
+    criterion AC-10's grid, fkp at seven a', unit mass, the factorials, three
+    lognormal laws, the factorials of 1e-3 Exp(1) and the laws on {1, 2} and
+    {1, 2, 3}: 95 sequences, each with moments to order 12.  The lognormal
+    m_2j outgrow the first pivot m_0 = 1 a billionfold from order 3, 4 or 5
+    on, the scaled factorials' pivots fall below 1e-10 from order 2 on, and
+    the two atom laws are singular from orders 2 and 3: only a rule that
+    judges each pivot against its own diagonal entry gets all of them
+    right."""
     seqs = []
     for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
         for beta in (0.25, 0.5, 1.0, 2.0):
@@ -54,6 +58,10 @@ def _hankel_sequences():
     s = np.arange(13)
     seqs += [MomentSequence(np.exp(sigma**2 * s**2 / 2.0), f"lognormal({sigma})")
              for sigma in (0.7, 1.0, 1.3)]
+    seqs.append(MomentSequence([math.gamma(k + 1.0) * 1e-3**k for k in range(13)],
+                               "factorial(1e-3)"))
+    seqs += [MomentSequence(np.mean([atom**s for atom in atoms], axis=0), label)
+             for atoms, label in (((1.0, 2.0), "atoms(1,2)"), ((1.0, 2.0, 3.0), "atoms(1,2,3)"))]
     return seqs
 
 
@@ -61,17 +69,18 @@ HANKEL_SEQUENCES = _hankel_sequences()
 
 
 def per_order_hankel(seq, max_order):
-    """The oracle: factor each H_j, j <= max_order, on its own, and judge it
-    against 1e-10 times its largest diagonal entry.  Returns the smallest
-    pivot and the flag of each order."""
+    """The oracle: factor each H_j, j <= max_order, on its own, unscaled,
+    and judge each pivot against 1e-10 times its own diagonal entry.
+    Returns the smallest pivot over diagonal entry and the flag of each
+    order."""
     pivots, flags = [], []
     for j in range(max_order + 1):
         idx = np.arange(j + 1)
         h = seq.values[idx[:, None] + idx[None, :]]
-        threshold = 1e-10 * float(np.max(np.diag(h)))
         d = identities._ldl_pivots(h)
-        pivots.append(float(np.min(d)))
-        flags.append(bool(d.size == j + 1 and np.all(d > threshold)))
+        relative = d / np.diag(h)[: d.size]
+        pivots.append(float(np.min(relative)))
+        flags.append(bool(d.size == j + 1 and np.all(relative > 1e-10)))
     return pivots, flags
 
 
@@ -198,11 +207,10 @@ class TestHankel:
             diag = hankel_positive_definite(seq, max_order)
             pivots, flags = per_order_hankel(seq, max_order)
             assert diag.positive_definite == tuple(flags)
-            # one factorization rounds its matrix-vector products over more
-            # rows than the per-order ones
-            largest_diagonal = np.maximum.accumulate(seq.values[: 2 * max_order + 1 : 2])
+            # the scaled factorization and the unscaled ones divided by their
+            # diagonal round differently; the gap was at most 2.9e-14
             gap = np.abs(np.subtract(diag.smallest_pivots, pivots))
-            assert np.all(gap <= 1e-14 * largest_diagonal)
+            assert np.all(gap <= 1e-13)
 
     def test_factors_once_and_keeps_only_read_fields(self, monkeypatch):
         calls = []
@@ -219,6 +227,31 @@ class TestHankel:
         assert [f.name for f in dataclasses.fields(HankelDiagnostics)] == [
             "smallest_pivots", "positive_definite"
         ]
+
+    @pytest.mark.parametrize(
+        "values, max_order",
+        [([math.gamma(s + 1.0) for s in range(17)], 8),
+         (np.exp(np.arange(13) ** 2 / 2.0), 6)],
+        ids=["factorial", "lognormal(1)"],
+    )
+    def test_definiteness_does_not_depend_on_scale(self, values, max_order):
+        # the exponential law's pivots are (k!)^2 and lognormal(1)'s run to
+        # 9.4e30, but m_2j passes 1e10 from order 7 and 4 on: a threshold of
+        # 1e-10 times the largest diagonal entry failed both there
+        seq = MomentSequence(values, "scaled")
+        diag = hankel_positive_definite(seq, max_order)
+        assert diag.all_positive_definite
+        assert min(diag.smallest_pivots) > 1e-5
+        assert max(seq.values[: 2 * max_order + 1 : 2]) > 1e10
+
+    def test_atom_laws_fail_from_their_atom_count(self):
+        # a law on n points has singular H_j from j = n on
+        for atoms in ((1.0,), (1.0, 2.0), (1.0, 2.0, 3.0)):
+            seq = MomentSequence(np.mean([a ** np.arange(9) for a in atoms], axis=0), "atoms")
+            n = len(atoms)
+            assert hankel_positive_definite(seq, 4).positive_definite == (
+                (True,) * n + (False,) * (5 - n)
+            )
 
     @pytest.mark.parametrize("a_prime", [0.25, 0.5])
     def test_fkp_positive_definite_to_order_four(self, a_prime):

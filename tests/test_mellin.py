@@ -7,6 +7,7 @@ grid-by-contour sum, which lives here as its oracle, and the fkp-quarter
 density against an mpmath contour integral when mpmath is installed.
 """
 
+import bisect
 import json
 import math
 import re
@@ -108,6 +109,42 @@ class TestSpecs:
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             spec_from_mittag_leffler(1.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [spec_from_exponential(), spec_from_fkp_quarter()]
+        + [spec_from_mittag_leffler(a) for a in (0.1, 0.5, 0.9)],
+        ids=lambda spec: spec.label,
+    )
+    def test_log_mellin_equals_one_kernel_call_per_factor(self, spec, monkeypatch):
+        def per_factor(s):
+            s = np.asarray(s, dtype=complex)
+            out = spec.log_prefactor + spec.log_base * s
+            for a, b, sg in spec.factors:
+                out = out + sg * mellin.log_gamma_complex(a * s + b)
+            return out
+
+        rng = np.random.default_rng(4)
+        points = [
+            0.5 + 1j * np.arange(4001) * 0.04,
+            0.5 + 1j * np.concatenate(([0.0], 20.0 * 2.0 ** np.arange(13))),
+            np.array([1.0, 2.5, 11.0]),
+            1.0,
+            11.0,
+            0.3 - 7j,
+            rng.uniform(0.05, 5.0, (3, 4)) + 1j * rng.normal(0.0, 100.0, (3, 4)),
+        ]
+        calls = []
+        kernel = mellin.log_gamma_complex
+        monkeypatch.setattr(mellin, "log_gamma_complex", lambda s: calls.append(1) or kernel(s))
+        for s in points:
+            want = per_factor(s)
+            del calls[:]
+            got = spec.log_mellin(s)
+            assert len(calls) == 1
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestInvert:
@@ -505,6 +542,41 @@ class TestChirpZ:
         fast = mellin._chirp_z_sum(grid, 0.5, 0.04, lm, weights)
         direct = _direct_sum(grid, 0.5, u, lm, weights)
         assert np.all(np.abs(fast - direct) <= mellin._noise_floor(grid, 0.5, lm, weights))
+
+    def test_fft_length_is_the_smallest_5_smooth_length(self):
+        smooth = sorted(
+            2**i * 3**j * 5**k for i in range(16) for j in range(10) for k in range(8)
+        )
+        lengths = [mellin._fft_length(n) for n in range(1, 20_001)]
+        assert lengths == [smooth[bisect.bisect_left(smooth, n)] for n in range(1, 20_001)]
+        for power in range(40):
+            assert mellin._fft_length(2**power) == 2**power
+
+    @pytest.mark.parametrize(
+        "name, alpha, step, points",
+        [("fkp-quarter", 0.5, 0.02, 1201), ("mittag-leffler", 0.65, 0.02, 601),
+         ("mittag-leffler", 0.3, 0.02, 2401), ("exp", 0.5, 0.1, 9)],
+    )
+    def test_transform_runs_at_the_5_smooth_length(self, name, alpha, step, points, monkeypatch):
+        # lengths 9216, 8640, 6480 and 432, where the next power of two is
+        # 16384, 16384, 8192 and 512
+        spec = _SPECS[name](alpha)
+        grid = default_grid(spec, points)
+        u, lm, weights = _nodes(spec, step=step)
+        length = mellin._fft_length(grid.size + lm.size - 1)
+        assert length & (length - 1)
+        lengths = []
+        for fn in ("fft", "ifft"):
+            transform = getattr(np.fft, fn)
+            monkeypatch.setattr(
+                np.fft, fn,
+                lambda x, n=None, transform=transform: lengths.append(n or x.shape[-1])
+                or transform(x, n),
+            )
+        raw = invert(spec, grid, step=step).metadata["raw_density"]
+        assert lengths == [length] * 3
+        direct = _direct_sum(grid, 0.5, u, lm, weights)
+        assert np.all(np.abs(raw - direct.real) <= mellin._noise_floor(grid, 0.5, lm, weights))
 
     def test_irregular_grid_is_refused(self):
         spec = spec_from_exponential()

@@ -976,6 +976,17 @@ class TestScaleFreeRatioCheck:
         with pytest.raises(ValueError):
             scale_free_ratio_check(summary, 0.5)
 
+    @pytest.mark.parametrize(
+        "make, label",
+        [(lambda: sample_rayleigh(1.0, 1000, 1), "ratios(rayleigh, n=1000)"),
+         (lambda: sample_mittag_leffler(0.5, 1000, 1), "ratios(mittag-leffler, n=1000)"),
+         (lambda: simulate_tree_cost(SplitKernel.uniform(), 0.5, 30, 1000, 1),
+          "ratios(tree, n=30, reps=1000)")],
+        ids=["rayleigh", "mittag-leffler", "tree"],
+    )
+    def test_label_names_tree_size_and_replicates_apart(self, make, label):
+        assert scale_free_ratio_check(make(), 0.5).label_a == label
+
 
 class TestSampleSummarySerialization:
     def test_json_shape(self):
