@@ -13,9 +13,10 @@ and U, and ``log_grid`` builds every log-uniform grid.
 
 On a log-uniform grid x_j = exp(L + j d) with nodes u_k = k h the quadrature
 sum is a chirp-z transform in the product k j, and one Bluestein convolution
-(Rabiner, Schafer & Rader 1969) evaluates it at every grid point.  That is
-the only quadrature: ``invert`` refuses a grid that is not log-uniform to
-within roundoff.
+(Rabiner, Schafer & Rader 1969) evaluates it at every grid point.  Its FFTs
+run at the smallest 2^a 3^b 5^c length that holds the convolution, not the
+next power of two.  That is the only quadrature: ``invert`` refuses a grid
+that is not log-uniform to within roundoff.
 """
 
 from __future__ import annotations
@@ -355,7 +356,10 @@ def _chirp_z_sum(grid: np.ndarray, c: float, h: float, lm: np.ndarray, weights: 
     convolution with the chirp e^{i theta m^2 / 2}, whose phases are reduced
     exactly.  The residual r_j enters to first order; the grid is refused
     with ValueError, before any transform, when the second-order term could
-    exceed one roundoff unit.
+    exceed one roundoff unit.  The linear convolution has grid points plus
+    nodes minus one terms, and every transform runs at ``_fft_length`` of
+    that: 9216 for 1201 points and 8001 nodes, where the next power of two
+    is 16384.
     """
     size = grid.size + lm.size - 1
     origin, d, resid = _log_residual(np.log(grid))

@@ -244,6 +244,14 @@ class TestHankel:
         assert min(diag.smallest_pivots) > 1e-5
         assert max(seq.values[: 2 * max_order + 1 : 2]) > 1e10
 
+    def test_an_order_fails_with_any_earlier_pivot(self):
+        # H_1 has relative pivot 1e-12 and H_2 a last pivot of 0.9: order 2
+        # holds order 1's pivot and fails with it
+        seq = MomentSequence([1.0, 1.0, 1.0 + 1e-12, 1.0 + 2e-12, 10.0], "near-point-mass")
+        diag = hankel_positive_definite(seq, 2)
+        assert diag.positive_definite == (True, False, False)
+        assert diag.smallest_pivots[2] == diag.smallest_pivots[1] < 1e-10
+
     def test_atom_laws_fail_from_their_atom_count(self):
         # a law on n points has singular H_j from j = n on
         for atoms in ((1.0,), (1.0, 2.0), (1.0, 2.0, 3.0)):
