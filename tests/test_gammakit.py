@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitlaw import log_beta, log_gamma, log_gamma_complex, mellin
+from limitlaw import gammakit, log_beta, log_gamma, log_gamma_complex, mellin
 from limitlaw.gammakit import log_gamma_array, log_gamma_ratio
 
 # (x, ln Gamma(x)) frozen from a 40-digit offline evaluation.
@@ -194,6 +194,17 @@ class TestLogGammaComplex:
         assert [log_gamma_complex(z) for z in s.tolist()] == full.tolist()
         assert np.array_equal(log_gamma_complex(s.reshape(5, 13)), full.reshape(5, 13))
         assert np.array_equal(log_gamma_complex(np.conj(s)), np.conj(full))
+
+    def test_real_points_take_the_real_kernel_alone(self, monkeypatch):
+        s = np.array([3.0, 0.5, 25.5, 1e-3]) + 0j
+        want = [log_gamma_complex(z) for z in s.tolist()]
+
+        def refuse(x, y):
+            raise AssertionError("the complex path ran for real points")
+
+        monkeypatch.setattr(gammakit, "_log_gamma_complex_vec", refuse)
+        assert log_gamma_complex(s).tolist() == want
+        assert log_gamma_complex(s.reshape(2, 2)).tolist() == np.reshape(want, (2, 2)).tolist()
 
     @pytest.mark.parametrize("bad", [0 + 1j, -1 + 0.5j, -3 - 2j])
     def test_left_half_plane_rejected(self, bad):
