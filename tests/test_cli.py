@@ -736,6 +736,25 @@ class TestPlumbing:
                  "--format", "json", "--manifest"),
                 "49352e47d29735a5bcfbd092db8db582a5c345ad15351be1dd56f85ffbf15dd4",
             ),
+            # README's other moments examples, one per --which family
+            (
+                ("moments", "--which", "local-time", "--d", "1", "--p", "0", "--t", "2",
+                 "--smax", "10"),
+                "f410ae0b35fa4bc12c1c2203eedcd140b0ee9176e6280e54614a57519d8f491b",
+            ),
+            (
+                ("moments", "--which", "tilted", "--alpha", "0.5", "--beta", "0.5",
+                 "--smax", "10"),
+                "a7266f6cd0becbcd34a0aff0ec16f9fcca62069e1508fb293ac4809c124f7f61",
+            ),
+            (
+                ("moments", "--which", "exp-functional", "--a-prime", "1.0", "--smax", "10"),
+                "8f69aaa2b137a52c56c28ba18443e4edc21e21b0b246378e37ba419891b80e50",
+            ),
+            (
+                ("moments", "--which", "mittag-leffler", "--alpha", "0.5", "--smax", "10"),
+                "8dbb8a11efbbbee4db643660dc7b64178d3b1ce655489e84ecbe42b7250a645d",
+            ),
             (
                 ("check", "--identity", "phi-adjudicate", "--format", "csv"),
                 "d3788847be62850a27abc9f3d5b6ebdf701da2484491bf9fc15c3a518415a8ca",
@@ -799,7 +818,8 @@ class TestPlumbing:
         ],
         ids=[
             "moments-csv", "moments-csv-manifest", "moments-json", "moments-json-manifest",
-            "phi-adjudicate-csv", "phi-adjudicate-json", "check-json-manifest",
+            "moments-local-time-d-p", "moments-tilted", "moments-exp-functional",
+            "moments-mittag-leffler", "phi-adjudicate-csv", "phi-adjudicate-json", "check-json-manifest",
             "density-csv", "density-json", "sample-csv-check",
             "tilt-csv", "corollary-csv-manifest", "tilt-csv-user-grid", "density-default-grid",
             "density-even-count-grid",
