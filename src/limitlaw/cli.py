@@ -99,11 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--threads", default="1", help="has no effect (an integer >= 1)")
 
     p_mom = sub.add_parser("moments", help="print a generated moment sequence")
-    p_mom.add_argument(
-        "--which",
-        required=True,
-        choices=("fkp", "local-time", "tilted", "exp-functional", "mittag-leffler"),
-    )
+    p_mom.add_argument("--which", required=True, choices=_names("which"))
     p_mom.add_argument("--a-prime", type=_finite_float, default=None)
     p_mom.add_argument("--alpha", type=_finite_float, default=None)
     p_mom.add_argument("--beta", type=_finite_float, default=None)
@@ -125,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.set_defaults(func=cmd_check)
 
     p_den = sub.add_parser("density", help="inverse-Mellin density reconstruction")
-    p_den.add_argument("--spec", required=True, choices=("fkp-quarter", "mittag-leffler"))
+    p_den.add_argument("--spec", required=True, choices=_names("spec"))
     p_den.add_argument("--alpha", type=_finite_float, default=None)
     p_den.add_argument("--grid-min", type=_positive_float, default=None)
     p_den.add_argument("--grid-max", type=_positive_float, default=None)
@@ -137,9 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.set_defaults(func=cmd_density)
 
     p_smp = sub.add_parser("sample", help="seeded Monte Carlo samplers")
-    p_smp.add_argument(
-        "--sampler", required=True, choices=("rayleigh", "mittag-leffler", "tree")
-    )
+    p_smp.add_argument("--sampler", required=True, choices=_names("sampler"))
     p_smp.add_argument("--n", type=int, required=True)
     p_smp.add_argument("--reps", type=int, default=None, help="replicates for the tree sampler")
     p_smp.add_argument("--seed", type=int, default=0)
@@ -228,33 +222,68 @@ def _write(args, table, payload) -> None:
 
 
 def _resolve_bessel(args, t: float) -> BesselParams:
-    if args.alpha is not None and args.beta is not None:
-        return BesselParams(args.alpha, args.beta, t)
-    if args.d is not None and args.p is not None:
+    """The law of the one complete route given: --alpha/--beta, --d/--p or
+    --a-prime.  No route, a route half given or two routes are refused."""
+    routes = ((args.alpha, args.beta), (args.d, args.p), (args.a_prime,))
+    given = [values for values in routes if values.count(None) < len(values)]
+    if len(given) != 1 or None in given[0]:
+        raise ValueError("give exactly one of --alpha with --beta, --d with --p, or --a-prime")
+    if args.d is not None:
         return BesselParams.from_d_p(args.d, args.p, t)
     if args.a_prime is not None:
         return BesselParams(0.5, args.a_prime, t)
-    raise ValueError("provide --alpha/--beta, --d/--p, or --a-prime")
+    return BesselParams(args.alpha, args.beta, t)
+
+
+def _tilted(args) -> MomentSequence:
+    params = _resolve_bessel(args, 1.0)
+    return tilted_moments(params.alpha, params.beta, args.smax)
+
+
+def _tree_summary(args):
+    kernel = SplitKernel.from_csv(args.kernel_file) if args.kernel_file else SplitKernel.uniform()
+    reps = 10000 if args.reps is None else args.reps
+    return simulate_tree_cost(kernel, args.toll_exponent, args.n, reps, args.seed, args.smax)
+
+
+# law -> (the flags it cannot run without, {selector: builder(args)}): the
+# moment sequence of --which, the MellinSpec of --spec or the sample summary
+# of --sampler.  Each selector offers its laws in this order.  A builder looks
+# this module's names up when it runs, so it calls a name rebound here.
+_LAWS = {
+    "fkp": (("a_prime",), {"which": lambda a: fkp_moments(a.a_prime, a.smax)}),
+    "local-time": ((), {"which": lambda a: local_time_moments(_resolve_bessel(a, a.t), a.smax)}),
+    "tilted": ((), {"which": _tilted}),
+    "exp-functional": (
+        (), {"which": lambda a: exp_functional_moments(_resolve_bessel(a, a.t), a.smax)}
+    ),
+    "fkp-quarter": ((), {"spec": lambda a: spec_from_fkp_quarter()}),
+    "rayleigh": ((), {"sampler": lambda a: sample_rayleigh(a.sigma, a.n, a.seed, a.smax)}),
+    "mittag-leffler": (("alpha",), {
+        "which": lambda a: mittag_leffler_moments(a.alpha, a.smax),
+        "spec": lambda a: spec_from_mittag_leffler(a.alpha),
+        "sampler": lambda a: sample_mittag_leffler(a.alpha, a.n, a.seed, a.smax),
+    }),
+    "tree": ((), {"sampler": _tree_summary}),
+}
+
+
+def _names(selector: str) -> tuple:
+    return tuple(name for name, (_, builders) in _LAWS.items() if selector in builders)
+
+
+def _build(args, selector: str):
+    """What the law named by ``args.<selector>`` builds for that selector."""
+    name = getattr(args, selector)
+    required, builders = _LAWS[name]
+    for flag in required:
+        if getattr(args, flag) is None:
+            raise ValueError(f"--{selector} {name} requires --{flag.replace('_', '-')}")
+    return builders[selector](args)
 
 
 def cmd_moments(args) -> int:
-    which = args.which
-    if which == "fkp":
-        if args.a_prime is None:
-            raise ValueError("--which fkp requires --a-prime")
-        seq = fkp_moments(args.a_prime, args.smax)
-    elif which == "local-time":
-        seq = local_time_moments(_resolve_bessel(args, args.t), args.smax)
-    elif which == "tilted":
-        params = _resolve_bessel(args, 1.0)
-        seq = tilted_moments(params.alpha, params.beta, args.smax)
-    elif which == "exp-functional":
-        seq = exp_functional_moments(_resolve_bessel(args, args.t), args.smax)
-    else:  # mittag-leffler
-        if args.alpha is None:
-            raise ValueError("--which mittag-leffler requires --alpha")
-        seq = mittag_leffler_moments(args.alpha, args.smax)
-
+    seq = _build(args, "which")
     _write(
         args,
         lambda: ([[("label", seq.label)]], ("s", "value"), (range(seq.values.size), seq.values)),
@@ -343,20 +372,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if args.spec == "fkp-quarter":
-        spec = spec_from_fkp_quarter()
-    else:
-        if args.alpha is None:
-            raise ValueError("--spec mittag-leffler requires --alpha")
-        spec = spec_from_mittag_leffler(args.alpha)
-
+    spec = _build(args, "spec")
     if (args.grid_min is None) != (args.grid_max is None):
         raise ValueError("--grid-min and --grid-max must be given together")
-    if args.grid_min is None:
-        grid = default_grid(spec, args.grid_points)
-    else:
-        grid = log_grid(args.grid_min, args.grid_max, args.grid_points)
-
+    grid = (default_grid(spec, args.grid_points) if args.grid_min is None
+            else log_grid(args.grid_min, args.grid_max, args.grid_points))
     table = invert(spec, grid, contour=args.contour, step=args.step, height=args.height)
     _write(args, table.to_csv, table.to_dict)
     return 0
@@ -376,24 +396,7 @@ def cmd_sample(args) -> int:
     a_prime = None
     if args.check_against is not None:  # refused before any draw
         a_prime = _ratio_check_inputs(args.smax, _parse_check_against(args.check_against))
-    sampler = args.sampler
-    if sampler == "rayleigh":
-        summary = sample_rayleigh(args.sigma, args.n, args.seed, args.smax)
-    elif sampler == "mittag-leffler":
-        if args.alpha is None:
-            raise ValueError("--sampler mittag-leffler requires --alpha")
-        summary = sample_mittag_leffler(args.alpha, args.n, args.seed, args.smax)
-    else:  # tree
-        kernel = (
-            SplitKernel.from_csv(args.kernel_file)
-            if args.kernel_file
-            else SplitKernel.uniform()
-        )
-        reps = args.reps if args.reps is not None else 10000
-        summary = simulate_tree_cost(
-            kernel, args.toll_exponent, args.n, reps, args.seed, args.smax
-        )
-
+    summary = _build(args, "sampler")
     check = None if a_prime is None else scale_free_ratio_check(summary, a_prime)
 
     def table():
@@ -406,13 +409,8 @@ def cmd_sample(args) -> int:
         columns = (range(summary.max_order + 1), summary.moments, summary.standard_errors)
         return comments, ("s", "moment", "standard_error"), columns
 
-    def payload():
-        out = {"summary": summary.to_dict()}
-        if check is not None:
-            out["check"] = check.to_dict()
-        return out
-
-    _write(args, table, payload)
+    parts = {"summary": summary} if check is None else {"summary": summary, "check": check}
+    _write(args, table, lambda: {key: part.to_dict() for key, part in parts.items()})
     return 0 if check is None or check.passed else 1
 
 

@@ -71,14 +71,16 @@ class MellinSpec:
     """Gamma-ratio Mellin transform of a law on (0, inf), M(1) = 1.
 
     ``factors`` is a tuple of (a, b, sign) triples with a > 0 and sign +-1,
-    one per Gamma(a s + b) factor.  How the transform is inverted is not
-    part of the law: ``invert`` takes the quadrature settings.
+    one per Gamma(a s + b) factor; ``pole``, the rightmost numerator pole
+    (-inf with none), is derived.  ``invert`` reads a law only through
+    ``log_mellin``, ``mellin``, ``label`` and ``pole``.
     """
 
     log_prefactor: float
     log_base: float
     factors: tuple
     label: str
+    pole: float = field(init=False)
 
     def __post_init__(self):
         factors = tuple((float(a), float(b), int(sg)) for a, b, sg in self.factors)
@@ -90,6 +92,8 @@ class MellinSpec:
             if sg not in (-1, 1):
                 raise ValueError(f"gamma factor sign must be +-1, got {sg!r}")
         object.__setattr__(self, "factors", factors)
+        poles = (-b / a for a, b, sg in factors if sg == 1)
+        object.__setattr__(self, "pole", max(poles, default=-math.inf))
         total_mass = self.mellin(1.0)
         if abs(total_mass - 1.0) > 1e-10:
             raise ValueError(f"M(1) must equal 1 (total mass), got {total_mass!r}")
@@ -401,8 +405,8 @@ def invert(spec: MellinSpec, grid, *, contour: float = 0.5, step: float = 0.04,
 
     The trapezoid rule with step ``step`` runs on the line Re(s) = ``contour``
     up to |Im(s)| = ``height``, or where |M| has decayed when it is None.  Each
-    setting must be finite and positive, every numerator pole must lie left of
-    the contour, and the table's metadata records all three.
+    setting must be finite and positive, the law's rightmost pole ``spec.pole``
+    must lie left of the contour, and the table's metadata records all three.
 
     The quadrature nodes along the contour are shared and evaluated once,
     walking the contour monotonically, and one chirp-z convolution sums them
@@ -417,12 +421,11 @@ def invert(spec: MellinSpec, grid, *, contour: float = 0.5, step: float = 0.04,
     step = _require_positive(step, "step")
     if height is not None:
         height = _require_positive(height, "height")
-    for a, b, sign in spec.factors:
-        if sign == 1 and -b / a >= contour:
-            raise ValueError(
-                f"numerator pole at s={-b / a:g} is not strictly left of the "
-                f"contour Re(s)={contour:g}"
-            )
+    if spec.pole >= contour:
+        raise ValueError(
+            f"numerator pole at s={spec.pole:g} is not strictly left of the "
+            f"contour Re(s)={contour:g}"
+        )
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least 2 points")

@@ -258,9 +258,7 @@ def scaled_local_time_moments(params: BesselParams, s_max: int) -> MomentSequenc
     s_max = _require_order(s_max)
     label = f"scaled-local-time(alpha={params.alpha:g}, beta={params.beta:g})"
     out = _exp_sequence(_log_scaled_local_time(params, s_max), label)
-    p = dict(params.to_dict())
-    del p["t"]
-    return MomentSequence(out, label, p)
+    return MomentSequence(out, label, {k: v for k, v in params.to_dict().items() if k != "t"})
 
 
 def tilt(seq: MomentSequence) -> MomentSequence:
@@ -332,12 +330,9 @@ def laplace_exponent(r: float, a_prime: float, convention: str = "paper") -> flo
     """
     r = _require_positive(r, "r")
     a_prime = _require_positive(a_prime, "a_prime")
-    if convention == "paper":
-        m = 4.0 * a_prime
-    elif convention == "half":
-        m = 2.0 * a_prime
-    else:
+    if convention not in ("paper", "half"):
         raise ValueError(f"convention must be 'paper' or 'half', got {convention!r}")
+    m = (4.0 if convention == "paper" else 2.0) * a_prime
     return math.exp(
         -0.5 * LN2 - 0.5 * math.log(m) + log_gamma(0.5) - math.log(0.5) - log_beta(0.5, m * r)
     )

@@ -162,7 +162,8 @@ def _exact_means(blocks, n: int, terms, pairs, names) -> tuple[list[float], list
 
     Mean i is the sum of the arrays that ``terms`` yields at position
     ``pairs[i][0]``, over n; the sum at ``pairs[i][1]``, which must be
-    their squares, gives its variance.  A sum may serve several means, as
+    their squares, gives its squared error (n sum(x^2) - (sum x)^2) /
+    (n^2 (n - 1)), formed from the exact sums and rounded once.  A sum may serve several means, as
     order 2's values serve as order 1's squares in ``_summary``.  This is
     the small superaccumulator of Neal, "Fast exact summation using small
     and large superaccumulators" (arXiv:1505.05571): each mean is the
@@ -177,14 +178,14 @@ def _exact_means(blocks, n: int, terms, pairs, names) -> tuple[list[float], list
             if totals[value] is None or totals[square] is None:
                 raise OverflowError  # a value or a square, found in a block
             mean = totals[value] / _SUM_SCALE / n  # int / int rounds correctly
-            mean_sq = totals[square] / _SUM_SCALE / n
+            spread = n * totals[square] * _SUM_SCALE - totals[value] ** 2  # exact int
+            se_sq = spread / (_SUM_SCALE**2 * n * n * (n - 1)) if n > 1 else 0.0
         except OverflowError:
             raise OverflowError(
                 f"{name} is not finite: a value, its square or a sum overflows"
             ) from None
-        var = max(mean_sq - mean * mean, 0.0)
         means.append(mean)
-        errors.append(math.sqrt(var / (n - 1)) if n > 1 else 0.0)
+        errors.append(math.sqrt(max(se_sq, 0.0)))  # each square was rounded: may dip below 0
     return means, errors
 
 
@@ -218,7 +219,8 @@ class SampleSummary:
     def sizes(self) -> tuple:
         """``(name, value)`` pairs of the sample's sizes, named as the CLI
         flags name them: a tree summary, whose params record the tree size
-        n, counts its draws as reps; any other counts them as n."""
+        n, counts its draws as reps; any other counts them as n.  The JSON,
+        the CSV comment and the check label all name sizes from here."""
         if "n" in self.params:
             return (("n", self.params["n"]), ("reps", self.n))
         return (("n", self.n),)
@@ -227,7 +229,7 @@ class SampleSummary:
         return {
             "sampler": self.sampler,
             "seed": int(self.seed),
-            "n": int(self.n),
+            **{name: int(size) for name, size in self.sizes},
             "params": dict(self.params),
             "moments": [float(m) for m in self.moments],
             "standard_errors": [float(s) for s in self.standard_errors],

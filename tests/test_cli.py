@@ -6,6 +6,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -166,6 +167,99 @@ class TestMomentsCommand:
         value_text = rows[1][1]
         assert float(value_text) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-14)
         assert len(value_text.replace(".", "").lstrip("0")) >= 16
+
+
+# The Bessel laws' parameter routes, each given in full, by flag
+_ROUTE_VALUES = {"--alpha": "0.3", "--beta": "0.7", "--d": "1", "--p": "0.2", "--a-prime": "0.7"}
+_ROUTES = ({"--alpha", "--beta"}, {"--d", "--p"}, {"--a-prime"})
+_ROUTE_SETS = [
+    flags for k in range(len(_ROUTE_VALUES) + 1)
+    for flags in itertools.combinations(_ROUTE_VALUES, k)
+]
+
+
+class TestBesselRoutes:
+    """``--which local-time|tilted|exp-functional`` take exactly one complete
+    route of --alpha/--beta, --d/--p or --a-prime; no route, a half-given one
+    or two at once exit 2 with one error line, where one used to win."""
+
+    @pytest.mark.parametrize("which", ["local-time", "tilted", "exp-functional"])
+    @pytest.mark.parametrize(
+        "flags", [f for f in _ROUTE_SETS if set(f) not in _ROUTES], ids=" ".join
+    )
+    def test_anything_but_one_whole_route_exits_2(self, which, flags):
+        argv = ["moments", "--which", which, "--smax", "3"]
+        for flag in flags:
+            argv += [flag, _ROUTE_VALUES[flag]]
+        assert run_cli_showing_warnings(argv) == (
+            2, "", "error: give exactly one of --alpha with --beta, --d with --p, or --a-prime\n"
+        )
+
+    @pytest.mark.parametrize("which", ["local-time", "tilted", "exp-functional"])
+    @pytest.mark.parametrize(
+        "flags, alpha, beta",
+        [(("--alpha", "--beta"), 0.3, 0.7), (("--d", "--p"), 0.5, 0.5 / 0.6),
+         (("--a-prime",), 0.5, 0.7)],
+        ids=["alpha-beta", "d-p", "a-prime"],
+    )
+    def test_one_whole_route_runs(self, capsys, which, flags, alpha, beta):
+        argv = ["moments", "--which", which, "--smax", "3", "--format", "json"]
+        for flag in flags:
+            argv += [flag, _ROUTE_VALUES[flag]]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        params = json.loads(out)["params"]
+        assert (params["alpha"], params["beta"]) == (alpha, beta)
+
+
+# The subcommand of each law selector, and the fewest flags a law runs with
+# beyond its required ones: a Bessel route for the Bessel moments, and a
+# small size for the rest
+_SUBCOMMANDS = {"which": "moments", "spec": "density", "sampler": "sample"}
+_REQUIRED_VALUES = {"a_prime": "0.5", "alpha": "0.5"}
+_SIZE_FLAGS = {"which": ("--smax", "3"), "spec": ("--grid-points", "41"),
+               "sampler": ("--n", "50", "--reps", "50")}
+_LAW_USES = [(name, selector) for name, (_, builders) in cli._LAWS.items() for selector in builders]
+
+
+def _law_argv(name, selector, flags):
+    argv = [_SUBCOMMANDS[selector], f"--{selector}", name, *_SIZE_FLAGS[selector]]
+    if selector == "which" and not cli._LAWS[name][0]:
+        argv += ["--a-prime", "0.5"]  # a Bessel law's route
+    for flag in flags:
+        argv += [f"--{flag.replace('_', '-')}", _REQUIRED_VALUES[flag]]
+    return argv
+
+
+class TestLawTable:
+    def test_selectors_offer_the_laws_in_order(self):
+        assert cli._names("which") == (
+            "fkp", "local-time", "tilted", "exp-functional", "mittag-leffler"
+        )
+        assert cli._names("spec") == ("fkp-quarter", "mittag-leffler")
+        assert cli._names("sampler") == ("rayleigh", "mittag-leffler", "tree")
+        subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+        for selector, subcommand in _SUBCOMMANDS.items():
+            action = next(a for a in subparsers[subcommand]._actions if a.dest == selector)
+            assert tuple(action.choices) == cli._names(selector)
+
+    @pytest.mark.parametrize("name, selector", _LAW_USES, ids="-".join)
+    def test_each_law_runs_with_its_minimal_flags(self, capsys, name, selector):
+        required = cli._LAWS[name][0]
+        code, out, err = run_cli(capsys, *_law_argv(name, selector, required))
+        assert (code, err) == (0, "")
+        assert out
+
+    @pytest.mark.parametrize(
+        "name, selector, flag",
+        [(name, selector, flag) for name, selector in _LAW_USES for flag in cli._LAWS[name][0]],
+        ids="-".join,
+    )
+    def test_each_required_flag_left_out_exits_2_naming_it(self, name, selector, flag):
+        flags = [f for f in cli._LAWS[name][0] if f != flag]
+        assert run_cli_showing_warnings(_law_argv(name, selector, flags)) == (
+            2, "", f"error: --{selector} {name} requires --{flag.replace('_', '-')}\n"
+        )
 
 
 class TestCheckCommand:
@@ -409,6 +503,18 @@ class TestSampleCommand:
         code, out, _ = run_cli(capsys, "sample", *argv, "--format", "csv")
         assert code == 0
         assert out.startswith(f"# sampler={argv[1]} {sizes} seed=0\n")
+
+    @pytest.mark.parametrize(
+        "argv, sizes",
+        [(("--sampler", "tree", "--n", "30", "--reps", "2000"), {"n": 30, "reps": 2000}),
+         (("--sampler", "rayleigh", "--n", "2000"), {"n": 2000})],
+        ids=["tree", "rayleigh"],
+    )
+    def test_json_names_tree_size_and_replicates_apart(self, capsys, argv, sizes):
+        code, out, _ = run_cli(capsys, "sample", *argv)
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert {key: summary.get(key) for key in ("n", "reps")} == {"reps": None, **sizes}
 
     def test_rayleigh_with_ratio_check(self, capsys):
         code, out, _ = run_cli(
@@ -658,29 +764,32 @@ class TestSampleCommand:
         assert check["pass"] is False
 
     # stdout digests recorded with the earlier math.fsum reductions: summation
-    # is exact and correctly rounded, so a flipped last bit fails here
+    # is exact and correctly rounded, so a flipped last bit fails here.  All
+    # were re-pinned when each squared standard error came to be rounded once
+    # from the exact sums, and the tree ones when the JSON summary came to
+    # name the tree size n and the replicates reps (CHANGES.md gives both)
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (
                 ("sample", "--sampler", "rayleigh", "--n", "200000", "--seed", "42",
                  "--check-against", "fkp:0.5"),
-                "9f285bfb0195d429c3950951062ab72772ba3502da92b42bdf4495390a94b4f6",
+                "8dfc49dcdcb402ba7034c4d342087a2d54399ca91708db35c7c567727dd4fad0",
             ),
             (
                 ("sample", "--sampler", "mittag-leffler", "--alpha", "0.5", "--n", "150000",
                  "--seed", "9", "--smax", "8", "--threads", "2"),
-                "787ae9cf939f852bb8948e56b3ee2a27e9b90dea81df3398c72a99434ef29418",
+                "f6da0d3cb729a0944f307550ef646af6bc5d289af0b78e2fabba1ada05aaa079",
             ),
             (
                 ("sample", "--sampler", "tree", "--n", "1000", "--reps", "20000", "--seed", "5",
                  "--toll-exponent", "0.5"),
-                "102a6b8cd6bf86ffb0243612e537d3b0b62d70be5fa14cc333ebb5e55ead5607",
+                "557f31e40eeba08fe32aedd99ef56a0352a0dd42db8ade26446b26c0f8a164f4",
             ),
             (
                 ("sample", "--sampler", "rayleigh", "--n", "65537", "--seed", "11", "--smax", "6",
                  "--format", "csv"),
-                "b9e162b25c93de994ead86d697e10152959315a386d5980580c6899292015a3f",
+                "74316aa38967c9c5616d13033cafa37f62ba7892781616995a8bacafdf88c9d8",
             ),
             # recorded with the per-size CDF search that table draws replaced
             *(
@@ -688,7 +797,7 @@ class TestSampleCommand:
                     ("sample", "--sampler", "tree", "--n", "30", "--reps", "70000", "--seed", "8",
                      "--toll-exponent", "0.5", "--threads", threads,
                      "--kernel-file", SPARSE_KERNEL),
-                    "8b60cfe705645f9460c6b41c1f486e87c1ba0a360696a92be584bc258500a592",
+                    "178486b353007181ef08e91474e4f18a42a8910f5eecc393c71ffdaebc15136c",
                 )
                 for threads in ("1", "2")
             ),
@@ -697,7 +806,7 @@ class TestSampleCommand:
             (
                 ("sample", "--sampler", "tree", "--n", "200", "--reps", "70000", "--seed", "8",
                  "--toll-exponent", "0.5", "--kernel-file", PLATEAU_KERNEL),
-                "727f01f1406ce1b3f2c17bf45434c090910bef289e488fd9366628fae2a7c174",
+                "d9688344b405250d0bebe3398dedd69773a1cdfd4153542e835dfb6ec99367b7",
             ),
         ],
         ids=[
@@ -714,7 +823,8 @@ class TestSampleCommand:
 class TestPlumbing:
     # stdout digests recorded before the CLI's output code was unified; all
     # but sample-csv-check were re-pinned when the scipy log-gamma kernel was
-    # replaced (CHANGES.md gives the size of each change)
+    # replaced, and sample-csv-check when each squared standard error came to
+    # be rounded once (CHANGES.md gives the size of each change)
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -784,7 +894,7 @@ class TestPlumbing:
             (
                 ("sample", "--sampler", "rayleigh", "--n", "200000", "--seed", "42",
                  "--check-against", "fkp:0.5", "--format", "csv"),
-                "1cae466890a6ef60856358e46c8de970160b8b8170dba089999d607fc8d8f7bc",
+                "17e29ebf3c568a391c6faa3b09461a210016205ada9013ddae522026b0f041b6",
             ),
             # recorded while csv.writer and DensityTable.to_csv were two CSV
             # writers: quoted labels, the manifest comment, a user grid's

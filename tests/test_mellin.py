@@ -12,6 +12,7 @@ import json
 import math
 import re
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,41 @@ class TestSpecs:
         with pytest.raises(ValueError, match="pole"):
             invert(spec, grid, contour=0.75)
         assert invert(spec, grid, contour=1.0).metadata["contour"] == 1.0
+
+    @pytest.mark.parametrize(
+        "spec, pole",
+        [(spec_from_exponential(), 0.0), (spec_from_fkp_quarter(), 0.0),
+         (spec_from_mittag_leffler(0.3), 0.0),
+         # Gamma(2s + 1) Gamma(s - 3/4) / Gamma(s/2 - 2/5): a denominator
+         # factor has no pole, though -b/a = 0.8 is the rightmost
+         (MellinSpec(log_prefactor=math.lgamma(0.1) - math.lgamma(3.0) - math.lgamma(0.25),
+                     log_base=0.0, factors=((2.0, 1.0, 1), (1.0, -0.75, 1), (0.5, -0.4, -1)),
+                     label="poles"), 0.75)],
+        ids=lambda v: v.label if isinstance(v, MellinSpec) else None,
+    )
+    def test_pole_is_the_rightmost_numerator_pole(self, spec, pole):
+        assert spec.pole == pole
+
+    def test_spec_without_numerator_has_no_pole(self):
+        # 1 / Gamma(s) is entire: M(1) = 1 and no contour is refused for a pole
+        spec = MellinSpec(log_prefactor=0.0, log_base=0.0, factors=((1.0, 0.0, -1),),
+                          label="entire")
+        assert spec.pole == -math.inf
+
+    def test_invert_reads_the_law_through_its_interface(self):
+        # a law that is not a MellinSpec, with log_mellin, mellin, label and
+        # pole alone, gives the spec's table bit for bit
+        spec = spec_from_mittag_leffler(0.5)
+        law = types.SimpleNamespace(
+            log_mellin=spec.log_mellin, mellin=spec.mellin, label=spec.label, pole=spec.pole
+        )
+        grid = log_grid(0.05, 5.0, 41)
+        want, got = invert(spec, grid), invert(law, grid)
+        assert got.density.tobytes() == want.density.tobytes()
+        assert got.metadata["raw_density"].tobytes() == want.metadata["raw_density"].tobytes()
+        law.pole = 0.5
+        with pytest.raises(ValueError, match=r"^numerator pole at s=0\.5 is not strictly left"):
+            invert(law, grid)
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):

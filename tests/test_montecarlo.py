@@ -295,19 +295,40 @@ class TestSummarize:
             SampleSummary("bad", 10, 0, moments, errors)
 
 
+# exact_sum's unit is 2**-EXACT_BITS: a subnormal's frexp digits shift left
+EXACT_BITS = 1074 + 53
+
+
+def exact_sum(v):
+    """The exact sum of the float array v, an integer in units of
+    2**-EXACT_BITS, from each value's 53 frexp digits summed per exponent."""
+    mantissa, exponent = np.frexp(v)
+    digits = (mantissa * 2.0**53).astype(np.int64)  # exact: |mantissa| < 1
+    return sum(
+        sum(digits[exponent == e].tolist()) << (e - 53 + EXACT_BITS)
+        for e in np.unique(exponent).tolist()
+    )
+
+
+def exact_standard_error(v):
+    """sqrt((n sum(v^2) - (sum v)^2) / (n^2 (n - 1))), the squared error
+    rounded once from exact sums of v and of its rounded squares."""
+    n = v.size
+    if n < 2:
+        return 0.0
+    s1, s2, unit = exact_sum(v), exact_sum(v * v), 2**EXACT_BITS
+    return math.sqrt(max((n * s2 * unit - s1 * s1) / (unit * unit * n * n * (n - 1)), 0.0))
+
+
 def reference_summarize(values, s_max):
-    """Moments and standard errors the way summarize computed them one order
-    at a time: exact sums of x**s and of its square (math.fsum, the same
-    correctly rounded double), divided by n, and sd / sqrt(n) from them."""
+    """Moments and standard errors one order at a time: the correctly
+    rounded sum of x**s (math.fsum) over n, and the exact standard error."""
     n = values.size
     moments, errors = [1.0], [0.0]
     for s in range(1, s_max + 1):
         v = values**s
-        mean = math.fsum(v.tolist()) / n
-        mean_sq = math.fsum((v * v).tolist()) / n
-        var = max(mean_sq - mean * mean, 0.0)
-        moments.append(mean)
-        errors.append(math.sqrt(var / (n - 1)) if n > 1 else 0.0)
+        moments.append(math.fsum(v.tolist()) / n)
+        errors.append(exact_standard_error(v))
     return np.array(moments), np.array(errors)
 
 
@@ -330,6 +351,12 @@ class TestOnePassSummarize:
         assert summary.moments.tobytes() == moments.tobytes()
         assert summary.standard_errors.tobytes() == errors.tobytes()
 
+    def test_constant_sample_clamps_its_error_at_zero(self):
+        # 0.7**2 rounds down, so n sum(x^2) - (sum x)^2 is below 0 here
+        x = np.full(1000, 0.7)
+        assert x.size * exact_sum(x * x) * 2**EXACT_BITS < exact_sum(x) ** 2
+        assert summarize(x, 1, 0, "constant").standard_errors.tolist() == [0.0, 0.0]
+
     def test_laplace_check_matches_per_lambda_reference(self):
         n, lambdas = 3 * _CHUNK + 1, (0.5, 1.0, 2.0)
         report = stable_laplace_check(0.5, lambdas, n, STABLE_SEED)
@@ -337,8 +364,7 @@ class TestOnePassSummarize:
         for lam, dev in zip(lambdas, report.deviations.tolist()):
             v = np.exp(-lam * s)
             mean = math.fsum(v.tolist()) / n
-            var = max(math.fsum((v * v).tolist()) / n - mean * mean, 0.0)
-            assert dev == abs(mean - math.exp(-(lam**0.5))) / math.sqrt(var / (n - 1))
+            assert dev == abs(mean - math.exp(-(lam**0.5))) / exact_standard_error(v)
 
 
 STREAM_LENGTHS = (1, 65535, 65536, 65537, 3 * 65536 + 5)
