@@ -163,12 +163,12 @@ def _exact_means(blocks, n: int, terms, pairs, names) -> tuple[list[float], list
     Mean i is the sum of the arrays that ``terms`` yields at position
     ``pairs[i][0]``, over n; the sum at ``pairs[i][1]``, which must be
     their squares, gives its squared error (n sum(x^2) - (sum x)^2) /
-    (n^2 (n - 1)), formed from the exact sums and rounded once.  A sum may serve several means, as
-    order 2's values serve as order 1's squares in ``_summary``.  This is
-    the small superaccumulator of Neal, "Fast exact summation using small
-    and large superaccumulators" (arXiv:1505.05571): each mean is the
-    correctly rounded exact sum over n, the same double that ``math.fsum``
-    gives, whatever the block order.  Raises OverflowError with the first of
+    (n^2 (n - 1)), formed from the exact sums and rounded once.  A sum may
+    serve several means, as order 2's values serve as order 1's squares in
+    ``_summary``.  This is the small superaccumulator of Neal, "Fast exact
+    summation using small and large superaccumulators" (arXiv:1505.05571):
+    each mean is the correctly rounded exact sum over n, the same double
+    that ``math.fsum`` gives, whatever the block order.  Raises OverflowError with the first of
     ``names`` whose value, square or sum is not finite.
     """
     totals = _exact_sums(blocks, terms, 1 + max(map(max, pairs)))
