@@ -167,9 +167,9 @@ def _exact_means(blocks, n: int, terms, pairs, names) -> tuple[list[float], list
     serve several means, as order 2's values serve as order 1's squares in
     ``_summary``.  This is the small superaccumulator of Neal, "Fast exact
     summation using small and large superaccumulators" (arXiv:1505.05571):
-    each mean is the correctly rounded exact sum over n, the same double
-    that ``math.fsum`` gives, whatever the block order.  Raises OverflowError with the first of
-    ``names`` whose value, square or sum is not finite.
+    each mean is the exact sum over n, rounded once, whatever the block
+    order.  Raises OverflowError with the first of ``names`` whose value,
+    square or sum is not finite.
     """
     totals = _exact_sums(blocks, terms, 1 + max(map(max, pairs)))
     means, errors = [], []
@@ -177,7 +177,7 @@ def _exact_means(blocks, n: int, terms, pairs, names) -> tuple[list[float], list
         try:
             if totals[value] is None or totals[square] is None:
                 raise OverflowError  # a value or a square, found in a block
-            mean = totals[value] / _SUM_SCALE / n  # int / int rounds correctly
+            mean = totals[value] / (_SUM_SCALE * n)  # int / int rounds correctly
             spread = n * totals[square] * _SUM_SCALE - totals[value] ** 2  # exact int
             se_sq = spread / (_SUM_SCALE**2 * n * n * (n - 1)) if n > 1 else 0.0
         except OverflowError:

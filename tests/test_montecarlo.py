@@ -10,6 +10,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -320,14 +321,18 @@ def exact_standard_error(v):
     return math.sqrt(max((n * s2 * unit - s1 * s1) / (unit * unit * n * n * (n - 1)), 0.0))
 
 
+def exact_mean(v):
+    """The exact sum of the float array v over its size, rounded once."""
+    return float(Fraction(exact_sum(v), 2**EXACT_BITS * v.size))
+
+
 def reference_summarize(values, s_max):
-    """Moments and standard errors one order at a time: the correctly
-    rounded sum of x**s (math.fsum) over n, and the exact standard error."""
-    n = values.size
+    """Moments and standard errors one order at a time: the exact mean of
+    x**s and the exact standard error."""
     moments, errors = [1.0], [0.0]
     for s in range(1, s_max + 1):
         v = values**s
-        moments.append(math.fsum(v.tolist()) / n)
+        moments.append(exact_mean(v))
         errors.append(exact_standard_error(v))
     return np.array(moments), np.array(errors)
 
@@ -351,6 +356,16 @@ class TestOnePassSummarize:
         assert summary.moments.tobytes() == moments.tobytes()
         assert summary.standard_errors.tobytes() == errors.tobytes()
 
+    @pytest.mark.parametrize("sampler", ["rayleigh", "mittag-leffler"])
+    def test_each_mean_is_rounded_once(self, sampler):
+        # the exact sum rounded to a double and then divided by n rounds
+        # twice, and differs from this by one ulp in some of these means
+        x = one_pass_sample(sampler, 1000)
+        summary = summarize(x, 4, 0, sampler)
+        for s in range(1, 5):
+            total = sum(map(Fraction, (x**s).tolist()))
+            assert summary.moments[s] == float(total / x.size)
+
     def test_constant_sample_clamps_its_error_at_zero(self):
         # 0.7**2 rounds down, so n sum(x^2) - (sum x)^2 is below 0 here
         x = np.full(1000, 0.7)
@@ -363,7 +378,7 @@ class TestOnePassSummarize:
         s = positive_stable_samples(0.5, n, STABLE_SEED)
         for lam, dev in zip(lambdas, report.deviations.tolist()):
             v = np.exp(-lam * s)
-            mean = math.fsum(v.tolist()) / n
+            mean = exact_mean(v)
             assert dev == abs(mean - math.exp(-(lam**0.5))) / exact_standard_error(v)
 
 
