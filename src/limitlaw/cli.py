@@ -11,13 +11,18 @@ produce byte-identical output.  ``_write`` alone turns it into text: CSV with
 17 significant digits, None as an empty field, minimal quoting and
 ``# key=value`` comment lines, and strict JSON with shortest round-trip floats
 (a non-finite value exits 2).  A non-finite value on a float flag is a usage
-error.
+error, and so is a law flag that the named law or identity does not read.
+
+Only ``gammakit`` and ``moments`` load with this module: ``check`` loads
+``identities``, ``density`` loads ``mellin`` and ``sample`` loads
+``montecarlo`` when it runs (``_module``).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import itertools
 import json
 import math
@@ -27,15 +32,6 @@ import numpy as np
 
 from . import __version__
 from .gammakit import log_gamma
-from .identities import adjudicate_phi_convention, compare
-from .mellin import (
-    MellinInversionError,
-    default_grid,
-    invert,
-    log_grid,
-    spec_from_fkp_quarter,
-    spec_from_mittag_leffler,
-)
 from .moments import (
     BesselParams,
     MomentSequence,
@@ -50,14 +46,13 @@ from .moments import (
     tilt,
     tilted_moments,
 )
-from .montecarlo import (
-    SplitKernel,
-    _ratio_check_inputs,
-    sample_mittag_leffler,
-    sample_rayleigh,
-    scale_free_ratio_check,
-    simulate_tree_cost,
-)
+
+
+def _module(name: str):
+    """The package's module ``name``, imported on first use.  A caller looks
+    each function up on the module when it runs, so it calls a name rebound
+    there."""
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 def _finite_float(text: str) -> float:
@@ -241,44 +236,72 @@ def _tilted(args) -> MomentSequence:
 
 
 def _tree_summary(args):
-    kernel = SplitKernel.from_csv(args.kernel_file) if args.kernel_file else SplitKernel.uniform()
+    montecarlo = _module("montecarlo")
+    kernel = (montecarlo.SplitKernel.from_csv(args.kernel_file) if args.kernel_file
+              else montecarlo.SplitKernel.uniform())
     reps = 10000 if args.reps is None else args.reps
-    return simulate_tree_cost(kernel, args.toll_exponent, args.n, reps, args.seed, args.smax)
+    return montecarlo.simulate_tree_cost(
+        kernel, args.toll_exponent, args.n, reps, args.seed, args.smax
+    )
 
 
-# law -> (the flags it cannot run without, {selector: builder(args)}): the
-# moment sequence of --which, the MellinSpec of --spec or the sample summary
-# of --sampler.  Each selector offers its laws in this order.  A builder looks
-# this module's names up when it runs, so it calls a name rebound here.
+_ROUTE = ("alpha", "beta", "d", "p", "a_prime")  # the flags _resolve_bessel reads
+
+# law -> (the flags it cannot run without, the other law flags it reads,
+# {selector: builder(args)}): the moment sequence of --which, the MellinSpec
+# of --spec or the sample summary of --sampler.  Each selector offers its laws
+# in this order.  A builder looks names up when it runs, here or on the module
+# (_module), so it calls a name rebound there.
 _LAWS = {
-    "fkp": (("a_prime",), {"which": lambda a: fkp_moments(a.a_prime, a.smax)}),
-    "local-time": ((), {"which": lambda a: local_time_moments(_resolve_bessel(a, a.t), a.smax)}),
-    "tilted": ((), {"which": _tilted}),
-    "exp-functional": (
-        (), {"which": lambda a: exp_functional_moments(_resolve_bessel(a, a.t), a.smax)}
+    "fkp": (("a_prime",), (), {"which": lambda a: fkp_moments(a.a_prime, a.smax)}),
+    "local-time": (
+        (), _ROUTE, {"which": lambda a: local_time_moments(_resolve_bessel(a, a.t), a.smax)}
     ),
-    "fkp-quarter": ((), {"spec": lambda a: spec_from_fkp_quarter()}),
-    "rayleigh": ((), {"sampler": lambda a: sample_rayleigh(a.sigma, a.n, a.seed, a.smax)}),
-    "mittag-leffler": (("alpha",), {
-        "which": lambda a: mittag_leffler_moments(a.alpha, a.smax),
-        "spec": lambda a: spec_from_mittag_leffler(a.alpha),
-        "sampler": lambda a: sample_mittag_leffler(a.alpha, a.n, a.seed, a.smax),
+    "tilted": ((), _ROUTE, {"which": _tilted}),
+    "exp-functional": (
+        (), _ROUTE, {"which": lambda a: exp_functional_moments(_resolve_bessel(a, a.t), a.smax)}
+    ),
+    "fkp-quarter": ((), (), {"spec": lambda a: _module("mellin").spec_from_fkp_quarter()}),
+    "rayleigh": ((), (), {
+        "sampler": lambda a: _module("montecarlo").sample_rayleigh(a.sigma, a.n, a.seed, a.smax),
     }),
-    "tree": ((), {"sampler": _tree_summary}),
+    "mittag-leffler": (("alpha",), (), {
+        "which": lambda a: mittag_leffler_moments(a.alpha, a.smax),
+        "spec": lambda a: _module("mellin").spec_from_mittag_leffler(a.alpha),
+        "sampler": lambda a: _module("montecarlo").sample_mittag_leffler(
+            a.alpha, a.n, a.seed, a.smax
+        ),
+    }),
+    "tree": ((), ("reps", "kernel_file"), {"sampler": _tree_summary}),
 }
 
 
 def _names(selector: str) -> tuple:
-    return tuple(name for name, (_, builders) in _LAWS.items() if selector in builders)
+    return tuple(name for name, (*_, builders) in _LAWS.items() if selector in builders)
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _refuse_unread(args, selector: str, reads, entries) -> None:
+    """Refuse a flag given that one of ``entries`` (each the flags of one law
+    or identity) reads but the one named by ``args.<selector>`` does not: it
+    reads ``reads``."""
+    for flag in dict.fromkeys(itertools.chain(*entries)):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise ValueError(f"--{selector} {getattr(args, selector)} does not read {_flag(flag)}")
 
 
 def _build(args, selector: str):
     """What the law named by ``args.<selector>`` builds for that selector."""
     name = getattr(args, selector)
-    required, builders = _LAWS[name]
+    required, optional, builders = _LAWS[name]
     for flag in required:
         if getattr(args, flag) is None:
-            raise ValueError(f"--{selector} {name} requires --{flag.replace('_', '-')}")
+            raise ValueError(f"--{selector} {name} requires {_flag(flag)}")
+    entries = ((*r, *o) for r, o, b in _LAWS.values() if selector in b)
+    _refuse_unread(args, selector, (*required, *optional), entries)
     return builders[selector](args)
 
 
@@ -344,6 +367,8 @@ _IDENTITIES = {
 def cmd_check(args) -> int:
     identity = args.identity
     tol, grids, sides = _IDENTITIES[identity]
+    _refuse_unread(args, "identity", grids, (flags for _, flags, _ in _IDENTITIES.values()))
+    identities = _module("identities")
     if args.tol is not None:
         tol = args.tol
     points = itertools.product(
@@ -351,7 +376,7 @@ def cmd_check(args) -> int:
           for flag, default in grids.items())
     )
     if sides is None:  # phi-adjudicate: a diagnostic, never a failure
-        results = [adjudicate_phi_convention(*point, args.smax, tol) for point in points]
+        results = [identities.adjudicate_phi_convention(*point, args.smax, tol) for point in points]
         header = ("a_prime", "convention", "max_deviation", "log10_slope", "pass")
         rows = (
             (r.a_prime, conv, rep.max_deviation, r.slopes[conv], rep.passed)
@@ -360,7 +385,7 @@ def cmd_check(args) -> int:
         )
         code = 0
     else:
-        results = [compare(*sides(*point, args.smax), tol) for point in points]
+        results = [identities.compare(*sides(*point, args.smax), tol) for point in points]
         header = ("identity", "label_a", "label_b", "max_deviation", "tolerance", "pass")
         rows = (
             (identity, r.label_a, r.label_b, r.max_deviation, r.tolerance, r.passed)
@@ -375,9 +400,14 @@ def cmd_density(args) -> int:
     spec = _build(args, "spec")
     if (args.grid_min is None) != (args.grid_max is None):
         raise ValueError("--grid-min and --grid-max must be given together")
-    grid = (default_grid(spec, args.grid_points) if args.grid_min is None
-            else log_grid(args.grid_min, args.grid_max, args.grid_points))
-    table = invert(spec, grid, contour=args.contour, step=args.step, height=args.height)
+    mellin = _module("mellin")
+    grid = (mellin.default_grid(spec, args.grid_points) if args.grid_min is None
+            else mellin.log_grid(args.grid_min, args.grid_max, args.grid_points))
+    try:
+        table = mellin.invert(spec, grid, contour=args.contour, step=args.step, height=args.height)
+    except mellin.MellinInversionError as exc:  # the reconstruction failed: exit 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _write(args, table.to_csv, table.to_dict)
     return 0
 
@@ -393,11 +423,14 @@ def _parse_check_against(text: str) -> float:
 
 
 def cmd_sample(args) -> int:
+    montecarlo = _module("montecarlo")
     a_prime = None
     if args.check_against is not None:  # refused before any draw
-        a_prime = _ratio_check_inputs(args.smax, _parse_check_against(args.check_against))
+        a_prime = montecarlo._ratio_check_inputs(
+            args.smax, _parse_check_against(args.check_against)
+        )
     summary = _build(args, "sampler")
-    check = None if a_prime is None else scale_free_ratio_check(summary, a_prime)
+    check = None if a_prime is None else montecarlo.scale_free_ratio_check(summary, a_prime)
 
     def table():
         comments = [[("sampler", summary.sampler), *summary.sizes, ("seed", summary.seed)]]
@@ -435,9 +468,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except MellinInversionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

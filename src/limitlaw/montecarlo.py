@@ -31,10 +31,10 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .identities import ComparisonReport
 from .moments import (
     _require_alpha,
     _require_order,
@@ -43,6 +43,9 @@ from .moments import (
     _require_toll,
     fkp_moments,
 )
+
+if TYPE_CHECKING:  # imported where a report is built: a sample alone never loads identities
+    from .identities import ComparisonReport
 
 __all__ = [
     "SampleSummary",
@@ -763,6 +766,8 @@ def _standard_error_report(label_a: str, label_b: str, rows, params: dict) -> Co
     """Report of |empirical - target| / standard error for each
     (empirical, target, standard error) row, with tolerance 3; a zero
     standard error gives 0 when the two agree and inf otherwise."""
+    from .identities import ComparisonReport
+
     devs = [
         (0.0 if emp == target else math.inf) if se == 0.0 else abs(emp - target) / se
         for emp, target, se in rows

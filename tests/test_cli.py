@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitlaw import cli, moments
+from limitlaw import cli, moments, montecarlo
 from limitlaw.cli import main
 
 # P(K_n = k) proportional to k for n <= 30, with every k divisible by 3 left
@@ -214,18 +214,20 @@ class TestBesselRoutes:
 
 # The subcommand of each law selector, and the fewest flags a law runs with
 # beyond its required ones: a Bessel route for the Bessel moments, and a
-# small size for the rest
+# small size for the rest (the tree's replicates too)
 _SUBCOMMANDS = {"which": "moments", "spec": "density", "sampler": "sample"}
 _REQUIRED_VALUES = {"a_prime": "0.5", "alpha": "0.5"}
 _SIZE_FLAGS = {"which": ("--smax", "3"), "spec": ("--grid-points", "41"),
-               "sampler": ("--n", "50", "--reps", "50")}
-_LAW_USES = [(name, selector) for name, (_, builders) in cli._LAWS.items() for selector in builders]
+               "sampler": ("--n", "50")}
+_LAW_USES = [(name, selector) for name, (*_, builders) in cli._LAWS.items() for selector in builders]
 
 
 def _law_argv(name, selector, flags):
     argv = [_SUBCOMMANDS[selector], f"--{selector}", name, *_SIZE_FLAGS[selector]]
     if selector == "which" and not cli._LAWS[name][0]:
         argv += ["--a-prime", "0.5"]  # a Bessel law's route
+    if name == "tree":
+        argv += ["--reps", "50"]
     for flag in flags:
         argv += [f"--{flag.replace('_', '-')}", _REQUIRED_VALUES[flag]]
     return argv
@@ -589,7 +591,7 @@ class TestSampleCommand:
             raise AssertionError("the sample was drawn before --check-against was checked")
 
         for name in ("sample_rayleigh", "sample_mittag_leffler", "simulate_tree_cost"):
-            monkeypatch.setattr(cli, name, no_draws)
+            monkeypatch.setattr(montecarlo, name, no_draws)
         code, out, err = run_cli(
             capsys, "sample", "--sampler", sampler, "--alpha", "0.5", "--n", "100", *flags
         )
