@@ -219,7 +219,9 @@ _SUBCOMMANDS = {"which": "moments", "spec": "density", "sampler": "sample"}
 _REQUIRED_VALUES = {"a_prime": "0.5", "alpha": "0.5"}
 _SIZE_FLAGS = {"which": ("--smax", "3"), "spec": ("--grid-points", "41"),
                "sampler": ("--n", "50")}
-_LAW_USES = [(name, selector) for name, (*_, builders) in cli._LAWS.items() for selector in builders]
+_LAW_USES = [
+    (name, selector) for name, (*_, builders) in cli._LAWS.items() for selector in builders
+]
 
 
 def _law_argv(name, selector, flags):
@@ -261,6 +263,68 @@ class TestLawTable:
         flags = [f for f in cli._LAWS[name][0] if f != flag]
         assert run_cli_showing_warnings(_law_argv(name, selector, flags)) == (
             2, "", f"error: --{selector} {name} requires --{flag.replace('_', '-')}\n"
+        )
+
+
+# The law flags of each subcommand (those whose default is None), and the
+# ones each law and each identity reads; any other is refused
+_BESSEL = ("alpha", "beta", "d", "p", "a_prime")
+_LAW_FLAGS = {"which": _BESSEL, "spec": ("alpha",), "sampler": ("alpha", "reps", "kernel_file")}
+_LAW_READS = {
+    "fkp": ("a_prime",), "local-time": _BESSEL, "tilted": _BESSEL, "exp-functional": _BESSEL,
+    "mittag-leffler": ("alpha",), "fkp-quarter": (), "rayleigh": (),
+    "tree": ("reps", "kernel_file"),
+}
+_IDENTITY_READS = {
+    "tilt": ("alpha", "beta"), "corollary": ("a_prime",), "mittag-leffler": ("alpha",),
+    "exp-functional": ("alpha", "beta"), "phi-adjudicate": ("a_prime",),
+    "t-independence": ("alpha", "beta"),
+}
+_FLAG_VALUES = {"a_prime": "0.5", "alpha": "0.5", "beta": "0.5", "d": "1", "p": "0",
+                "reps": "5", "kernel_file": "nope.csv"}
+
+
+class TestUnreadFlags:
+    """A law flag that the named law or identity never reads exits 2 with one
+    line, before any work, where it used to be ignored."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("moments", "--which", "fkp", "--a-prime", "0.5", "--alpha", "0.3", "--d", "1"),
+             "--which fkp does not read --alpha"),
+            (("sample", "--sampler", "rayleigh", "--n", "10", "--reps", "7",
+              "--kernel-file", "nope.csv"),
+             "--sampler rayleigh does not read --reps"),
+        ],
+        ids=["moments-fkp", "sample-rayleigh"],
+    )
+    def test_found_argvs_exit_2(self, argv, message):
+        assert run_cli_showing_warnings(list(argv)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "name, selector, flag",
+        [(name, selector, flag) for name, selector in _LAW_USES
+         for flag in _LAW_FLAGS[selector] if flag not in _LAW_READS[name]],
+        ids=str,
+    )
+    def test_each_unread_law_flag_exits_2(self, name, selector, flag):
+        argv = _law_argv(name, selector, cli._LAWS[name][0])
+        argv += [f"--{flag.replace('_', '-')}", _FLAG_VALUES[flag]]
+        assert run_cli_showing_warnings(argv) == (
+            2, "", f"error: --{selector} {name} does not read --{flag.replace('_', '-')}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "identity, flag",
+        [(identity, flag) for identity, reads in _IDENTITY_READS.items()
+         for flag in ("alpha", "beta", "a_prime") if flag not in reads],
+        ids=str,
+    )
+    def test_each_unread_grid_flag_exits_2(self, identity, flag):
+        argv = ["check", "--identity", identity, f"--{flag.replace('_', '-')}", "0.5"]
+        assert run_cli_showing_warnings(argv) == (
+            2, "", f"error: --identity {identity} does not read --{flag.replace('_', '-')}\n"
         )
 
 

@@ -1,13 +1,18 @@
-"""The package surface and its input rules.
+"""The package surface, its loading and its input rules.
 
 ``limitlaw.__all__`` is built from each module's ``__all__``, so these tests
-pin the names it exports.  Each input rule is raised by one checker in
-``limitlaw.moments``, so entry points in every module that take such an
-input refuse a bad value with that rule's one wording.
+pin the names it exports.  The package loads its modules on first use, so
+fresh interpreters check what each entry point loads.  Each input rule is
+raised by one checker in ``limitlaw.moments``, so entry points in every
+module that take such an input refuse a bad value with that rule's one
+wording.
 """
 
+import json
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +103,91 @@ class TestSurface:
     def test_every_name_resolves(self):
         for name in limitlaw.__all__:
             assert hasattr(limitlaw, name), name
+
+
+def fresh(code, *argv):
+    """What ``code`` prints as JSON, run in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout)
+
+
+_LOADED = (
+    "import contextlib, io, json, sys\n"
+    "import limitlaw.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = limitlaw.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('limitlaw'))]))\n"
+)
+_CLI = ["limitlaw", "limitlaw.cli", "limitlaw.gammakit", "limitlaw.moments"]
+
+
+class TestLoading:
+    """The package loads no module until a name of it is asked for, and the
+    CLI loads only the modules its subcommand runs."""
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            ((), []),
+            (("moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "3"), []),
+            (("check", "--identity", "corollary", "--a-prime", "0.5"), ["limitlaw.identities"]),
+            (("density", "--spec", "fkp-quarter", "--grid-points", "41"), ["limitlaw.mellin"]),
+            (("sample", "--sampler", "rayleigh", "--n", "100"), ["limitlaw.montecarlo"]),
+            (("sample", "--sampler", "rayleigh", "--n", "100", "--check-against", "fkp:0.5"),
+             ["limitlaw.identities", "limitlaw.montecarlo"]),
+        ],
+        ids=["import", "moments", "check", "density", "sample", "sample-check-against"],
+    )
+    def test_cli_loads_the_modules_its_subcommand_runs(self, argv, extra):
+        code, loaded = fresh(_LOADED, *argv)
+        assert code in (0, 1)
+        assert loaded == sorted(_CLI + extra)
+
+    def test_first_name_loads_every_module(self):
+        loaded = fresh(
+            "import json, sys\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.startswith('limitlaw'))\n"
+            "import limitlaw\n"
+            "before = loaded()\n"
+            "limitlaw.invert\n"
+            "print(json.dumps([before, loaded()]))"
+        )
+        assert loaded == [
+            ["limitlaw"],
+            ["limitlaw", *(f"limitlaw.{m}" for m in
+                           ("gammakit", "identities", "mellin", "moments", "montecarlo"))],
+        ]
+
+    def test_star_import_binds_all(self):
+        names = fresh(
+            "import json\n"
+            "from limitlaw import *\n"
+            "import limitlaw\n"
+            "print(json.dumps([sorted(n for n in globals() if n in limitlaw.__all__), "
+            "limitlaw.__all__]))"
+        )
+        assert names == [sorted(PUBLIC_NAMES), PUBLIC_NAMES]
+
+    def test_dir_covers_all(self):
+        covered = fresh("import json, limitlaw\n"
+                        "print(json.dumps(set(limitlaw.__all__) <= set(dir(limitlaw))))")
+        assert covered is True
+
+    def test_module_import_gives_the_re_exports(self):
+        same = fresh(
+            "import json\n"
+            "from limitlaw import mellin\n"
+            "import limitlaw\n"
+            "print(json.dumps([limitlaw.invert is limitlaw.mellin.invert is mellin.invert, "
+            "limitlaw.log_gamma is limitlaw.gammakit.log_gamma]))"
+        )
+        assert same == [True, True]
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="^module 'limitlaw' has no attribute 'nope'$"):
+            limitlaw.nope  # noqa: B018
 
 
 _SPEC = spec_from_exponential()
