@@ -284,24 +284,34 @@ def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
-def _refuse_unread(args, selector: str, reads, entries) -> None:
-    """Refuse a flag given that one of ``entries`` (each the flags of one law
-    or identity) reads but the one named by ``args.<selector>`` does not: it
-    reads ``reads``."""
-    for flag in dict.fromkeys(itertools.chain(*entries)):
-        if flag not in reads and getattr(args, flag) is not None:
-            raise ValueError(f"--{selector} {getattr(args, selector)} does not read {_flag(flag)}")
+@functools.cache
+def _unread(selector: str, name: str) -> tuple:
+    """The flags that some law of ``selector`` reads (some identity, for
+    ``identity``) and ``name`` does not, in table order."""
+    if selector == "identity":
+        reads = {key: tuple(grids) for key, (_, grids, _) in _IDENTITIES.items()}
+    else:
+        reads = {key: (*r, *o) for key, (r, o, builders) in _LAWS.items() if selector in builders}
+    return tuple(f for f in dict.fromkeys(itertools.chain(*reads.values())) if f not in reads[name])
+
+
+def _refuse_unread(args, selector: str) -> None:
+    """Refuse a flag given that the law or identity named by
+    ``args.<selector>`` does not read."""
+    name = getattr(args, selector)
+    for flag in _unread(selector, name):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{selector} {name} does not read {_flag(flag)}")
 
 
 def _build(args, selector: str):
     """What the law named by ``args.<selector>`` builds for that selector."""
     name = getattr(args, selector)
-    required, optional, builders = _LAWS[name]
+    required, _, builders = _LAWS[name]
     for flag in required:
         if getattr(args, flag) is None:
             raise ValueError(f"--{selector} {name} requires {_flag(flag)}")
-    entries = ((*r, *o) for r, o, b in _LAWS.values() if selector in b)
-    _refuse_unread(args, selector, (*required, *optional), entries)
+    _refuse_unread(args, selector)
     return builders[selector](args)
 
 
@@ -367,7 +377,7 @@ _IDENTITIES = {
 def cmd_check(args) -> int:
     identity = args.identity
     tol, grids, sides = _IDENTITIES[identity]
-    _refuse_unread(args, "identity", grids, (flags for _, flags, _ in _IDENTITIES.values()))
+    _refuse_unread(args, "identity")
     identities = _module("identities")
     if args.tol is not None:
         tol = args.tol
