@@ -24,8 +24,8 @@ def _load() -> None:
         importlib.import_module(f"{__name__}.{name}")
         for name in ("gammakit", "moments", "identities", "mellin", "montecarlo")
     )
-    names = {name: getattr(gammakit, name)
-             for name in ("log_gamma", "log_gamma_complex", "log_beta")}
+    names = {"log_gamma": gammakit.log_gamma, "log_gamma_complex": mellin.log_gamma_complex,
+             "log_beta": gammakit.log_beta}
     # each module's __all__ is the one list of its public names
     for module in (moments, identities, mellin, montecarlo):
         names.update((name, getattr(module, name)) for name in module.__all__)

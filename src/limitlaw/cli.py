@@ -13,9 +13,10 @@ produce byte-identical output.  ``_write`` alone turns it into text: CSV with
 (a non-finite value exits 2).  A non-finite value on a float flag is a usage
 error, and so is a law flag that the named law or identity does not read.
 
-Only ``gammakit`` and ``moments`` load with this module: ``check`` loads
-``identities``, ``density`` loads ``mellin`` and ``sample`` loads
-``montecarlo`` when it runs (``_module``).
+Only ``gammakit`` and ``moments`` load with this module, and neither loads
+numpy.  ``check`` loads ``identities`` when it runs (``_module``), which
+loads no numpy either; ``density`` loads ``mellin`` and ``sample`` loads
+``montecarlo``, and with them numpy.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import itertools
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import __version__
 from .gammakit import log_gamma
@@ -185,16 +184,17 @@ def _write(args, table, payload) -> None:
     Only the requested format is built.  The manifest is the first CSV comment,
     the first JSON line, or the ``"manifest"`` key of a single JSON object.
     This is the only CSV writer, and a row costs one ``str.format`` call: a
-    float array column is formatted by the row template, any other by ``_cell``.
+    column whose values are all Python floats is formatted by the row
+    template, any other by ``_cell``, which gives the same text.
     """
     manifest = _manifest(args) if args.manifest else None
     if args.format == "csv":
         comments, header, columns = table()
         if manifest is not None:
             comments = [[("manifest", json.dumps(manifest, allow_nan=False))], *comments]
-        floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+        floats = [set(map(type, c)) <= {float} for c in columns]
         row = ",".join("{:.17g}" if f else "{}" for f in floats) + "\n"
-        cells = [c.tolist() if f else map(_cell, c) for c, f in zip(columns, floats)]
+        cells = [c if f else map(_cell, c) for c, f in zip(columns, floats)]
         text = "".join(
             "# " + " ".join(f"{key}={_text(value)}" for key, value in line) + "\n"
             for line in comments
@@ -319,8 +319,8 @@ def cmd_moments(args) -> int:
     seq = _build(args, "which")
     _write(
         args,
-        lambda: ([[("label", seq.label)]], ("s", "value"), (range(seq.values.size), seq.values)),
-        lambda: {**seq.to_dict(), "rows": [[s, float(v)] for s, v in enumerate(seq.values)]},
+        lambda: ([[("label", seq.label)]], ("s", "value"), (range(len(seq)), seq.values)),
+        lambda: {**seq.to_dict(), "rows": [[s, v] for s, v in enumerate(seq.values)]},
     )
     return 0
 
@@ -350,7 +350,8 @@ def _exp_functional_sides(alpha, beta, s_max):
 def _t_independence_sides(alpha, beta, s_max):
     def scaled_via(t):
         params = BesselParams(alpha, beta, t)
-        values = local_time_moments(params, s_max).values / kappa(params) ** np.arange(s_max + 1)
+        k = kappa(params)
+        values = [v / k**s for s, v in enumerate(local_time_moments(params, s_max).values)]
         values[0] = 1.0
         label = f"scaled-via-t={t:g}(alpha={alpha:g}, beta={beta:g})"
         return MomentSequence(values, label, {"alpha": alpha, "beta": beta, "t": t})

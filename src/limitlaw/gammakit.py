@@ -3,7 +3,8 @@
 Downstream code multiplies chains of up to ~40 gamma ratios; those chains
 overflow double precision long before the ratios themselves are large, so all
 of them are assembled from the log values returned here and exponentiated
-once at the end.  Only ``math`` and numpy are needed.
+once at the end.  Only ``math`` is needed: a sequence of arguments is mapped
+through the scalar kernel, so this module loads without numpy.
 
 The real branch must keep the *absolute* error of ln Gamma(x) below 1e-13
 even where ln Gamma(x) ~ 700 (that is what a 1e-13 relative error on
@@ -16,18 +17,16 @@ a Stirling series whose dominant term (x - 1/2) * ln(x) is carried in
 double-double arithmetic.  Differences ln Gamma(x) - ln Gamma(x + b), and
 with them ln B, cancel that dominant term analytically instead.
 
-The complex branch is the same Stirling series in real float64 arithmetic,
-after the recurrence Gamma(s) = Gamma(s + 10) / (s (s + 1) ... (s + 9)) for
-|s| < 10.
+The complex kernel ``log_gamma_complex`` is the same Stirling series on numpy
+arrays; it lives in ``mellin``, its one caller, and this module's name for
+it loads ``mellin`` on first use.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-__all__ = ["log_gamma", "log_gamma_array", "log_gamma_ratio", "log_gamma_complex", "log_beta"]
+__all__ = ["log_gamma", "log_gamma_array", "log_gamma_ratio", "log_beta"]
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
@@ -58,9 +57,6 @@ _RATIO_CUTOVER = 10.0
 
 # Below this, Gamma(x) ~ 1/x overflows a double.
 _GAMMA_OVERFLOW = 1e-300
-
-# Complex arguments with |s| < _SHIFT are moved to s + _SHIFT first.
-_SHIFT = 10
 
 
 def _log_gamma_real(x: float) -> float:
@@ -140,9 +136,9 @@ def _log_gamma_stirling(x: float) -> float:
     return total + (((c1 + c2) + (c3 + _HALF_LN_2PI_LO)) + (p_lo + xm * lx_lo))
 
 
-def log_gamma_array(x) -> np.ndarray:
-    """Vectorized ln Gamma for arrays of positive reals; the scalar
-    ``log_gamma`` applied to each entry, so the bits match it.
+def log_gamma_array(x) -> list:
+    """ln Gamma of each entry of a sequence of positive reals, as a list; the
+    scalar ``log_gamma`` applied to each entry, so the bits match it.
 
     Raises
     ------
@@ -152,14 +148,13 @@ def log_gamma_array(x) -> np.ndarray:
     return _map_positive(_log_gamma_real, x, "log_gamma_array")
 
 
-def _map_positive(f, x, name: str) -> np.ndarray:
+def _map_positive(f, x, name: str) -> list:
     """f applied to each entry of x as a Python float, after checking that
     every entry is finite and positive."""
-    arr = np.asarray(x, dtype=float)
-    # one min/max pass each; a NaN entry fails the comparison as well
-    if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):
+    values = [float(v) for v in x]
+    if not all(0.0 < v < math.inf for v in values):  # NaN fails too
         raise ValueError(f"{name} requires finite entries > 0")
-    return np.array([f(v) for v in arr.ravel().tolist()], dtype=float).reshape(arr.shape)
+    return [f(v) for v in values]
 
 
 def _log_gamma_ratio(x: float, b: float) -> float:
@@ -176,9 +171,9 @@ def _log_gamma_ratio(x: float, b: float) -> float:
     )
 
 
-def log_gamma_ratio(x, b: float) -> np.ndarray:
-    """ln Gamma(x) - ln Gamma(x + b) for an array of positive reals x and a
-    real b > 0, entry by entry.
+def log_gamma_ratio(x, b: float) -> list:
+    """ln Gamma(x) - ln Gamma(x + b) for each entry of a sequence of positive
+    reals x and a real b > 0, as a list.
 
     Differencing two ``log_gamma_array`` results keeps each one's ~1e-13
     absolute rounding where ln Gamma(x) is large; here the error stays below
@@ -194,104 +189,6 @@ def log_gamma_ratio(x, b: float) -> np.ndarray:
     if not (math.isfinite(b) and b > 0.0):
         raise ValueError(f"log_gamma_ratio requires a finite b > 0, got {b!r}")
     return _map_positive(lambda v: _log_gamma_ratio(v, b), x, "log_gamma_ratio")
-
-
-def _log_half(v):
-    """0.5 * ln(v) for positive float arrays, as a head/tail pair whose head
-    carries few bits."""
-    m, e = np.frexp(v)
-    return (0.5 * _LN2_HI) * e, 0.5 * (e * _LN2_LO + np.log(m))
-
-
-def _log_gamma_complex_vec(x, y):
-    """(Re, Im) of ln Gamma(x + iy) for contiguous float arrays with x > 0.
-
-    Only real elementwise float64 operations are used, so each point's
-    bits depend on that point alone, and the result is exactly
-    conjugate-symmetric.
-    """
-    near = x * x + y * y < _SHIFT * _SHIFT
-    zx = np.where(near, x + _SHIFT, x)
-    sq = zx * zx + y * y
-    log_hi, log_lo = _log_half(sq)  # ln|z|
-    theta = np.arctan2(y, zx)  # arg z
-    xm = zx - 0.5
-    # the series in w = 1/z, complex products spelled out in reals
-    wr, wi = zx / sq, -y / sq
-    w2r, w2i = wr * wr - wi * wi, 2.0 * wr * wi
-    sr, si = _STIRLING_COEFFS[-2] + _STIRLING_COEFFS[-1] * w2r, _STIRLING_COEFFS[-1] * w2i
-    for c in _STIRLING_COEFFS[-3::-1]:
-        sr, si = c + (sr * w2r - si * w2i), sr * w2i + si * w2r
-    sr, si = sr * wr - si * wi, sr * wi + si * wr
-    # Re: (zx - 1/2) ln|z| - zx + ln(2 pi)/2, summed exactly, then the rest;
-    # the head stays apart from the tail until the shift is undone
-    p_hi, p_lo = _two_prod_vec(xm, log_hi)
-    re, c1 = _two_sum_vec(p_hi, -zx)
-    re, c2 = _two_sum_vec(re, _HALF_LN_2PI_HI)
-    lo = ((c1 + c2) + (p_lo + xm * log_lo)) + (sr + _HALF_LN_2PI_LO) - y * theta
-    # Im: (zx - 1/2) arg z + y (ln|z| - 1) + series; ln|z| - 1 is exact
-    im = xm * theta + y * (log_hi - 1.0) + (si + y * log_lo)
-    if near.any():
-        # ln Gamma(s) = ln Gamma(s + 10) - sum_k ln(s + k), principal logs
-        xn, yn = x[near], y[near]
-        y2 = yn * yn
-        prod = np.ones_like(xn)
-        arg = np.zeros_like(xn)
-        for k in range(_SHIFT):
-            xk = xn + k
-            prod = prod * (xk * xk + y2)
-            arg = arg + np.arctan2(yn, xk)
-        l_hi, l_lo = _log_half(prod)
-        re[near] -= l_hi
-        lo[near] -= l_lo
-        im[near] -= arg
-    return re + lo, im
-
-
-def log_gamma_complex(s):
-    """Principal-branch ln Gamma(s) for Re(s) > 0; scalar or ndarray.
-
-    This is the single-valued analytic continuation of ln Gamma from the
-    positive axis rather than log(Gamma(s)), so its imaginary part is
-    continuous along any contour that stays in the right half-plane; no
-    manual phase unwrapping is needed when a quadrature walks a vertical
-    line.  Real points go through the real kernel, and an array of real
-    points through it alone; elsewhere each point is computed on its own,
-    so an array gives the same bits as its entries one at a time, and
-    conj(s) gives exactly the conjugate.
-
-    Absolute error is below 1e-14 * max(1, |ln Gamma(s)|) for Re(s) in
-    [0.01, 50] and |Im(s)| <= 150 (at most 2.7e-15 times that against
-    mpmath), and below 1e-13 on the contour arguments of the shipped density
-    specs, |s| <= 80 (at most 5.3e-14).
-
-    Raises
-    ------
-    ValueError
-        If any entry is non-finite or has Re(s) <= 0.
-    """
-    arr = np.asarray(s, dtype=complex)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("log_gamma_complex requires finite input")
-    if np.any(arr.real <= 0.0):
-        raise ValueError("log_gamma_complex requires Re(s) > 0")
-    if arr.ndim == 0 and arr.imag == 0.0:
-        return complex(_log_gamma_real(float(arr.real)), 0.0)
-    flat = arr.reshape(-1)
-    # contiguous copies, so that every ufunc takes the same loop
-    x, y = np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag)
-    axis = y == 0.0
-    if axis.all():  # the complex path costs ~100 ufunc calls whatever the size
-        re, im = np.array([_log_gamma_real(v) for v in x.tolist()]), np.zeros(x.size)
-    else:
-        re, im = _log_gamma_complex_vec(x, y)
-        re[axis] = [_log_gamma_real(v) for v in x[axis].tolist()]
-        im[axis] = 0.0
-    out = np.empty(flat.size, dtype=complex)
-    out.real, out.imag = re, im
-    if arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(arr.shape)
 
 
 def log_beta(a: float, b: float) -> float:
@@ -314,3 +211,13 @@ def log_beta(a: float, b: float) -> float:
         raise ValueError(f"log_beta requires finite a, b > 0, got a={a!r}, b={b!r}")
     p, q = min(a, b), max(a, b)
     return _log_gamma_real(p) + _log_gamma_ratio(q, p)
+
+
+def __getattr__(name: str):
+    # the complex kernel moved to mellin, which loads numpy; the old name
+    # still reaches it
+    if name == "log_gamma_complex":
+        from .mellin import log_gamma_complex
+
+        return log_gamma_complex
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,13 +1,16 @@
 """Cross-checks between moment sequences: elementwise comparison reports,
 the Laplace-exponent convention adjudication, and moment-problem diagnostics
-(Hankel positive-definiteness, Carleman partial sums)."""
+(Hankel positive-definiteness, Carleman partial sums).
+
+Comparisons and the adjudication work on tuples of Python floats, so the
+``check`` command runs without numpy; the two moment-problem diagnostics
+import it when they run.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .moments import (
     BesselParams,
@@ -45,15 +48,15 @@ class ComparisonReport:
     label_a: str
     label_b: str
     tolerance: float
-    deviations: np.ndarray
+    deviations: tuple
     max_deviation: float = field(init=False)
     passed: bool = field(init=False)
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        devs = np.array(self.deviations, dtype=float)
-        devs.flags.writeable = False
-        max_dev = float(np.max(devs))
+        devs = tuple(map(float, self.deviations))
+        # a NaN deviation makes the largest one NaN, and so a failure
+        max_dev = math.nan if any(map(math.isnan, devs)) else max(devs)
         object.__setattr__(self, "deviations", devs)
         object.__setattr__(self, "max_deviation", max_dev)
         object.__setattr__(self, "passed", bool(max_dev <= self.tolerance))
@@ -76,10 +79,11 @@ def compare(seq_a: MomentSequence, seq_b: MomentSequence, tolerance: float) -> C
     """Relative deviation |a-b| / max(|a|, |b|, eps) per order, with a pass
     flag against the tolerance."""
     tolerance = _require_positive(tolerance, "tolerance")
-    a, b = seq_a.values, seq_b.values
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    devs = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), _DENOM_EPS)
+    if len(seq_a) != len(seq_b):
+        raise ValueError(f"length mismatch: {len(seq_a)} vs {len(seq_b)}")
+    devs = [
+        abs(a - b) / max(abs(a), abs(b), _DENOM_EPS) for a, b in zip(seq_a.values, seq_b.values)
+    ]
     return ComparisonReport(
         label_a=seq_a.label,
         label_b=seq_b.label,
@@ -89,15 +93,19 @@ def compare(seq_a: MomentSequence, seq_b: MomentSequence, tolerance: float) -> C
     )
 
 
-def _log10_slope(deviations: np.ndarray) -> float | None:
-    """Slope of a least-squares line through (s, log10 dev_s); None when
-    fewer than two orders have a nonzero deviation."""
-    s = np.arange(deviations.size, dtype=float)
-    mask = deviations > 0.0
-    if np.count_nonzero(mask) < 2:
+def _log10_slope(deviations) -> float | None:
+    """Slope of the least-squares line through (s, log10 dev_s) over the
+    orders s with a nonzero deviation, in closed form: the sum of
+    (s - mean s)(y - mean y) over that of (s - mean s)^2.  None when fewer
+    than two orders have a nonzero deviation."""
+    points = [(s, math.log10(d)) for s, d in enumerate(deviations) if d > 0.0]
+    if len(points) < 2:
         return None
-    coeffs = np.polyfit(s[mask], np.log10(deviations[mask]), 1)
-    return float(coeffs[0])
+    s_mean = math.fsum(s for s, _ in points) / len(points)
+    y_mean = math.fsum(y for _, y in points) / len(points)
+    sxy = math.fsum((s - s_mean) * (y - y_mean) for s, y in points)
+    sxx = math.fsum((s - s_mean) ** 2 for s, _ in points)
+    return sxy / sxx
 
 
 @dataclass(frozen=True)
@@ -148,10 +156,9 @@ def adjudicate_phi_convention(
     reports: dict = {}
     slopes: dict = {}
     for convention in ("paper", "half"):
-        vals = np.empty(s_max + 1)
-        vals[0] = 1.0
+        vals = [1.0]
         for s in range(1, s_max + 1):
-            vals[s] = vals[s - 1] * s / laplace_exponent(s / 2.0, a_prime, convention)
+            vals.append(vals[-1] * s / laplace_exponent(s / 2.0, a_prime, convention))
         recursion = MomentSequence(
             vals,
             f"laplace-recursion[{convention}](a'={a_prime:g})",
@@ -186,10 +193,12 @@ class HankelDiagnostics:
         return all(self.positive_definite)
 
 
-def _ldl_pivots(h: np.ndarray) -> np.ndarray:
+def _ldl_pivots(h):
     """Diagonal pivots of the unpivoted LDL^T factorization of a symmetric
     matrix; stops after the first non-positive pivot (the remaining ones are
     undefined)."""
+    import numpy as np
+
     n = h.shape[0]
     low = np.zeros((n, n))
     d = np.zeros(n)
@@ -222,9 +231,12 @@ def hankel_positive_definite(seq: MomentSequence, max_order: int) -> HankelDiagn
             f"need at least {2 * max_order + 1} moments for Hankel order {max_order}, "
             f"got {len(seq)}"
         )
+    import numpy as np
+
+    values = np.asarray(seq.values)
     idx = np.arange(max_order + 1)
-    scale = 1.0 / np.sqrt(seq.values[: 2 * max_order + 1 : 2])
-    d = _ldl_pivots(scale[:, None] * seq.values[idx[:, None] + idx[None, :]] * scale)
+    scale = 1.0 / np.sqrt(values[: 2 * max_order + 1 : 2])
+    d = _ldl_pivots(scale[:, None] * values[idx[:, None] + idx[None, :]] * scale)
     smallest = np.minimum.accumulate(np.pad(d, (0, max_order + 1 - d.size), mode="edge"))
     return HankelDiagnostics(
         smallest_pivots=tuple(smallest.tolist()),
@@ -232,7 +244,7 @@ def hankel_positive_definite(seq: MomentSequence, max_order: int) -> HankelDiagn
     )
 
 
-def carleman_partial_sums(seq: MomentSequence, s_max: int | None = None) -> np.ndarray:
+def carleman_partial_sums(seq: MomentSequence, s_max: int | None = None):
     """Partial sums of m_{2s}^{-1/(2s)} for s = 1..s_max.
 
     Divergence of the full series certifies moment determinacy; the output is
@@ -246,6 +258,8 @@ def carleman_partial_sums(seq: MomentSequence, s_max: int | None = None) -> np.n
         raise ValueError(
             f"need even moments up to order {2 * s_max}, sequence stops at {seq.max_order}"
         )
+    import numpy as np
+
     s = np.arange(1, s_max + 1)
-    terms = np.exp(-np.log(seq.values[2 * s]) / (2.0 * s))
+    terms = np.exp(-np.log(np.asarray(seq.values)[2 * s]) / (2.0 * s))
     return np.cumsum(terms)

@@ -6,8 +6,11 @@ M(s+1) = m_s for the target moment sequence.  The density is recovered as
     f(x) = (1/2pi) * integral_{-U}^{U} x^{-(c+iu)} M(c+iu) du
 
 by the trapezoid rule on a vertical contour Re(s) = c.  log M is evaluated
-through the complex log-gamma kernel, which is continuous along vertical
-lines in the right half-plane, so the integrand never crosses a branch cut.
+through the complex log-gamma kernel ``log_gamma_complex``, which is
+continuous along vertical lines in the right half-plane, so the integrand
+never crosses a branch cut.  That kernel is ``gammakit``'s Stirling series in
+real float64 array arithmetic, after the recurrence
+Gamma(s) = Gamma(s + 10) / (s (s + 1) ... (s + 9)) for |s| < 10.
 A MellinSpec is the law alone: ``invert`` takes the quadrature settings c, h
 and U, and ``log_grid`` builds every log-uniform grid.
 
@@ -26,7 +29,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gammakit import _split_vec, _two_sum_vec, log_gamma_complex
+from .gammakit import (
+    _HALF_LN_2PI_HI,
+    _HALF_LN_2PI_LO,
+    _LN2_HI,
+    _LN2_LO,
+    _STIRLING_COEFFS,
+    _log_gamma_real,
+    _split_vec,
+    _two_prod_vec,
+    _two_sum_vec,
+)
 from .moments import MomentSequence, _require_alpha, _require_order, _require_positive
 
 __all__ = [
@@ -60,6 +73,108 @@ _ROUNDOFF_UNITS = 32.0
 # pi to 64 digits, and the binary precision of reduced phases in turns
 _PI_NUM, _PI_DEN = 3141592653589793238462643383279502884197169399375105820974944592, 10**63
 _TURN_BITS = 60
+
+
+# Complex log-gamma arguments with |s| < _SHIFT are moved to s + _SHIFT first.
+_SHIFT = 10
+
+
+def _log_half(v):
+    """0.5 * ln(v) for positive float arrays, as a head/tail pair whose head
+    carries few bits."""
+    m, e = np.frexp(v)
+    return (0.5 * _LN2_HI) * e, 0.5 * (e * _LN2_LO + np.log(m))
+
+
+def _log_gamma_complex_vec(x, y):
+    """(Re, Im) of ln Gamma(x + iy) for contiguous float arrays with x > 0.
+
+    Only real elementwise float64 operations are used, so each point's
+    bits depend on that point alone, and the result is exactly
+    conjugate-symmetric.
+    """
+    near = x * x + y * y < _SHIFT * _SHIFT
+    zx = np.where(near, x + _SHIFT, x)
+    sq = zx * zx + y * y
+    log_hi, log_lo = _log_half(sq)  # ln|z|
+    theta = np.arctan2(y, zx)  # arg z
+    xm = zx - 0.5
+    # the series in w = 1/z, complex products spelled out in reals
+    wr, wi = zx / sq, -y / sq
+    w2r, w2i = wr * wr - wi * wi, 2.0 * wr * wi
+    sr, si = _STIRLING_COEFFS[-2] + _STIRLING_COEFFS[-1] * w2r, _STIRLING_COEFFS[-1] * w2i
+    for c in _STIRLING_COEFFS[-3::-1]:
+        sr, si = c + (sr * w2r - si * w2i), sr * w2i + si * w2r
+    sr, si = sr * wr - si * wi, sr * wi + si * wr
+    # Re: (zx - 1/2) ln|z| - zx + ln(2 pi)/2, summed exactly, then the rest;
+    # the head stays apart from the tail until the shift is undone
+    p_hi, p_lo = _two_prod_vec(xm, log_hi)
+    re, c1 = _two_sum_vec(p_hi, -zx)
+    re, c2 = _two_sum_vec(re, _HALF_LN_2PI_HI)
+    lo = ((c1 + c2) + (p_lo + xm * log_lo)) + (sr + _HALF_LN_2PI_LO) - y * theta
+    # Im: (zx - 1/2) arg z + y (ln|z| - 1) + series; ln|z| - 1 is exact
+    im = xm * theta + y * (log_hi - 1.0) + (si + y * log_lo)
+    if near.any():
+        # ln Gamma(s) = ln Gamma(s + 10) - sum_k ln(s + k), principal logs
+        xn, yn = x[near], y[near]
+        y2 = yn * yn
+        prod = np.ones_like(xn)
+        arg = np.zeros_like(xn)
+        for k in range(_SHIFT):
+            xk = xn + k
+            prod = prod * (xk * xk + y2)
+            arg = arg + np.arctan2(yn, xk)
+        l_hi, l_lo = _log_half(prod)
+        re[near] -= l_hi
+        lo[near] -= l_lo
+        im[near] -= arg
+    return re + lo, im
+
+
+def log_gamma_complex(s):
+    """Principal-branch ln Gamma(s) for Re(s) > 0; scalar or ndarray.
+
+    This is the single-valued analytic continuation of ln Gamma from the
+    positive axis rather than log(Gamma(s)), so its imaginary part is
+    continuous along any contour that stays in the right half-plane; no
+    manual phase unwrapping is needed when a quadrature walks a vertical
+    line.  Real points go through the real kernel, and an array of real
+    points through it alone; elsewhere each point is computed on its own,
+    so an array gives the same bits as its entries one at a time, and
+    conj(s) gives exactly the conjugate.
+
+    Absolute error is below 1e-14 * max(1, |ln Gamma(s)|) for Re(s) in
+    [0.01, 50] and |Im(s)| <= 150 (at most 2.7e-15 times that against
+    mpmath), and below 1e-13 on the contour arguments of the shipped density
+    specs, |s| <= 80 (at most 5.3e-14).
+
+    Raises
+    ------
+    ValueError
+        If any entry is non-finite or has Re(s) <= 0.
+    """
+    arr = np.asarray(s, dtype=complex)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("log_gamma_complex requires finite input")
+    if np.any(arr.real <= 0.0):
+        raise ValueError("log_gamma_complex requires Re(s) > 0")
+    if arr.ndim == 0 and arr.imag == 0.0:
+        return complex(_log_gamma_real(float(arr.real)), 0.0)
+    flat = arr.reshape(-1)
+    # contiguous copies, so that every ufunc takes the same loop
+    x, y = np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag)
+    axis = y == 0.0
+    if axis.all():  # the complex path costs ~100 ufunc calls whatever the size
+        re, im = np.array([_log_gamma_real(v) for v in x.tolist()]), np.zeros(x.size)
+    else:
+        re, im = _log_gamma_complex_vec(x, y)
+        re[axis] = [_log_gamma_real(v) for v in x[axis].tolist()]
+        im[axis] = 0.0
+    out = np.empty(flat.size, dtype=complex)
+    out.real, out.imag = re, im
+    if arr.ndim == 0:
+        return complex(out[0])
+    return out.reshape(arr.shape)
 
 
 class MellinInversionError(RuntimeError):
@@ -189,7 +304,7 @@ class DensityTable:
                 ("contour", "height", "step"),
             )
         ]
-        columns = (self.x, self.density, self.truncation_estimate)
+        columns = (self.x.tolist(), self.density.tolist(), self.truncation_estimate.tolist())
         return comments, ("x", "f", "truncation_estimate"), columns
 
     def to_dict(self) -> dict:

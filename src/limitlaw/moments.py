@@ -2,18 +2,19 @@
 local-time / exponential-functional laws it coincides with, together with the
 tilt and scale operators that connect them.
 
-All sequences are generated in log space and exponentiated once per entry;
-an entry whose log exceeds the double-precision range raises OverflowError,
-and one that underflows to 0 FloatingPointError, naming the failing order.
+All sequences are generated in log space from Python floats and
+exponentiated once per entry by ``math.exp``; an entry whose log exceeds the
+double-precision range raises OverflowError, and one that underflows to 0
+FloatingPointError, naming the failing order.  A sequence's values are a
+tuple of floats, and this module loads without numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .gammakit import log_beta, log_gamma, log_gamma_array, log_gamma_ratio
 
@@ -45,35 +46,38 @@ class MomentSequence:
     """Finite prefix m_0..m_S of a positive moment sequence.
 
     ``values[s]`` is the s-th raw moment; ``values[0]`` is pinned to 1.
-    Entries must be finite and strictly positive.  Instances are immutable;
-    the backing array is marked read-only.
+    Entries must be finite and strictly positive.  Instances are immutable:
+    the values are held as a tuple of floats (``np.asarray(seq.values)``
+    gives an array).
     """
 
-    values: np.ndarray
+    values: tuple
     label: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 1:
+        try:
+            vals = tuple(map(float, self.values))
+        except TypeError:  # an entry that is no number, such as a row of a 2-d array
+            vals = ()
+        if not vals:
             raise ValueError("values must be a non-empty 1-d array")
         if vals[0] != 1.0:
             raise ValueError(f"m_0 must equal 1 exactly, got {vals[0]!r}")
-        if not (vals.min() > 0.0 and vals.max() < math.inf):  # NaN fails too
+        if not all(0.0 < v < math.inf for v in vals):  # NaN fails too
             raise ValueError("all moments must be finite and strictly positive")
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "params", dict(self.params))
 
     def __len__(self) -> int:
-        return self.values.size
+        return len(self.values)
 
     def __getitem__(self, s):
         return self.values[s]
 
     @property
     def max_order(self) -> int:
-        return self.values.size - 1
+        return len(self.values) - 1
 
     def is_log_convex(self, rtol: float = 1e-12) -> bool:
         """Check m_{s-1} * m_{s+1} >= m_s**2 up to a relative slack.
@@ -81,14 +85,15 @@ class MomentSequence:
         Holds exactly for moments of any nonnegative random variable
         (Cauchy-Schwarz); the slack absorbs floating-point rounding.
         """
-        lg = np.log(self.values)
-        return bool(np.all(lg[:-2] + lg[2:] - 2.0 * lg[1:-1] >= math.log1p(-rtol)))
+        lg = [math.log(v) for v in self.values]
+        slack = math.log1p(-rtol)
+        return all(a + c - 2.0 * b >= slack for a, b, c in zip(lg, lg[1:], lg[2:]))
 
     def to_dict(self) -> dict:
         return {
             "label": self.label,
             "params": dict(self.params),
-            "values": [float(v) for v in self.values],
+            "values": list(self.values),
         }
 
 
@@ -137,22 +142,19 @@ class BesselParams:
         return {"d": self.d, "p": self.p, "t": self.t, "alpha": self.alpha, "beta": self.beta}
 
 
-def _exp_sequence(log_values: np.ndarray, label: str) -> np.ndarray:
-    """exp of per-order logs (orders 1..S) prefixed with m_0 = 1; raises
-    OverflowError naming the first order that overflows double range, and
-    FloatingPointError the first that underflows to 0."""
-    over = log_values > _LOG_MAX
-    if over.any():
-        s_fail = int(np.argmax(over)) + 1
-        raise OverflowError(
-            f"{label}: moment overflows double precision at order s={s_fail} "
-            f"(log value {log_values[s_fail - 1]:.1f})"
-        )
-    out = np.empty(log_values.size + 1)
-    out[0] = 1.0
-    out[1:] = np.exp(log_values)  # numpy ignores underflow by default
-    if not out.all():
-        s_fail = int(np.argmin(out))  # the first 0
+def _exp_sequence(log_values: list, label: str) -> tuple:
+    """``math.exp`` of per-order logs (orders 1..S) prefixed with m_0 = 1;
+    raises OverflowError naming the first order that overflows double range,
+    and FloatingPointError the first that underflows to 0."""
+    for s, log_value in enumerate(log_values, 1):
+        if log_value > _LOG_MAX:
+            raise OverflowError(
+                f"{label}: moment overflows double precision at order s={s} "
+                f"(log value {log_value:.1f})"
+            )
+    out = (1.0, *map(math.exp, log_values))  # math.exp returns 0 on underflow
+    if 0.0 in out:
+        s_fail = out.index(0.0)
         raise FloatingPointError(
             f"{label}: moment underflows double precision to 0 at order s={s_fail} "
             f"(log value {log_values[s_fail - 1]:.1f})"
@@ -206,8 +208,12 @@ def fkp_moments(a_prime: float, s_max: int) -> MomentSequence:
     s_max = _require_order(s_max)
     _require_order_multiple(a_prime, s_max, "a_prime")
     label = f"fkp(a'={a_prime:g})"
-    k = np.arange(1.0, s_max + 1.0)
-    logs = log_gamma_array(k + 1.0) - 0.5 * k * LN2 + np.cumsum(log_gamma_ratio(k * a_prime, 0.5))
+    k = range(1, s_max + 1)
+    ratios = itertools.accumulate(log_gamma_ratio([j * a_prime for j in k], 0.5))
+    logs = [
+        lg - 0.5 * j * LN2 + r
+        for j, lg, r in zip(k, log_gamma_array([j + 1.0 for j in k]), ratios)
+    ]
     return MomentSequence(_exp_sequence(logs, label), label, {"a_prime": a_prime})
 
 
@@ -223,16 +229,13 @@ def kappa(params: BesselParams) -> float:
     )
 
 
-def _log_scaled_local_time(params: BesselParams, s_max: int) -> np.ndarray:
+def _log_scaled_local_time(params: BesselParams, s_max: int) -> list:
     """log of mu_s = (1-2p)/Gamma(1+alpha) * Gamma(s) * prod_{j<s} Gamma(j b)/Gamma(a+j b)
     for s = 1..s_max, with 1 - 2p = alpha/beta."""
     a, b = params.alpha, params.beta
     head = math.log(a / b) - log_gamma(1.0 + a)
-    s = np.arange(1.0, s_max + 1.0)
-    acc = np.zeros(s_max)
-    if s_max >= 2:
-        acc[1:] = np.cumsum(log_gamma_ratio(np.arange(1.0, s_max) * b, a))
-    return head + log_gamma_array(s) + acc
+    acc = itertools.accumulate(log_gamma_ratio([j * b for j in range(1, s_max)], a), initial=0.0)
+    return [head + lg + c for lg, c in zip(log_gamma_array(range(1, s_max + 1)), acc)]
 
 
 def local_time_moments(params: BesselParams, s_max: int) -> MomentSequence:
@@ -244,7 +247,7 @@ def local_time_moments(params: BesselParams, s_max: int) -> MomentSequence:
     s_max = _require_order(s_max)
     label = f"local-time(alpha={params.alpha:g}, beta={params.beta:g}, t={params.t:g})"
     log_k = math.log(kappa(params))
-    logs = _log_scaled_local_time(params, s_max) + np.arange(1.0, s_max + 1.0) * log_k
+    logs = [v + s * log_k for s, v in enumerate(_log_scaled_local_time(params, s_max), 1)]
     return MomentSequence(_exp_sequence(logs, label), label, params.to_dict())
 
 
@@ -268,8 +271,8 @@ def tilt(seq: MomentSequence) -> MomentSequence:
     """
     if len(seq) < 2:
         raise ValueError("tilt needs at least orders 0 and 1")
-    out = seq.values[1:] / seq.values[1]
-    out[0] = 1.0
+    m_1 = seq.values[1]
+    out = (1.0, *(v / m_1 for v in seq.values[2:]))
     return MomentSequence(out, f"tilt({seq.label})", seq.params)
 
 
@@ -284,8 +287,9 @@ def tilted_moments(alpha: float, beta: float, s_max: int) -> MomentSequence:
     s_max = _require_order(s_max)
     _require_order_multiple(beta, s_max, "beta")
     label = f"tilted(alpha={alpha:g}, beta={beta:g})"
-    s = np.arange(1.0, s_max + 1.0)
-    logs = log_gamma_array(s + 1.0) + np.cumsum(log_gamma_ratio(s * beta, alpha))
+    s = range(1, s_max + 1)
+    ratios = itertools.accumulate(log_gamma_ratio([j * beta for j in s], alpha))
+    logs = [lg + r for lg, r in zip(log_gamma_array([j + 1.0 for j in s]), ratios)]
     return MomentSequence(_exp_sequence(logs, label), label, {"alpha": alpha, "beta": beta})
 
 
@@ -304,11 +308,13 @@ def tilted_moments_beta_fraction(alpha: float, m: int, s_max: int) -> MomentSequ
         raise ValueError(f"m * s_max must be at most 2**26, got m={m} and s_max={s_max}")
     label = f"tilted-beta-fraction(alpha={alpha:g}, m={m})"
     frac = alpha / m
-    j = np.arange(1.0, m + 1.0)
-    head = float(np.sum(log_gamma_array(j * frac)))
-    s = np.arange(1.0, s_max + 1.0)
-    tails = np.sum(log_gamma_array((s[:, None] + j[None, :]) * frac), axis=1)
-    logs = log_gamma_array(s + 1.0) + head - tails
+    j = range(1, m + 1)
+    head = math.fsum(log_gamma_array([k * frac for k in j]))
+    s = range(1, s_max + 1)
+    logs = [
+        lg + head - math.fsum(log_gamma_array([(r + k) * frac for k in j]))
+        for r, lg in zip(s, log_gamma_array([r + 1.0 for r in s]))
+    ]
     return MomentSequence(_exp_sequence(logs, label), label, {"alpha": alpha, "m": m})
 
 
@@ -316,7 +322,8 @@ def scale(seq: MomentSequence, c: float) -> MomentSequence:
     """Moments of c*X from the moments of X: out[s] = c^s * seq[s]."""
     c = _require_positive(c, "scale factor")
     label = f"scale({seq.label}, {c:g})"
-    logs = np.log(seq.values[1:]) + np.arange(1.0, len(seq)) * math.log(c)
+    log_c = math.log(c)
+    logs = [math.log(v) + s * log_c for s, v in enumerate(seq.values[1:], 1)]
     return MomentSequence(_exp_sequence(logs, label), label, {**seq.params, "scale": c})
 
 
@@ -370,14 +377,16 @@ def fkp_quarter_closed_form(s_max: int) -> MomentSequence:
     s_max = _require_order(s_max)
     label = "fkp-quarter-closed-form"
     head = log_gamma(0.25) + log_gamma(0.5)
-    s = np.arange(1.0, s_max + 1.0)
-    logs = (
-        -0.5 * s * LN2
-        + head
-        + log_gamma_array(s + 1.0)
-        - log_gamma_array((s + 1.0) / 4.0)
-        - log_gamma_array((s + 2.0) / 4.0)
-    )
+    s = range(1, s_max + 1)
+    logs = [
+        -0.5 * r * LN2 + head + lg - lg1 - lg2
+        for r, lg, lg1, lg2 in zip(
+            s,
+            log_gamma_array([r + 1.0 for r in s]),
+            log_gamma_array([(r + 1.0) / 4.0 for r in s]),
+            log_gamma_array([(r + 2.0) / 4.0 for r in s]),
+        )
+    ]
     return MomentSequence(_exp_sequence(logs, label), label, {"a_prime": 0.25})
 
 
@@ -386,6 +395,9 @@ def mittag_leffler_moments(alpha: float, s_max: int) -> MomentSequence:
     _require_alpha(alpha)
     s_max = _require_order(s_max)
     label = f"mittag-leffler(alpha={alpha:g})"
-    s = np.arange(1.0, s_max + 1.0)
-    logs = log_gamma_array(s + 1.0) - log_gamma_array(s * alpha + 1.0)
+    s = range(1, s_max + 1)
+    logs = [
+        a - b for a, b in zip(log_gamma_array([r + 1.0 for r in s]),
+                              log_gamma_array([r * alpha + 1.0 for r in s]))
+    ]
     return MomentSequence(_exp_sequence(logs, label), label, {"alpha": alpha})

@@ -161,6 +161,37 @@ class TestMomentsCommand:
         code, _, _ = run_cli(capsys, "moments", "--which", "fkp", "--bogus", "1")
         assert code == 2
 
+    # each family at parameters where numpy's exp and math.exp disagree on
+    # some orders; exp-functional prints the tilt of the local-time moments
+    @pytest.mark.parametrize(
+        "which, flags",
+        [
+            ("fkp", ("--a-prime", "1.377")),
+            ("local-time", ("--alpha", "0.3", "--beta", "1.4", "--t", "0.8")),
+            ("tilted", ("--alpha", "0.62", "--beta", "0.9")),
+            ("exp-functional", ("--alpha", "0.45", "--beta", "1.7")),
+            ("mittag-leffler", ("--alpha", "0.71")),
+        ],
+        ids=["fkp", "local-time", "tilted", "exp-functional", "mittag-leffler"],
+    )
+    def test_each_printed_moment_is_math_exp_of_its_log(self, capsys, monkeypatch, which, flags):
+        logs = []
+        exp_sequence = moments._exp_sequence
+
+        def recorded(values, label):
+            logs.append(list(values))
+            return exp_sequence(values, label)
+
+        monkeypatch.setattr(moments, "_exp_sequence", recorded)
+        code, out, _ = run_cli(capsys, "moments", "--which", which, *flags, "--smax", "40")
+        assert code == 0
+        printed = [float(value) for _, value in csv_rows(out)[1]]
+        (log_values,) = logs
+        want = list(map(math.exp, log_values))
+        if which == "exp-functional":
+            want = [m / want[0] for m in want[1:]]
+        assert printed == [1.0, *want]
+
     def test_17_significant_digits(self, capsys):
         _, out, _ = run_cli(capsys, "moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "1")
         _, rows = csv_rows(out)
@@ -444,7 +475,7 @@ class TestDensityCommand:
         )
         got = roundtrip_moments(table, 5)
         want = fkp_moments(0.25, 5)
-        rel = np.max(np.abs(got.values - want.values) / want.values)
+        rel = np.max(np.abs(np.subtract(got.values, want.values)) / want.values)
         assert rel <= 1e-4
 
     def test_insufficient_height_exits_1(self, capsys):
@@ -892,8 +923,10 @@ class TestPlumbing:
     # stdout digests recorded before the CLI's output code was unified; all
     # but sample-csv-check were re-pinned when the scipy log-gamma kernel was
     # replaced, and sample-csv-check when each squared standard error and
-    # then each mean came to be rounded once (CHANGES.md gives the size of
-    # each change)
+    # then each mean came to be rounded once; the phi-adjudicate and tilt
+    # check digests when moments came to be exponentiated by math.exp and
+    # the slopes fitted in closed form (CHANGES.md gives the size of each
+    # change)
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -936,18 +969,18 @@ class TestPlumbing:
             ),
             (
                 ("check", "--identity", "phi-adjudicate", "--format", "csv"),
-                "d3788847be62850a27abc9f3d5b6ebdf701da2484491bf9fc15c3a518415a8ca",
+                "995653f40d49d05ec3d1d2cb1017750f419d14a8af266dcded83d5b865093b10",
             ),
             (
                 ("check", "--identity", "phi-adjudicate"),
-                "1097dd78602e1b4337ed588486df3f25892d7627f3be77b956cb051e5432a475",
+                "036b18b64aa11b24c64c526dffd1f99764b241d4166337eea7c63bd604c33225",
             ),
             # this and tilt-csv re-pinned when BesselParams came to hold
             # (alpha, beta) as given, and with tilt-csv-user-grid when the
             # Bessel formulas came to read 1 - 2p as alpha / beta
             (
                 ("check", "--identity", "tilt", "--manifest"),
-                "224154257d9f7e118864259d823483cd07855b75f35f6862068231feea656aba",
+                "3ae1639a16661ea7786448f327ebdcc3ce8815e59b421a4ba963a8adccd0f334",
             ),
             (
                 ("density", "--spec", "mittag-leffler", "--alpha", "0.5",
@@ -970,7 +1003,7 @@ class TestPlumbing:
             # order and the default density grid
             (
                 ("check", "--identity", "tilt", "--format", "csv"),
-                "408ccf42df8900aa5c96077e569a618210c069354d2f2d4e6f335102e581b3e8",
+                "93bb735575b3ff2be1dcd78b8f75352128e8ea25d5296f4c4a230bdb34a4fa52",
             ),
             (
                 ("check", "--identity", "corollary", "--format", "csv", "--manifest"),
@@ -979,7 +1012,7 @@ class TestPlumbing:
             (
                 ("check", "--identity", "tilt", "--alpha", "0.3,0.7", "--beta", "2",
                  "--format", "csv"),
-                "4c670edd5370b88fee1daf9320b0ac6fde53265a1b8604b41085d718fcd6ba96",
+                "58b0470e205012441e0b7bc2f5ee0590ed769e52b453c5b185aaa77e0918d7dc",
             ),
             # re-pinned when the chirp-z length became the smallest 5-smooth
             # one: the densities moved at roundoff (CHANGES.md gives the size)

@@ -76,7 +76,7 @@ def per_order_hankel(seq, max_order):
     pivots, flags = [], []
     for j in range(max_order + 1):
         idx = np.arange(j + 1)
-        h = seq.values[idx[:, None] + idx[None, :]]
+        h = np.asarray(seq.values)[idx[:, None] + idx[None, :]]
         d = identities._ldl_pivots(h)
         relative = d / np.diag(h)[: d.size]
         pivots.append(float(np.min(relative)))
@@ -90,7 +90,7 @@ class TestCompare:
         report = compare(seq, seq, 1e-12)
         assert report.passed
         assert report.max_deviation == 0.0
-        assert np.all(report.deviations == 0.0)
+        assert report.deviations == (0.0,) * 11
 
     def test_rayleigh_oracle_passes(self):
         seq = fkp_moments(0.5, 20)
@@ -138,6 +138,13 @@ class TestCompare:
         assert (report.max_deviation, report.passed) == expected
         assert type(report.passed) is bool
 
+    @pytest.mark.parametrize("deviations", [[0.0, math.nan, 1.0], [2.0, 1.0, math.nan]])
+    def test_nan_deviation_fails(self, deviations):
+        report = ComparisonReport("a", "b", 3.0, deviations)
+        assert math.isnan(report.max_deviation)
+        assert report.passed is False
+        assert type(report.deviations) is tuple
+
     def test_verdict_cannot_be_passed_in(self):
         with pytest.raises(TypeError):
             ComparisonReport("a", "b", 1.0, [2.0], max_deviation=0.0, passed=True)
@@ -183,6 +190,25 @@ class TestPhiAdjudication:
     def test_non_finite_a_prime_is_refused(self):
         with pytest.raises(ValueError, match="^beta must be finite and positive, got inf$"):
             adjudicate_phi_convention(math.inf)
+
+    @pytest.mark.parametrize("s_max", [20, 60])
+    @pytest.mark.parametrize("a_prime", [0.25, 0.5, 1.0, 2.0])
+    def test_closed_form_slope_matches_polyfit(self, a_prime, s_max):
+        result = adjudicate_phi_convention(a_prime, s_max)
+        for convention, report in result.reports.items():
+            devs = np.array(report.deviations)
+            nonzero = devs > 0.0
+            want = np.polyfit(np.flatnonzero(nonzero), np.log10(devs[nonzero]), 1)[0]
+            assert result.slopes[convention] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "deviations, slope",
+        [([0.0, 1e-3, 0.0], None), ([1.0, 10.0], 1.0), ([0.0, 1.0, 0.0, 1e-4], -4.0 / 2.0),
+         ([1e-1, 1e-2, 1e-3], -1.0)],
+    )
+    def test_log10_slope_of_exact_lines(self, deviations, slope):
+        got = identities._log10_slope(deviations)
+        assert got == (None if slope is None else pytest.approx(slope, rel=1e-15))
 
     def test_slope_recorded_for_failing_convention(self):
         result = adjudicate_phi_convention(0.5, 20)

@@ -376,7 +376,7 @@ class TestOnePassSummarize:
         n, lambdas = 3 * _CHUNK + 1, (0.5, 1.0, 2.0)
         report = stable_laplace_check(0.5, lambdas, n, STABLE_SEED)
         s = positive_stable_samples(0.5, n, STABLE_SEED)
-        for lam, dev in zip(lambdas, report.deviations.tolist()):
+        for lam, dev in zip(lambdas, report.deviations):
             v = np.exp(-lam * s)
             mean = exact_mean(v)
             assert dev == abs(mean - math.exp(-(lam**0.5))) / exact_standard_error(v)
@@ -490,7 +490,7 @@ class TestPositiveStable:
     def test_laplace_transform_checks(self, alpha):
         report = stable_laplace_check(alpha, (1.0, 2.0), N_MODULE, STABLE_SEED)
         assert report.passed
-        assert report.deviations.size == 2
+        assert len(report.deviations) == 2
 
     def test_all_samples_positive(self):
         x = positive_stable_samples(0.5, 100_000, 13)

@@ -118,14 +118,27 @@ _LOADED = (
     "import limitlaw.cli\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = limitlaw.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('limitlaw'))]))\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('limitlaw')),\n"
+    "                  'numpy' in sys.modules]))\n"
 )
 _CLI = ["limitlaw", "limitlaw.cli", "limitlaw.gammakit", "limitlaw.moments"]
+
+# each --which family and each --identity, with the flags it cannot run without
+_MOMENTS = {
+    "fkp": ("--a-prime", "0.5"),
+    "local-time": ("--alpha", "0.5", "--beta", "0.7", "--t", "2"),
+    "tilted": ("--alpha", "0.5", "--beta", "0.7"),
+    "exp-functional": ("--alpha", "0.5", "--beta", "0.7"),
+    "mittag-leffler": ("--alpha", "0.5"),
+}
+_IDENTITIES = ("tilt", "corollary", "mittag-leffler", "exp-functional", "phi-adjudicate",
+               "t-independence")
 
 
 class TestLoading:
     """The package loads no module until a name of it is asked for, and the
-    CLI loads only the modules its subcommand runs."""
+    CLI loads only the modules its subcommand runs: numpy only for
+    ``density`` and ``sample``."""
 
     @pytest.mark.parametrize(
         "argv, extra",
@@ -141,9 +154,26 @@ class TestLoading:
         ids=["import", "moments", "check", "density", "sample", "sample-check-against"],
     )
     def test_cli_loads_the_modules_its_subcommand_runs(self, argv, extra):
-        code, loaded = fresh(_LOADED, *argv)
+        code, loaded, numpy_loaded = fresh(_LOADED, *argv)
         assert code in (0, 1)
         assert loaded == sorted(_CLI + extra)
+        assert numpy_loaded == (argv[:1] in (("density",), ("sample",)))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("moments", "--which", which, *flags, "--smax", "12") for which, flags in _MOMENTS.items()]
+        + [("check", "--identity", identity, "--smax", "12") for identity in _IDENTITIES],
+        ids=[f"moments-{which}" for which in _MOMENTS] + [f"check-{i}" for i in _IDENTITIES],
+    )
+    def test_moments_and_check_run_without_numpy(self, argv):
+        code, _, numpy_loaded = fresh(_LOADED, *argv)
+        assert (code, numpy_loaded) == (0, False)
+
+    def test_every_family_and_identity_is_covered(self):
+        from limitlaw import cli
+
+        assert tuple(_MOMENTS) == cli._names("which")
+        assert _IDENTITIES == tuple(cli._IDENTITIES)
 
     def test_first_name_loads_every_module(self):
         loaded = fresh(
