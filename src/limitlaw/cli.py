@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--beta", type=_finite_float, default=None)
     p_mom.add_argument("--d", type=_finite_float, default=None)
     p_mom.add_argument("--p", type=_finite_float, default=None)
-    p_mom.add_argument("--t", type=_finite_float, default=1.0)
+    p_mom.add_argument("--t", type=_finite_float, default=None, help="default 1")
     p_mom.add_argument("--smax", type=int, default=20)
     common(p_mom, "csv")
     p_mom.set_defaults(func=cmd_moments)
@@ -131,9 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_smp.add_argument("--n", type=int, required=True)
     p_smp.add_argument("--reps", type=int, default=None, help="replicates for the tree sampler")
     p_smp.add_argument("--seed", type=int, default=0)
-    p_smp.add_argument("--sigma", type=_finite_float, default=1.0)
+    p_smp.add_argument("--sigma", type=_finite_float, default=None, help="default 1")
     p_smp.add_argument("--alpha", type=_finite_float, default=None)
-    p_smp.add_argument("--toll-exponent", type=_finite_float, default=0.0)
+    p_smp.add_argument("--toll-exponent", type=_finite_float, default=None, help="default 0")
     p_smp.add_argument("--kernel-file", default=None, help="CSV table kernel (n,k,probability)")
     p_smp.add_argument("--smax", type=int, default=4)
     p_smp.add_argument(
@@ -247,6 +247,10 @@ def _tree_summary(args):
 
 _ROUTE = ("alpha", "beta", "d", "p", "a_prime")  # the flags _resolve_bessel reads
 
+# The law flags that have a default: each is None when not given, and _build
+# fills in the default only for a law that reads the flag.
+_DEFAULTS = {"t": 1.0, "sigma": 1.0, "toll_exponent": 0.0}
+
 # law -> (the flags it cannot run without, the other law flags it reads,
 # {selector: builder(args)}): the moment sequence of --which, the MellinSpec
 # of --spec or the sample summary of --sampler.  Each selector offers its laws
@@ -255,14 +259,16 @@ _ROUTE = ("alpha", "beta", "d", "p", "a_prime")  # the flags _resolve_bessel rea
 _LAWS = {
     "fkp": (("a_prime",), (), {"which": lambda a: fkp_moments(a.a_prime, a.smax)}),
     "local-time": (
-        (), _ROUTE, {"which": lambda a: local_time_moments(_resolve_bessel(a, a.t), a.smax)}
+        (), (*_ROUTE, "t"),
+        {"which": lambda a: local_time_moments(_resolve_bessel(a, a.t), a.smax)},
     ),
     "tilted": ((), _ROUTE, {"which": _tilted}),
     "exp-functional": (
-        (), _ROUTE, {"which": lambda a: exp_functional_moments(_resolve_bessel(a, a.t), a.smax)}
+        (), (*_ROUTE, "t"),
+        {"which": lambda a: exp_functional_moments(_resolve_bessel(a, a.t), a.smax)},
     ),
     "fkp-quarter": ((), (), {"spec": lambda a: _module("mellin").spec_from_fkp_quarter()}),
-    "rayleigh": ((), (), {
+    "rayleigh": ((), ("sigma",), {
         "sampler": lambda a: _module("montecarlo").sample_rayleigh(a.sigma, a.n, a.seed, a.smax),
     }),
     "mittag-leffler": (("alpha",), (), {
@@ -272,7 +278,7 @@ _LAWS = {
             a.alpha, a.n, a.seed, a.smax
         ),
     }),
-    "tree": ((), ("reps", "kernel_file"), {"sampler": _tree_summary}),
+    "tree": ((), ("reps", "kernel_file", "toll_exponent"), {"sampler": _tree_summary}),
 }
 
 
@@ -305,13 +311,18 @@ def _refuse_unread(args, selector: str) -> None:
 
 
 def _build(args, selector: str):
-    """What the law named by ``args.<selector>`` builds for that selector."""
+    """What the law named by ``args.<selector>`` builds for that selector,
+    after the defaults of the flags it reads are filled in (so the manifest
+    records them)."""
     name = getattr(args, selector)
-    required, _, builders = _LAWS[name]
+    required, reads, builders = _LAWS[name]
     for flag in required:
         if getattr(args, flag) is None:
             raise ValueError(f"--{selector} {name} requires {_flag(flag)}")
     _refuse_unread(args, selector)
+    for flag in reads:
+        if getattr(args, flag) is None and flag in _DEFAULTS:
+            setattr(args, flag, _DEFAULTS[flag])
     return builders[selector](args)
 
 

@@ -297,22 +297,23 @@ class TestLawTable:
         )
 
 
-# The law flags of each subcommand (those whose default is None), and the
-# ones each law and each identity reads; any other is refused
+# The law flags of each subcommand, and the ones each law and each identity
+# reads; any other is refused
 _BESSEL = ("alpha", "beta", "d", "p", "a_prime")
-_LAW_FLAGS = {"which": _BESSEL, "spec": ("alpha",), "sampler": ("alpha", "reps", "kernel_file")}
+_LAW_FLAGS = {"which": (*_BESSEL, "t"), "spec": ("alpha",),
+              "sampler": ("alpha", "reps", "kernel_file", "sigma", "toll_exponent")}
 _LAW_READS = {
-    "fkp": ("a_prime",), "local-time": _BESSEL, "tilted": _BESSEL, "exp-functional": _BESSEL,
-    "mittag-leffler": ("alpha",), "fkp-quarter": (), "rayleigh": (),
-    "tree": ("reps", "kernel_file"),
+    "fkp": ("a_prime",), "local-time": (*_BESSEL, "t"), "tilted": _BESSEL,
+    "exp-functional": (*_BESSEL, "t"), "mittag-leffler": ("alpha",), "fkp-quarter": (),
+    "rayleigh": ("sigma",), "tree": ("reps", "kernel_file", "toll_exponent"),
 }
 _IDENTITY_READS = {
     "tilt": ("alpha", "beta"), "corollary": ("a_prime",), "mittag-leffler": ("alpha",),
     "exp-functional": ("alpha", "beta"), "phi-adjudicate": ("a_prime",),
     "t-independence": ("alpha", "beta"),
 }
-_FLAG_VALUES = {"a_prime": "0.5", "alpha": "0.5", "beta": "0.5", "d": "1", "p": "0",
-                "reps": "5", "kernel_file": "nope.csv"}
+_FLAG_VALUES = {"a_prime": "0.5", "alpha": "0.5", "beta": "0.5", "d": "1", "p": "0", "t": "2",
+                "reps": "5", "kernel_file": "nope.csv", "sigma": "2", "toll_exponent": "3"}
 
 
 class TestUnreadFlags:
@@ -327,11 +328,43 @@ class TestUnreadFlags:
             (("sample", "--sampler", "rayleigh", "--n", "10", "--reps", "7",
               "--kernel-file", "nope.csv"),
              "--sampler rayleigh does not read --reps"),
+            # flags with a default, once ignored by the laws that never read them
+            (("moments", "--which", "tilted", "--alpha", "0.5", "--beta", "0.5", "--t", "2"),
+             "--which tilted does not read --t"),
+            (("sample", "--sampler", "rayleigh", "--n", "10", "--toll-exponent", "3"),
+             "--sampler rayleigh does not read --toll-exponent"),
+            (("sample", "--sampler", "tree", "--n", "10", "--sigma", "2"),
+             "--sampler tree does not read --sigma"),
         ],
-        ids=["moments-fkp", "sample-rayleigh"],
+        ids=["moments-fkp", "sample-rayleigh", "moments-tilted-t", "sample-rayleigh-toll",
+             "sample-tree-sigma"],
     )
     def test_found_argvs_exit_2(self, argv, message):
         assert run_cli_showing_warnings(list(argv)) == (2, "", f"error: {message}\n")
+
+    # the law that reads a flag fills in its default, which the manifest
+    # records; for any other law the flag stays None
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (("moments", "--which", "local-time", "--a-prime", "0.5"), "t", 1.0),
+            (("moments", "--which", "exp-functional", "--a-prime", "0.5"), "t", 1.0),
+            (("moments", "--which", "tilted", "--a-prime", "0.5"), "t", None),
+            (("moments", "--which", "local-time", "--a-prime", "0.5", "--t", "2"), "t", 2.0),
+            (("sample", "--sampler", "rayleigh", "--n", "10"), "sigma", 1.0),
+            (("sample", "--sampler", "rayleigh", "--n", "10"), "toll_exponent", None),
+            (("sample", "--sampler", "tree", "--n", "10", "--reps", "5"), "toll_exponent", 0.0),
+            (("sample", "--sampler", "tree", "--n", "10", "--reps", "5"), "sigma", None),
+            (("sample", "--sampler", "mittag-leffler", "--alpha", "0.5", "--n", "10"), "sigma",
+             None),
+        ],
+        ids=["local-time-t", "exp-functional-t", "tilted-t", "local-time-t-given",
+             "rayleigh-sigma", "rayleigh-toll", "tree-toll", "tree-sigma", "mittag-leffler-sigma"],
+    )
+    def test_default_filled_only_for_the_law_that_reads_it(self, capsys, argv, key, value):
+        code, out, err = run_cli(capsys, *argv, "--format", "json", "--manifest")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["manifest"]["arguments"][key] == value
 
     @pytest.mark.parametrize(
         "name, selector, flag",
@@ -925,8 +958,9 @@ class TestPlumbing:
     # replaced, and sample-csv-check when each squared standard error and
     # then each mean came to be rounded once; the phi-adjudicate and tilt
     # check digests when moments came to be exponentiated by math.exp and
-    # the slopes fitted in closed form (CHANGES.md gives the size of each
-    # change)
+    # the slopes fitted in closed form, and the two fkp manifests when --t
+    # came to be recorded as null for a law that does not read it
+    # (CHANGES.md gives the size of each change)
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -936,7 +970,7 @@ class TestPlumbing:
             ),
             (
                 ("moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "10", "--manifest"),
-                "d6d94edd0e0bb243af2bc23b164c11df66a61189208d867f77ece8e7917ad6a6",
+                "6885e4d5e0932b43d8f418a85c6f738ee94a68158fa8b2ed408265342bbcc386",
             ),
             (
                 ("moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "10",
@@ -946,7 +980,7 @@ class TestPlumbing:
             (
                 ("moments", "--which", "fkp", "--a-prime", "0.5", "--smax", "10",
                  "--format", "json", "--manifest"),
-                "49352e47d29735a5bcfbd092db8db582a5c345ad15351be1dd56f85ffbf15dd4",
+                "705a3aac2d47923e988f234d0fe8d4e980494a60c413a61501bb011cc0a8686a",
             ),
             # README's other moments examples, one per --which family
             (
