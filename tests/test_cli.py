@@ -278,7 +278,7 @@ class TestLawTable:
             action = next(a for a in subparsers[subcommand]._actions if a.dest == selector)
             assert tuple(action.choices) == cli._names(selector)
 
-    @pytest.mark.parametrize("name, selector", _LAW_USES, ids="-".join)
+    @pytest.mark.parametrize("name, selector", _LAW_USES, ids=str)
     def test_each_law_runs_with_its_minimal_flags(self, capsys, name, selector):
         required = cli._LAWS[name][0]
         code, out, err = run_cli(capsys, *_law_argv(name, selector, required))
@@ -288,7 +288,7 @@ class TestLawTable:
     @pytest.mark.parametrize(
         "name, selector, flag",
         [(name, selector, flag) for name, selector in _LAW_USES for flag in cli._LAWS[name][0]],
-        ids="-".join,
+        ids=str,
     )
     def test_each_required_flag_left_out_exits_2_naming_it(self, name, selector, flag):
         flags = [f for f in cli._LAWS[name][0] if f != flag]
