@@ -245,7 +245,7 @@ def hankel_positive_definite(seq: MomentSequence, max_order: int) -> HankelDiagn
 
 
 def carleman_partial_sums(seq: MomentSequence, s_max: int | None = None):
-    """Partial sums of m_{2s}^{-1/(2s)} for s = 1..s_max.
+    """Partial sums of m_{2s}^{-1/(2s)} for s = 1..s_max, as a numpy array.
 
     Divergence of the full series certifies moment determinacy; the output is
     descriptive only (divergence is not finitely decidable).  Nondecreasing
