@@ -21,12 +21,16 @@ Exact sums
 ``_binned_sum`` adds each value's hi part (top 27 significant bits, scaled
 by 2**-26) and lo part (low 26 bits) into float bins by sign and exponent,
 exact for 2**26 values; ``_exact_sums`` keeps the bins for the whole sample
-and turns them into Python ints once.  A summary of S >= 2 orders sums 2S - 1
-arrays per block, as x**2 is both order 2's values and order 1's squares.
+and turns them into Python ints once.  A summary of S orders sums
+S + ceil(S/2) arrays per block along one power ladder: odd order o is x**o,
+even order 2s is the square of order s, and that square is order s's square
+sum as well, so only the top order of each chain o, 2o, 4o, ... <= S is
+squared once more.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import warnings
@@ -167,7 +171,7 @@ def _exact_means(blocks, n: int, terms, pairs, names) -> tuple[list[float], list
     ``pairs[i][0]``, over n; the sum at ``pairs[i][1]``, which must be
     their squares, gives its squared error (n sum(x^2) - (sum x)^2) /
     (n^2 (n - 1)), formed from the exact sums and rounded once.  A sum may
-    serve several means, as order 2's values serve as order 1's squares in
+    serve several means, as order 2s's values serve as order s's squares in
     ``_summary``.  This is the small superaccumulator of Neal, "Fast exact
     summation using small and large superaccumulators" (arXiv:1505.05571):
     each mean is the exact sum over n, rounded once, whatever the block
@@ -364,22 +368,36 @@ def mittag_leffler_samples(alpha: float, n: int, seed: int) -> np.ndarray:
 
 def _summary(blocks, n: int, s_max: int, seed: int, sampler: str, params) -> SampleSummary:
     """``summarize`` over the n values that ``blocks`` yields in blocks of at
-    most _CHUNK, each reduced as it arrives."""
+    most _CHUNK, each reduced as it arrives.
+
+    The orders' values come from one power ladder per block: x**o for odd o
+    (x itself for o = 1) and np.square of order s for order 2s, squared in
+    place in one work array, so at most x and that array are alive.  Each
+    array is summed once and serves as an order's values, as the square sum
+    of the order half its size, or both: S + ceil(S/2) sums and
+    ceil(S/2) - 1 ``pow`` passes per block.
+    """
     n = int(n)
     s_max = _require_order(s_max)
+    # one chain per odd order o: o, 2o, 4o, ... up to the first order above
+    # s_max, whose values are only the square sum of the order before it
+    chains = [[o] for o in range(1, s_max + 1, 2)]
+    for chain in chains:
+        while chain[-1] <= s_max:
+            chain.append(2 * chain[-1])
+    at = {order: i for i, order in enumerate(itertools.chain(*chains))}
+    work = np.empty(_CHUNK)  # the chain's values, each square taken in place
 
     def terms(x):
-        # x, then x**s and its square for each order s >= 2; numpy computes
-        # x**2 as np.square(x), so x**2 is order 1's square as well
-        yield x
-        if s_max == 1:
-            yield np.square(x)
-        for s in range(2, s_max + 1):
-            v = x**s
-            yield v
-            yield np.square(v, out=v)
+        v = work[: x.size]
+        for odd, *evens in chains:
+            base = x if odd == 1 else np.power(x, odd, out=v)
+            yield base
+            for _ in evens:
+                base = np.square(base, out=v)
+                yield base
 
-    pairs = [(0, 1), *((2 * s - 3, 2 * s - 2) for s in range(2, s_max + 1))]
+    pairs = [(at[s], at[2 * s]) for s in range(1, s_max + 1)]
     names = [f"moment of order {s}" for s in range(1, s_max + 1)]
     moments, errors = _exact_means(blocks, n, terms, pairs, names)
     return SampleSummary(
@@ -397,10 +415,13 @@ def summarize(
 ) -> SampleSummary:
     """Empirical moments up to order s_max with standard errors.
 
-    The sums of X**s and (X**s)**2 for every order s are exact
+    The sums of each order's values and of their squares are exact
     (``_exact_means``: float bins by sign and exponent, turned into an
     integer and rounded once), taken in one pass over _CHUNK blocks; naive
-    accumulation loses digits in fourth moments at n = 1e6.  Raises
+    accumulation loses digits in fourth moments at n = 1e6.  Order s's
+    values are X**s for odd s and the square of order s/2's for even s
+    (``_summary``), so odd orders and order 2 are the plain powers and an
+    even order from 4 on can differ from X**s in its last bit.  Raises
     OverflowError naming the first order whose power, squared power or sum
     is not finite.
     """

@@ -848,6 +848,24 @@ class TestSampleCommand:
         assert err.startswith("error: moment of order 2 is not finite")
 
     @pytest.mark.parametrize(
+        "sigma, smax, order",
+        [("1e20", "12", 8), ("1e40", "8", 4)],
+        ids=["order-8", "order-4"],
+    )
+    def test_overflowing_square_names_its_order(self, sigma, smax, order):
+        # X**16 overflows at sigma = 1e20 and X**8 at 1e40: the square sum of
+        # order 8, or of order 4, is the first sum that is not finite, read
+        # over a block edge; the same line as with x**s for every order
+        code, out, err = run_cli_showing_warnings(
+            ["sample", "--sampler", "rayleigh", "--sigma", sigma, "--n", "70000", "--smax", smax]
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: moment of order {order} is not finite: a value, its square or a sum "
+            "overflows\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("--sampler", "rayleigh", "--n", "10", "--sigma", "1e308"),
@@ -898,7 +916,8 @@ class TestSampleCommand:
     # were re-pinned when each squared standard error came to be rounded once
     # from the exact sums, and the tree ones when the JSON summary came to
     # name the tree size n and the replicates reps; all but the
-    # tree-table-threads pair when each mean came to be rounded once
+    # tree-table-threads pair when each mean came to be rounded once; and
+    # rayleigh-csv when even orders came to be squares of their halves
     # (CHANGES.md gives each change)
     @pytest.mark.parametrize(
         "argv, digest",
@@ -921,7 +940,14 @@ class TestSampleCommand:
             (
                 ("sample", "--sampler", "rayleigh", "--n", "65537", "--seed", "11", "--smax", "6",
                  "--format", "csv"),
-                "81363ff697e59d72c44a14f702ffe5a844f18fa6e095b01a5fde6e1fa4e48e07",
+                "f2acd83ee74dfe72fad6c4b5c729b02041066c65cab83d1f7cda5246962ce9fd",
+            ),
+            # recorded with x**s for every order: orders 5-8 underflow to
+            # subnormals and 9-12 to 0, so no power rounds the same way twice
+            (
+                ("sample", "--sampler", "rayleigh", "--sigma", "1e-40", "--n", "70000",
+                 "--smax", "12", "--format", "csv"),
+                "bb86847bee92820bcc5ee282b93771697b489eaa76a5cb76702a1a3bbed61d57",
             ),
             # recorded with the per-size CDF search that table draws replaced
             *(
@@ -943,7 +969,7 @@ class TestSampleCommand:
         ],
         ids=[
             "rayleigh-check", "mittag-leffler-threads", "tree", "rayleigh-csv",
-            "tree-table-threads-1", "tree-table-threads-2", "tree-plateau-table",
+            "rayleigh-underflow", "tree-table-threads-1", "tree-table-threads-2", "tree-plateau-table",
         ],
     )
     def test_pinned_stdout_digest(self, capsys, argv, digest):

@@ -36,6 +36,7 @@ from limitlaw import (
     summarize,
     tree_cost_samples,
 )
+from limitlaw import montecarlo
 from limitlaw.montecarlo import (
     _BINS,
     _CHUNK,
@@ -220,7 +221,9 @@ class TestExactSum:
             assert totals == [blocks * _CHUNK * exact_units(block[0])]
 
     def test_square_is_the_second_power(self):
-        # _summary takes order 1's square sum from order 2's values, x**2
+        # _summary's ladder squares order s to get order 2s, whose sum is
+        # also order s's square sum; order 2's values, np.square(x), are
+        # x**2, so order 2's mean and order 1's error are the plain power's
         rng = np.random.default_rng(11)
         x = rng.integers(0, 2**64, 1 << 16, dtype=np.uint64).view(float)
         x = np.concatenate([x[~np.isnan(x)], [0.0, -0.0, 5e-324, np.inf, -np.inf],
@@ -326,12 +329,20 @@ def exact_mean(v):
     return float(Fraction(exact_sum(v), 2**EXACT_BITS * v.size))
 
 
+def ladder_power(values, s):
+    """Order s's values on the power ladder, built for this order alone:
+    values**s for odd s, the square of order s / 2's values for even s."""
+    if s % 2:
+        return values**s
+    return np.square(ladder_power(values, s // 2))
+
+
 def reference_summarize(values, s_max):
     """Moments and standard errors one order at a time: the exact mean of
-    x**s and the exact standard error."""
+    order s's ladder values and their exact standard error."""
     moments, errors = [1.0], [0.0]
     for s in range(1, s_max + 1):
-        v = values**s
+        v = ladder_power(values, s)
         moments.append(exact_mean(v))
         errors.append(exact_standard_error(v))
     return np.array(moments), np.array(errors)
@@ -363,8 +374,38 @@ class TestOnePassSummarize:
         x = one_pass_sample(sampler, 1000)
         summary = summarize(x, 4, 0, sampler)
         for s in range(1, 5):
-            total = sum(map(Fraction, (x**s).tolist()))
+            total = sum(map(Fraction, ladder_power(x, s).tolist()))
             assert summary.moments[s] == float(total / x.size)
+
+    @pytest.mark.parametrize("sampler", ["rayleigh", "mittag-leffler", "tree"])
+    def test_odd_orders_and_low_errors_are_the_plain_powers(self, sampler):
+        # the ladder takes x**o for odd o and squares only to reach even
+        # orders; np.square(x) is x**2 and np.square(x**2) is (x**2)**2, so
+        # odd orders, order 2 and the standard errors of orders 1-3 are
+        # those of the plain powers x**s, byte for byte
+        x = one_pass_sample(sampler, 3 * _CHUNK + 1)
+        summary = summarize(x, 12, 0, sampler)
+        for s in range(1, 13):
+            if s % 2 or s == 2:
+                assert summary.moments[s].hex() == exact_mean(x**s).hex()
+            if s <= 3:
+                assert summary.standard_errors[s].hex() == exact_standard_error(x**s).hex()
+
+    @pytest.mark.parametrize("s_max", range(1, 13))
+    def test_sums_per_block(self, monkeypatch, s_max):
+        # each odd order starts a chain o, 2o, 4o, ...; every array on it is
+        # summed once, plus one square past its top order: S + ceil(S/2)
+        calls = []
+
+        def counted(bins, block, work):
+            calls.append(block.size)
+            _binned_sum(bins, block, work)
+
+        monkeypatch.setattr(montecarlo, "_binned_sum", counted)
+        x = one_pass_sample("rayleigh", 2 * _CHUNK + 1)
+        summarize(x, s_max, 0, "rayleigh")
+        per_block = s_max + (s_max + 1) // 2
+        assert calls == [_CHUNK] * per_block * 2 + [1] * per_block
 
     def test_constant_sample_clamps_its_error_at_zero(self):
         # 0.7**2 rounds down, so n sum(x^2) - (sum x)^2 is below 0 here
