@@ -239,9 +239,8 @@ def _tree_summary(args):
     montecarlo = _module("montecarlo")
     kernel = (montecarlo.SplitKernel.from_csv(args.kernel_file) if args.kernel_file
               else montecarlo.SplitKernel.uniform())
-    reps = 10000 if args.reps is None else args.reps
     return montecarlo.simulate_tree_cost(
-        kernel, args.toll_exponent, args.n, reps, args.seed, args.smax
+        kernel, args.toll_exponent, args.n, args.reps, args.seed, args.smax
     )
 
 
@@ -249,7 +248,7 @@ _ROUTE = ("alpha", "beta", "d", "p", "a_prime")  # the flags _resolve_bessel rea
 
 # The law flags that have a default: each is None when not given, and _build
 # fills in the default only for a law that reads the flag.
-_DEFAULTS = {"t": 1.0, "sigma": 1.0, "toll_exponent": 0.0}
+_DEFAULTS = {"t": 1.0, "sigma": 1.0, "toll_exponent": 0.0, "reps": 10000}
 
 # law -> (the flags it cannot run without, the other law flags it reads,
 # {selector: builder(args)}): the moment sequence of --which, the MellinSpec

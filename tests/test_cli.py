@@ -865,6 +865,14 @@ class TestSampleCommand:
             "overflows\n"
         )
 
+    def test_tree_manifest_records_the_default_reps(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sample", "--sampler", "tree", "--n", "10", "--manifest", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["manifest"]["arguments"]["reps"] == payload["summary"]["reps"] == 10000
+
     @pytest.mark.parametrize(
         "argv",
         [
