@@ -382,14 +382,18 @@ class TestOnePassSummarize:
         # the ladder takes x**o for odd o and squares only to reach even
         # orders; np.square(x) is x**2 and np.square(x**2) is (x**2)**2, so
         # odd orders, order 2 and the standard errors of orders 1-3 are
-        # those of the plain powers x**s, byte for byte
+        # those of the plain powers x**s, byte for byte.  A one-ulp change in
+        # some values seldom moves a sum rounded once, so each value is also
+        # summarised on its own, twice: its mean is its power and its error
+        # the rounding error of the power's square
         x = one_pass_sample(sampler, 3 * _CHUNK + 1)
-        summary = summarize(x, 12, 0, sampler)
-        for s in range(1, 13):
-            if s % 2 or s == 2:
-                assert summary.moments[s].hex() == exact_mean(x**s).hex()
-            if s <= 3:
-                assert summary.standard_errors[s].hex() == exact_standard_error(x**s).hex()
+        for v in (x, *(np.full(2, a) for a in x[:200])):
+            summary = summarize(v, 12, 0, sampler)
+            for s in range(1, 13):
+                if s % 2 or s == 2:
+                    assert summary.moments[s].hex() == exact_mean(v**s).hex()
+                if s <= 3:
+                    assert summary.standard_errors[s].hex() == exact_standard_error(v**s).hex()
 
     @pytest.mark.parametrize("s_max", range(1, 13))
     def test_sums_per_block(self, monkeypatch, s_max):
