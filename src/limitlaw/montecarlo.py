@@ -373,8 +373,8 @@ def _summary(blocks, n: int, s_max: int, seed: int, sampler: str, params) -> Sam
     The orders' values come from one power ladder per block: x**o for odd o
     (x itself for o = 1) and np.square of order s for order 2s, squared in
     place in one array made per block, so at most x and that array are
-    alive (one array kept for the whole sample stayed resident while the
-    next block was drawn, which raised a tree sample's peak RSS by 0.4 MB).
+    alive (an array kept for the whole sample would stay resident while the
+    next block is drawn, which raised a tree sample's peak RSS by 0.4 MB).
     Each array is summed once and serves as an order's values, as the square
     sum of the order half its size, or both: S + ceil(S/2) sums and
     ceil(S/2) - 1 ``pow`` passes per block.

@@ -950,8 +950,8 @@ class TestSampleCommand:
                  "--format", "csv"),
                 "f2acd83ee74dfe72fad6c4b5c729b02041066c65cab83d1f7cda5246962ce9fd",
             ),
-            # recorded with x**s for every order: orders 5-8 underflow to
-            # subnormals and 9-12 to 0, so no power rounds the same way twice
+            # recorded with x**s for every order; the squares of orders 5-12
+            # underflow to 0, and so do the values of orders 9-12
             (
                 ("sample", "--sampler", "rayleigh", "--sigma", "1e-40", "--n", "70000",
                  "--smax", "12", "--format", "csv"),
