@@ -398,9 +398,9 @@ def cmd_check(args) -> int:
     )
     if sides is None:  # phi-adjudicate: a diagnostic, never a failure
         results = [identities.adjudicate_phi_convention(*point, args.smax, tol) for point in points]
-        header = ("a_prime", "convention", "max_deviation", "log10_slope", "pass")
+        header = ("a_prime", "convention", "max_deviation", "pass")
         rows = (
-            (r.a_prime, conv, rep.max_deviation, r.slopes[conv], rep.passed)
+            (r.a_prime, conv, rep.max_deviation, rep.passed)
             for r in results
             for conv, rep in r.reports.items()
         )

@@ -19,7 +19,9 @@ sum is a chirp-z transform in the product k j, and one Bluestein convolution
 (Rabiner, Schafer & Rader 1969) evaluates it at every grid point.  Its FFTs
 run at the smallest 2^a 3^b 5^c length that holds the convolution, not the
 next power of two.  That is the only quadrature: ``invert`` refuses a grid
-that is not log-uniform to within roundoff.
+that is not log-uniform to within roundoff.  A DensityTable holds the values
+and the diagnostics that ``invert`` computed; it reads no moments off the
+grid, which past the grid's ends would be an extrapolation.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .gammakit import (
     _two_prod_vec,
     _two_sum_vec,
 )
-from .moments import MomentSequence, _require_alpha, _require_order, _require_positive
+from .moments import _require_alpha, _require_positive
 
 __all__ = [
     "MellinSpec",
@@ -48,11 +50,9 @@ __all__ = [
     "MellinInversionError",
     "spec_from_fkp_quarter",
     "spec_from_mittag_leffler",
-    "spec_from_exponential",
     "default_grid",
     "log_grid",
     "invert",
-    "roundtrip_moments",
 ]
 
 LN2 = math.log(2.0)
@@ -255,16 +255,6 @@ def spec_from_mittag_leffler(alpha: float) -> MellinSpec:
     )
 
 
-def spec_from_exponential() -> MellinSpec:
-    """Mellin transform of the unit exponential: M(s) = Gamma(s)."""
-    return MellinSpec(
-        log_prefactor=0.0,
-        log_base=0.0,
-        factors=((1.0, 0.0, 1),),
-        label="exp(1)",
-    )
-
-
 @dataclass(frozen=True)
 class DensityTable:
     """Reconstructed density on a positive grid.
@@ -289,9 +279,6 @@ class DensityTable:
     @property
     def label(self) -> str:
         return self.metadata.get("label", "density")
-
-    def integral(self) -> float:
-        return _integrate_log(self.x, self.density)
 
     def to_csv(self) -> tuple:
         """The CSV table as ``(comments, header, columns)``: comment lines of
@@ -626,58 +613,3 @@ def invert(spec: MellinSpec, grid, *, contour: float = 0.5, step: float = 0.04,
         metadata=metadata,
     )
 
-
-def _alive_region(table: DensityTable) -> np.ndarray:
-    """Indices where the density is meaningfully above the quadrature noise
-    floor (10x); everything below is treated as numerically dead."""
-    floor = table.metadata.get("noise_floor")
-    if floor is None:
-        return np.nonzero(table.density > 0.0)[0]
-    return np.nonzero(table.density > 10.0 * np.asarray(floor, dtype=float))[0]
-
-
-def _tail_moment_estimate(table: DensityTable, s: int, alive: np.ndarray) -> float:
-    """Estimate of integral_{x_end}^inf x^s f(x) dx, continuing the log-log
-    slope measured over the last few points that sit above the noise floor."""
-    if alive.size < 2:
-        return 0.0
-    x, f = table.x, table.density
-    j = alive[-1]
-    i = alive[max(alive.size - 5, 0)]
-    if i == j:
-        return 0.0
-    slope = -(math.log(f[j]) - math.log(f[i])) / (math.log(x[j]) - math.log(x[i]))
-    if slope <= s + 1.0:
-        return math.inf
-    return f[j] * x[j] ** (s + 1) / (slope - s - 1.0)
-
-
-def roundtrip_moments(table: DensityTable, s_max: int) -> MomentSequence:
-    """Numerical moments of a density table, for comparison against the
-    sequence that generated it.
-
-    Raises when the estimated moment mass beyond the grid exceeds 1e-8 of
-    the grid moment (insufficient tail coverage).
-    """
-    s_max = _require_order(s_max)
-    alive = _alive_region(table)
-    if alive.size == 0:
-        raise ValueError("density table is numerically zero everywhere")
-    grid_moments = np.empty(s_max + 1)
-    for s in range(s_max + 1):
-        grid_moments[s] = _integrate_log(table.x, table.density * table.x**s)
-        upper = _tail_moment_estimate(table, s, alive)
-        j0 = alive[0]
-        lower = table.density[j0] * table.x[j0] ** (s + 1)
-        if upper + lower > 1e-8 * grid_moments[s]:
-            raise ValueError(
-                f"insufficient tail coverage for order {s}: estimated missing "
-                f"mass {upper + lower:.3e} vs grid moment {grid_moments[s]:.6g}"
-            )
-    vals = grid_moments / grid_moments[0]
-    vals[0] = 1.0
-    return MomentSequence(
-        vals,
-        f"roundtrip({table.label})",
-        {"grid_points": int(table.x.size), "x_min": float(table.x[0]), "x_max": float(table.x[-1])},
-    )

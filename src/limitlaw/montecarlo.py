@@ -176,7 +176,8 @@ def _exact_means(blocks, n: int, terms, pairs, names) -> tuple[list[float], list
     summation using small and large superaccumulators" (arXiv:1505.05571):
     each mean is the exact sum over n, rounded once, whatever the block
     order.  Raises OverflowError with the first of ``names`` whose value,
-    square or sum is not finite.
+    square or sum is not finite, and ArithmeticError with the first whose
+    squares sum to less than rounded squares can (they underflowed).
     """
     totals = _exact_sums(blocks, terms, 1 + max(map(max, pairs)))
     means, errors = [], []
@@ -191,8 +192,13 @@ def _exact_means(blocks, n: int, terms, pairs, names) -> tuple[list[float], list
             raise OverflowError(
                 f"{name} is not finite: a value, its square or a sum overflows"
             ) from None
+        # Squares rounded to normal doubles keep spread >= -(sum x)^2 / 2**53
+        # (Cauchy-Schwarz, each square low by at most 2**-53 of itself): only
+        # squares that underflowed fall below it
+        if spread << 53 < -totals[value] ** 2:
+            raise ArithmeticError(f"{name} has no standard error: its squares underflow")
         means.append(mean)
-        errors.append(math.sqrt(max(se_sq, 0.0)))  # each square was rounded: may dip below 0
+        errors.append(math.sqrt(max(0.0, se_sq)))  # rounded squares may dip below 0, or to -0.0
     return means, errors
 
 
@@ -424,7 +430,8 @@ def summarize(
     (``_summary``), so odd orders and order 2 are the plain powers and an
     even order from 4 on can differ from X**s in its last bit.  Raises
     OverflowError naming the first order whose power, squared power or sum
-    is not finite.
+    is not finite, and ArithmeticError naming the first whose squares
+    underflow.
     """
     values = np.asarray(values, dtype=float)
     if values.size < 1:

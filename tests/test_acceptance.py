@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import erf
+from test_identities import per_order_hankel
+from test_mellin import EXP_SPEC, grid_moments
 
 from limitlaw import (
     BesselParams,
@@ -22,19 +24,16 @@ from limitlaw import (
     enumerate_tree_costs,
     exp_functional_moments,
     fkp_moments,
-    hankel_positive_definite,
     invert,
     kappa,
     local_time_moments,
     mean_local_time_at_1,
     mittag_leffler_moments,
     mittag_leffler_samples,
-    roundtrip_moments,
     sample_mittag_leffler,
     sample_rayleigh,
     scale,
     scaled_local_time_moments,
-    spec_from_exponential,
     spec_from_fkp_quarter,
     spec_from_mittag_leffler,
     stable_laplace_check,
@@ -172,11 +171,10 @@ def test_ac06_phi_convention_adjudication():
         )
         ok = ok and deterministic and both_evaluated and consistent
         outcomes[a_prime] = first
-        slopes = {k: (None if v is None else round(v, 4)) for k, v in first.slopes.items()}
         print(
             f"AC-6 detail: a'={a_prime:g} matching={list(first.matching)} "
             f"deviations: paper={first.reports['paper'].max_deviation:.3e}, "
-            f"half={first.reports['half'].max_deviation:.3e}, log10-slopes={slopes}"
+            f"half={first.reports['half'].max_deviation:.3e}"
         )
         assert deterministic
         assert both_evaluated
@@ -200,11 +198,11 @@ def test_ac07_density_reconstruction():
     spec_q = spec_from_fkp_quarter()
     table_q = invert(spec_q, default_grid(spec_q, 1201))
     integral = table_q.metadata["integral_raw"]
-    got = roundtrip_moments(table_q, 5)
+    got = grid_moments(table_q, 5)
     want = fkp_moments(0.25, 5)
-    roundtrip_dev = rel_dev(got.values, want.values)
+    roundtrip_dev = rel_dev(got, want.values)
 
-    spec_e = spec_from_exponential()
+    spec_e = EXP_SPEC
     table_e = invert(spec_e, default_grid(spec_e, 801))
     exp_dev = float(np.max(np.abs(table_e.density - np.exp(-table_e.x))))
 
@@ -303,7 +301,7 @@ def test_ac10_moment_problem_diagnostics():
     non_pd = []
     non_convex = []
     for seq in sequences:
-        if not hankel_positive_definite(seq, 4).all_positive_definite:
+        if not all(per_order_hankel(seq, 4)[1]):
             non_pd.append(seq.label)
         if not seq.is_log_convex():
             non_convex.append(seq.label)

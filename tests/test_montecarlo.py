@@ -281,6 +281,17 @@ class TestSummarize:
         with pytest.raises(OverflowError, match="order 1 "):
             summarize(np.full(3, 1.5e308), 2, 0, "huge")
 
+    def test_underflowing_squares_name_their_order(self):
+        # 1e-170**2 underflows to 0, so n sum(x^2) = 0 < (sum x)^2 at order 1
+        message = "^moment of order 1 has no standard error: its squares underflow$"
+        with pytest.raises(ArithmeticError, match=message):
+            summarize(np.full(3, 1e-170), 2, 0, "tiny")
+
+    def test_one_underflowing_square_keeps_the_error(self):
+        # the squares that do not underflow carry the spread
+        summary = summarize(np.array([1e-170, 1.0, 2.0]), 1, 0, "mixed")
+        assert summary.standard_errors[1] == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-15)
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError, match="s_max must be >= 1"):
             summarize(np.ones(3), 0, 0, "unit")
