@@ -292,6 +292,16 @@ class TestSummarize:
         summary = summarize(np.array([1e-170, 1.0, 2.0]), 1, 0, "mixed")
         assert summary.standard_errors[1] == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-15)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("value", [1.0000609882437614, 1.415115707903286])
+    def test_squares_rounded_down_are_not_refused(self, value, n):
+        # value**2 rounds down by 0.996 and 0.997 of the 2**-53 relative step
+        # that rounding allows, so n sum(x^2) < (sum x)^2: the refusal must
+        # leave this to an error of +0.0, not take it for an underflow
+        assert Fraction(value * value) < Fraction(value) ** 2
+        error = summarize(np.full(n, value), 1, 0, "constant").standard_errors[1]
+        assert (error, math.copysign(1.0, error)) == (0.0, 1.0)
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError, match="s_max must be >= 1"):
             summarize(np.ones(3), 0, 0, "unit")

@@ -29,3 +29,16 @@ def oracles(monkeypatch):
 def test_check_output_passes_the_benchmark_oracle(oracles, capsys, identity, fmt):
     code = cli.main(["check", "--identity", identity, "--format", fmt])
     assert oracles.check_identity(code, capsys.readouterr().out, identity, fmt) is None
+
+
+@pytest.mark.parametrize(
+    "fmt, passed, failed",
+    [("csv", ",True\n", ",False\n"), ("json", '"pass": true', '"pass": false')],
+    ids=["csv", "json"],
+)
+def test_benchmark_oracle_refuses_a_failing_report(oracles, capsys, fmt, passed, failed):
+    # the oracle reads the verdicts that the test above relies on
+    assert cli.main(["check", "--identity", "corollary", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    message = f"1 of {out.count(passed)} reports fail"
+    assert oracles.check_identity(0, out.replace(passed, failed, 1), "corollary", fmt) == message

@@ -10,6 +10,7 @@ wording.
 
 import json
 import math
+import operator
 import re
 import subprocess
 import sys
@@ -97,6 +98,20 @@ class TestSurface:
     def test_every_name_resolves(self):
         for name in limitlaw.__all__:
             assert hasattr(limitlaw, name), name
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [("identities", "HankelDiagnostics"), ("identities", "hankel_positive_definite"),
+         ("identities", "_ldl_pivots"), ("identities", "carleman_partial_sums"),
+         ("mellin", "roundtrip_moments"), ("mellin", "_alive_region"),
+         ("mellin", "_tail_moment_estimate"), ("mellin", "spec_from_exponential"),
+         ("mellin.DensityTable", "integral")],
+    )
+    def test_removed_diagnostic_is_gone(self, owner, name):
+        # the library-only Hankel, Carleman and round-trip diagnostics
+        for place in (operator.attrgetter(owner)(limitlaw), limitlaw):
+            with pytest.raises(AttributeError, match=f"has no attribute '{name}'$"):
+                getattr(place, name)
 
 
 def fresh(code, *argv):
