@@ -172,6 +172,13 @@ def _require_order(value: int, name: str = "s_max") -> int:
     return value
 
 
+def _require_seed(seed: int) -> int:
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 def _require_positive(value: float, name: str) -> float:
     value = float(value)
     if not 0.0 < value < math.inf:  # NaN fails too

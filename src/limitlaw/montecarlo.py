@@ -8,19 +8,20 @@ Sampling is chunked in fixed blocks of 65536 draws.  Chunk i uses the PCG64
 generator seeded from child i of ``numpy.random.SeedSequence(seed)``; the
 children are spawned one at a time as the chunks are drawn, which gives the
 same spawn keys as one ``spawn(n_chunks)``.  Within a chunk the draw order
-is fixed by the algorithm.  Chunks run one after another and their
-boundaries depend only on n, and every reduction is an exact sum rounded
-once (``_exact_means``, one pass over the sample for all orders, hence
-order-independent), so identical (seed, parameters) produce bit-identical
-summaries.  ``_run_chunks`` yields the chunks lazily: the summaries reduce
-each one as it is drawn, in memory flat in n, and ``*_samples`` concatenate
-them.
+is fixed by the algorithm.  Chunks are drawn one after another on the
+caller's thread and their boundaries depend only on n, and every reduction
+is an exact sum rounded once (``_exact_means``, one pass over the sample for
+all orders, hence order-independent), so identical (seed, parameters)
+produce bit-identical summaries.  ``_run_chunks`` yields the chunks lazily:
+the summaries reduce each one on a helper thread while the next is drawn,
+in memory flat in n, and ``*_samples`` concatenate them.
 
 Exact sums
 ----------
 ``_binned_sum`` adds each value's hi part (top 27 significant bits, scaled
 by 2**-26) and lo part (low 26 bits) into float bins by sign and exponent,
-exact for 2**26 values; ``_exact_sums`` keeps the bins for the whole sample
+exact for 2**26 values; ``_exact_sums`` bins each block on one helper
+thread while the caller draws the next, keeps the bins for the whole sample
 and turns them into Python ints once.  A summary of S orders sums
 S + ceil(S/2) arrays per block along one power ladder: odd order o is x**o,
 even order 2s is the square of order s, and that square is order s's square
@@ -33,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -44,6 +46,7 @@ from .moments import (
     _require_order,
     _require_order_multiple,
     _require_positive,
+    _require_seed,
     _require_toll,
     fkp_moments,
 )
@@ -130,14 +133,44 @@ def _exact_sums(blocks, terms, k: int) -> list:
     ``terms(block)`` yields for each block of at most _CHUNK values from the
     iterable ``blocks``; None for a sum over a non-finite value.
 
-    Each block is dropped before the next one is asked for, so a lazy
-    ``blocks`` is summed in memory flat in n, and each array is binned
-    before the next is asked for, so ``terms`` may then overwrite it.  The
-    bins and the ``_workspace()`` are made once, after the first block is
-    drawn (made per block, their pages were faulted in again every block),
-    and the bins turn into ints at the end and before they pass _BIN_VALUES.
+    Two stages overlap: this thread asks ``blocks`` for block i + 1 while
+    one helper thread, started once per call, bins block i.  Each handoff
+    waits for the helper, so at most two blocks are alive and a lazy
+    ``blocks`` is summed in memory flat in n; each array is binned before
+    the next is asked for, so ``terms`` may then overwrite it.  The bins and
+    the ``_workspace()`` are made once, after the first block is drawn
+    (made per block, their pages were faulted in again every block), and
+    the bins turn into ints at the end and, between handoffs, before they
+    pass _BIN_VALUES.  The sums are exact, so they are those of binning the
+    blocks one after another.  An error of the helper is raised at the next
+    handoff, or in place of an error of the draw that it overlapped, which
+    comes later in the sequential order; the helper is joined before
+    anything leaves.
     """
     totals, bins, work, held = [0] * k, None, None, 0
+    handoff = [None, None]  # the block handed to the helper, and its error
+    given, taken = threading.Semaphore(0), threading.Semaphore(0)
+    busy = False
+
+    def bin_blocks():  # the helper: bins each block handed to it, until None
+        while given.acquire() and handoff[0] is not None:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # refused at the end
+                    for part, values in zip(bins, terms(handoff[0]), strict=True):
+                        _binned_sum(part, values, work)
+            except BaseException as exc:  # the caller raises it
+                handoff[1] = exc
+            handoff[0] = values = None  # free both while the next block is drawn
+            taken.release()
+
+    def settle():  # wait until the helper is idle; raise the error it met
+        nonlocal busy
+        if busy:
+            taken.acquire()
+            busy = False
+        error, handoff[1] = handoff[1], None
+        if error is not None:
+            raise error
 
     def flush():
         for t, part in enumerate(bins):
@@ -147,17 +180,26 @@ def _exact_sums(blocks, terms, k: int) -> list:
                 except OverflowError:
                     totals[t] = None
 
-    for block in blocks:
-        if bins is None:
-            bins, work = np.zeros((k, 2, _BINS)), _workspace()
-        if held + block.size > _BIN_VALUES:
-            flush()
-            bins[:], held = 0.0, 0
-        held += block.size
-        with np.errstate(over="ignore", invalid="ignore"):  # refused at the end
-            for part, values in zip(bins, terms(block), strict=True):
-                _binned_sum(part, values, work)
-        block = values = None  # free both while the next block is drawn
+    helper = threading.Thread(target=bin_blocks, name="limitlaw-exact-sums")
+    helper.start()
+    try:
+        for block in blocks:
+            if bins is None:
+                bins, work = np.zeros((k, 2, _BINS)), _workspace()
+            settle()
+            if held + block.size > _BIN_VALUES:
+                flush()
+                bins[:], held = 0.0, 0
+            held += block.size
+            handoff[0], block, busy = block, None, True
+            given.release()
+    finally:
+        try:
+            settle()
+        finally:
+            handoff[0] = None
+            given.release()
+            helper.join()
     if bins is not None:
         flush()
     return totals
@@ -252,7 +294,7 @@ class SampleSummary:
 def _chunk_generators(seed: int, n_chunks: int):
     """Lazily, the generator of each of n_chunks chunks: child i of
     ``SeedSequence(seed)``, spawned one at a time."""
-    root = np.random.SeedSequence(int(seed))
+    root = np.random.SeedSequence(seed)
     for _ in range(n_chunks):
         yield np.random.default_rng(root.spawn(1)[0])
 
@@ -279,6 +321,7 @@ def _rayleigh_chunks(sigma: float, n: int, seed: int):
     """The lazy chunks of ``rayleigh_samples``."""
     _require_positive(sigma, "sigma")
     n = _require_order(n, "n")
+    seed = _require_seed(seed)
 
     def chunk(rng, m):
         # sigma * sqrt(-2 log1p(-u)), evaluated in place in the uniforms
@@ -304,6 +347,7 @@ def _stable_chunks(alpha: float, n: int, seed: int, finish):
     partial sum share two scratch arrays made once per sample."""
     _require_alpha(alpha)
     n = _require_order(n, "n")
+    seed = _require_seed(seed)
     ratio = (1.0 - alpha) / alpha
     scratch = np.empty(_CHUNK), np.empty(_CHUNK)
 
@@ -722,6 +766,7 @@ def _tree_chunks(kernel: SplitKernel, a: float, n: int, reps: int, seed: int):
     _require_toll(a)
     n = _require_order(n, "n")
     reps = _require_order(reps, "reps")
+    seed = _require_seed(seed)
     if kernel._start is not None:
         gaps = np.flatnonzero(kernel._start[2 : n + 1] < 0)
         if gaps.size:

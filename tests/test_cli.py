@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -727,6 +728,46 @@ class TestSampleCommand:
             capsys, "sample", "--sampler", "mittag-leffler", "--alpha", "1.5", "--n", "100"
         )
         assert (code, out, err) == (2, "", "error: alpha must lie in (0, 1), got 1.5\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--sampler", "rayleigh", "--n", "10", "--seed", "-1"),
+            ("--sampler", "mittag-leffler", "--alpha", "0.5", "--n", "10", "--seed", "-1"),
+            ("--sampler", "tree", "--n", "10", "--reps", "5", "--seed", "-1"),
+        ],
+        ids=["rayleigh", "mittag-leffler", "tree"],
+    )
+    def test_negative_seed_refused_before_any_draw(self, monkeypatch, argv):
+        # numpy's own refusal, "expected non-negative integer", named no flag
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a chunk was drawn before the seed was checked")
+
+        monkeypatch.setattr(montecarlo, "_chunk_generators", no_draws)
+        assert run_cli_showing_warnings(["sample", *argv]) == (
+            2, "", "error: seed must be an integer >= 0, got -1\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (("--sampler", "mittag-leffler", "--alpha", "0.5", "--n", "200000", "--smax", "8"),
+             0),
+            (("--sampler", "rayleigh", "--n", "200000", "--seed", "42",
+              "--check-against", "fkp:2.0"), 1),
+            (("--sampler", "rayleigh", "--sigma", "1e300", "--n", "200000"), 2),
+            (("--sampler", "tree", "--n", "2", "--reps", "200000", "--toll-exponent", "400",
+              "--smax", "2"), 2),
+        ],
+        ids=["exit-0", "exit-1", "exit-2", "tree-exit-2"],
+    )
+    def test_no_thread_outlives_a_sample(self, argv, exit_code):
+        # the exact sums bin each block on a helper thread, which every exit
+        # joins: 2**400 squared overflows, so the tree sample is refused
+        before = threading.enumerate()
+        code, _, _ = run_cli_showing_warnings(["sample", *argv])
+        assert code == exit_code
+        assert threading.enumerate() == before
 
     def test_kernel_file(self, capsys, tmp_path):
         path = tmp_path / "kernel.csv"

@@ -8,6 +8,9 @@ deterministic.  Statistical gates are 3 standard errors.
 import json
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -516,6 +519,247 @@ class TestStreamedSummary:
         small, large = peak(1 << 20), peak(1 << 22)
         assert large < 8 << 20
         assert abs(large - small) < 1 << 20
+
+
+def blocks_of(x):
+    return (x[start : start + _CHUNK] for start in range(0, x.size, _CHUNK))
+
+
+def three_terms(x):
+    """x, its square and its cube, the last two in one array made per block
+    and overwritten in place, as ``_summary``'s ladder does."""
+    yield x
+    v = np.square(x)
+    yield v
+    yield np.power(x, 3, out=v)
+
+
+def sequential_sums(blocks, terms, k):
+    """``_exact_sums`` as a plain loop on this thread: each array binned on
+    its own into fresh bins, turned into an int at once and added; None for
+    a sum over a non-finite value."""
+    totals, work = [0] * k, _workspace()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            for t, values in enumerate(terms(block)):
+                bins = np.zeros((2, _BINS))
+                _binned_sum(bins, values, work)
+                try:
+                    totals[t] = None if totals[t] is None else totals[t] + _bins_total(bins)
+                except OverflowError:
+                    totals[t] = None
+    return totals
+
+
+class TestPipeline:
+    """``_exact_sums`` bins block i on a helper thread while block i + 1 is
+    drawn; its sums are those of the sequential loop."""
+
+    @pytest.mark.parametrize("bin_values", [None, 3 * _CHUNK], ids=["default", "3-chunks"])
+    @pytest.mark.parametrize("n", STREAM_LENGTHS)
+    def test_equals_the_sequential_reduction(self, monkeypatch, n, bin_values):
+        # wide exponents over both signs; with 3 * _CHUNK values per flush,
+        # the last length flushes the bins while its third block is pending.
+        # Binning is slowed past the time a draw takes, so a flush that did
+        # not wait for the helper would find it binning
+        rng = np.random.default_rng(n)
+        x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-340, 340, n))
+        binning, flushes = [], []
+
+        def slow_draws():
+            for block in blocks_of(x):
+                time.sleep(0.005)
+                yield block
+
+        def slow(bins, block, work):
+            binning.append(block.size)
+            time.sleep(0.005)
+            _binned_sum(bins, block, work)
+            binning.pop()
+
+        def counted(bins):
+            assert not binning, "the bins were read while a block was binned"
+            flushes.append(bins.shape)
+            return _bins_total(bins)
+
+        if bin_values is not None:
+            monkeypatch.setattr(montecarlo, "_BIN_VALUES", bin_values)
+        monkeypatch.setattr(montecarlo, "_binned_sum", slow)
+        monkeypatch.setattr(montecarlo, "_bins_total", counted)
+        assert _exact_sums(slow_draws(), three_terms, 3) == sequential_sums(
+            blocks_of(x), three_terms, 3
+        )
+        flushed_early = bin_values is not None and n > bin_values
+        assert len(flushes) == 3 * (1 + flushed_early)
+
+    def test_concurrent_callers_under_fast_switching(self, monkeypatch):
+        # four callers, each with its own helper, on fewer cores; a switch
+        # every microsecond and a flush before every block but the first
+        # interleave every handoff, and a lost update would move a total
+        monkeypatch.setattr(montecarlo, "_BIN_VALUES", _CHUNK)
+        rng = np.random.default_rng(9)
+        n = 3 * _CHUNK + 5
+        x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-340, 340, n))
+        results = [None] * 4
+
+        def run(i):
+            results[i] = _exact_sums(blocks_of(x), three_terms, 3)
+
+        before = threading.enumerate()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [sequential_sums(blocks_of(x), three_terms, 3)] * 4
+        assert threading.enumerate() == before
+
+    def test_non_finite_sums_match_the_sequential_reduction(self):
+        # the cube of 1e200 overflows and the square of 1e300 as well
+        x = np.ones(3 * _CHUNK + 5)
+        x[_CHUNK + 7], x[-1] = 1e200, 1e300
+        totals = _exact_sums(blocks_of(x), three_terms, 3)
+        assert totals == sequential_sums(blocks_of(x), three_terms, 3)
+        assert totals[0] is not None and totals[1:] == [None, None]
+
+    @pytest.mark.parametrize("where", [0, -1], ids=["first-block", "last-block"])
+    def test_overflow_names_the_same_order_in_any_block(self, where):
+        # zeros add nothing; (1e100**2)**2 overflows, order 2's square sum
+        x = np.zeros(3 * _CHUNK + 5)
+        x[where] = 1e100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="^moment of order 2 is not finite"):
+                summarize(x, 4, 0, "edge")
+
+    @pytest.mark.parametrize(
+        "where", [slice(0, 70), slice(-5, None)], ids=["first-block", "last-block"]
+    )
+    def test_underflow_names_the_same_order_in_any_block(self, where):
+        # the squares of 1e-60**3 underflow to 0 while the cubes do not;
+        # orders 1 and 2 keep their squares
+        x = np.zeros(3 * _CHUNK + 5)
+        x[where] = 1e-60
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ArithmeticError, match="^moment of order 3 has no standard error"
+            ):
+                summarize(x, 4, 0, "edge")
+
+
+class TestPipelineFailures:
+    """Every way out of ``_exact_sums`` joins the helper thread first."""
+
+    def test_draw_error_surfaces_unchanged(self):
+        error = ValueError("the third block cannot be drawn")
+
+        def blocks():
+            yield np.ones(_CHUNK)
+            yield np.ones(_CHUNK)
+            raise error
+
+        before = threading.enumerate()
+        with pytest.raises(ValueError) as caught:
+            _exact_sums(blocks(), three_terms, 3)
+        assert caught.value is error
+        assert threading.enumerate() == before
+
+    def test_binning_error_surfaces_with_one_block_drawn_past_it(self):
+        drawn, binned = [], []
+
+        def blocks():
+            for i in range(10):
+                drawn.append(i)
+                yield np.full(_CHUNK, float(i))
+
+        def terms(x):
+            binned.append(x[0])
+            if len(binned) == 3:
+                raise RuntimeError("block 3 cannot be binned")
+            yield x
+
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="^block 3 cannot be binned$"):
+            _exact_sums(blocks(), terms, 1)
+        assert binned == [0.0, 1.0, 2.0]
+        assert len(drawn) <= 4
+        assert threading.enumerate() == before
+
+    def test_binning_error_comes_before_the_draw_error_it_overlapped(self):
+        # sequentially, block 1 is binned before block 2 is asked for
+        def blocks():
+            yield np.ones(3)
+            raise ValueError("block 2 cannot be drawn")
+
+        def terms(x):
+            raise RuntimeError("block 1 cannot be binned")
+            yield x
+
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="^block 1 cannot be binned$"):
+            _exact_sums(blocks(), terms, 1)
+        assert threading.enumerate() == before
+
+    def test_tree_kernel_refusal(self):
+        kernel = SplitKernel.from_table({2: [1.0], 4: [0.5, 0.25, 0.25]})
+        before = threading.enumerate()
+        with pytest.raises(ValueError, match="^split kernel has no distribution for size 3$"):
+            simulate_tree_cost(kernel, 0.5, 4, 3 * _CHUNK, TREE_SEED)
+        assert threading.enumerate() == before
+
+    def test_tree_draw_refused_while_a_block_is_binned(self, monkeypatch):
+        # at n = 2 each chunk takes one split draw: the second is refused
+        # while the first chunk is with the helper
+        draw, calls = SplitKernel.draw, []
+
+        def refused_second(self, sizes, u):
+            calls.append(sizes.size)
+            if len(calls) == 2:
+                raise ValueError("split draws need uniforms u in [0, 1)")
+            return draw(self, sizes, u)
+
+        monkeypatch.setattr(SplitKernel, "draw", refused_second)
+        before = threading.enumerate()
+        with pytest.raises(ValueError, match=r"^split draws need uniforms u in \[0, 1\)$"):
+            simulate_tree_cost(SplitKernel.uniform(), 0.5, 2, 3 * _CHUNK, TREE_SEED)
+        assert calls == [_CHUNK, _CHUNK]
+        assert threading.enumerate() == before
+
+
+class TestSeed:
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda seed: sample_rayleigh(1.0, 10, seed),
+            lambda seed: sample_mittag_leffler(0.5, 10, seed),
+            lambda seed: simulate_tree_cost(SplitKernel.uniform(), 0.5, 10, 5, seed),
+            lambda seed: rayleigh_samples(1.0, 10, seed),
+            lambda seed: positive_stable_samples(0.5, 10, seed),
+            lambda seed: stable_laplace_check(0.5, [1.0], 10, seed),
+        ],
+        ids=["sample_rayleigh", "sample_mittag_leffler", "simulate_tree_cost",
+             "rayleigh_samples", "positive_stable_samples", "stable_laplace_check"],
+    )
+    def test_negative_seed_refused_before_any_draw(self, monkeypatch, entry):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a chunk was drawn before the seed was checked")
+
+        monkeypatch.setattr(montecarlo, "_chunk_generators", no_draws)
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
+            entry(-1)
+
+    def test_zero_and_numpy_integer_seeds_run(self):
+        assert sample_rayleigh(1.0, 10, np.int64(7)).to_dict() == sample_rayleigh(
+            1.0, 10, 7
+        ).to_dict()
+        assert sample_rayleigh(1.0, 10, 0).seed == 0
 
 
 class TestRayleigh:
