@@ -5,32 +5,32 @@ Y_n = Y_{K_n} + n^a with Y_1 = 1.
 Stream-splitting rule
 ---------------------
 Sampling is chunked in fixed blocks of 65536 draws.  Chunk i uses the PCG64
-generator seeded from child i of ``numpy.random.SeedSequence(seed)``; the
-children are spawned one at a time as the chunks are drawn, which gives the
-same spawn keys as one ``spawn(n_chunks)``.  Within a chunk the draw order
-is fixed by the algorithm.  Chunks are drawn one after another on the
-caller's thread and their boundaries depend only on n, and every reduction
-is an exact sum rounded once (``_exact_means``, one pass over the sample for
-all orders, hence order-independent), so identical (seed, parameters)
-produce bit-identical summaries.  ``_run_chunks`` yields the chunks lazily:
-the summaries reduce each one on a helper thread while the next is drawn,
-in memory flat in n, and ``*_samples`` concatenate them.
+generator seeded from child i of ``numpy.random.SeedSequence(seed)``, made
+from its spawn key alone, so any chunk is drawn without the ones before
+it.  Within a chunk the draw order is fixed by the algorithm.  Chunk
+boundaries depend only on n, and every reduction is an exact sum rounded
+once (``_exact_means``, one pass over the sample for all orders, hence
+order-independent), so identical (seed, parameters) produce bit-identical
+summaries on any thread and in any order.  ``_run_chunks`` gives each
+chunk as a callable that draws it: the summaries draw and reduce the
+chunks on two threads at once, in memory flat in n, and ``*_samples``
+concatenate them in order.
 
 Exact sums
 ----------
 ``_binned_sum`` adds each value's hi part (top 27 significant bits, scaled
 by 2**-26) and lo part (low 26 bits) into float bins by sign and exponent,
-exact for 2**26 values; ``_exact_sums`` bins each block on one helper
-thread while the caller draws the next, keeps the bins for the whole sample
-and turns them into Python ints once.  A summary of S orders sums
-S + ceil(S/2) arrays per block along one power ladder: odd order o is x**o,
-even order 2s is the square of order s, and that square is order s's square
-sum as well, so only the top order of each chain o, 2o, 4o, ... <= S is
-squared once more.
+exact for 2**26 values; in ``_exact_sums`` two threads each draw whole
+chunks and bin them into their own bins, whose Python ints add up at the
+end.  A summary of S orders sums S + ceil(S/2) arrays per block along one
+power ladder: odd order o is x**o, even order 2s is the square of order s,
+and that square is order s's square sum as well, so only the top order of
+each chain o, 2o, 4o, ... <= S is squared once more.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -90,15 +90,16 @@ _BIN_VALUES = 1 << 26
 
 
 def _workspace() -> tuple:
-    """Work arrays for ``_binned_sum``, one _CHUNK long each.  Fresh
-    temporaries of that size fault in new pages on every block, which took
-    more than half the time of each exact sum."""
-    return np.empty(_CHUNK, np.intp), np.empty(_CHUNK), np.empty(_CHUNK)
+    """Work arrays for ``_binned_sum``, half a chunk long each (fresh ones fault
+    in new pages on every block).  One per ``_exact_sums`` worker, they take the
+    memory of one whole-chunk workspace and bin as fast; quarters bin slower."""
+    return np.empty(_CHUNK // 2, np.intp), np.empty(_CHUNK // 2), np.empty(_CHUNK // 2)
 
 
-def _binned_sum(bins: np.ndarray, block: np.ndarray, work: tuple) -> None:
-    """Add the exact sum of at most _CHUNK doubles to ``bins``, a
-    (2, _BINS) float array of the hi and lo sums of each bin.
+def _binned_sum(bins: np.ndarray, values: np.ndarray, work: tuple) -> None:
+    """Add the exact sum of the doubles ``values`` to ``bins``, a (2, _BINS)
+    float array of the hi and lo sums of each bin, in blocks as long as the
+    ``_workspace()`` arrays ``work``.
 
     One shift of the raw bits gives each value's bin, and one mask its hi
     part; lo = value - hi, the low 26 fraction bits, is exact.  np.bincount
@@ -106,15 +107,17 @@ def _binned_sum(bins: np.ndarray, block: np.ndarray, work: tuple) -> None:
     taken at most _BIN_VALUES values.  A non-finite value leaves its bin
     inf or nan.
     """
-    index, hi, lo = (a[: block.size] for a in work)
-    bits = block.view(np.uint64)
-    np.right_shift(bits, 52, out=index.view(np.uint64))
-    np.bitwise_and(bits, _HI, out=hi.view(np.uint64))
-    np.subtract(block, hi, out=lo)
-    hi *= 2.0**-26
-    for part, weights in zip(bins, (hi, lo)):
-        sums = np.bincount(index, weights)
-        part[: sums.size] += sums
+    for start in range(0, values.size, work[0].size):
+        block = values[start : start + work[0].size]
+        index, hi, lo = (a[: block.size] for a in work)
+        bits = block.view(np.uint64)
+        np.right_shift(bits, 52, out=index.view(np.uint64))
+        np.bitwise_and(bits, _HI, out=hi.view(np.uint64))
+        np.subtract(block, hi, out=lo)
+        hi *= 2.0**-26
+        for part, weights in zip(bins, (hi, lo)):
+            sums = np.bincount(index, weights)
+            part[: sums.size] += sums
 
 
 def _bins_total(bins: np.ndarray) -> int:
@@ -128,51 +131,26 @@ def _bins_total(bins: np.ndarray) -> int:
     return sum(((int(h) << 26) + int(l)) << s for h, l, s in zip(hi, lo, shifts))
 
 
-def _exact_sums(blocks, terms, k: int) -> list:
+def _exact_sums(chunks, terms, k: int) -> list:
     """Exact sums, in units of 1 / _SUM_SCALE, of the k arrays that
-    ``terms(block)`` yields for each block of at most _CHUNK values from the
-    iterable ``blocks``; None for a sum over a non-finite value.
+    ``terms(block)`` yields for the block of at most _CHUNK values that
+    each zero-argument callable of ``chunks`` returns; None for a sum over
+    a non-finite value.
 
-    Two stages overlap: this thread asks ``blocks`` for block i + 1 while
-    one helper thread, started once per call, bins block i.  Each handoff
-    waits for the helper, so at most two blocks are alive and a lazy
-    ``blocks`` is summed in memory flat in n; each array is binned before
-    the next is asked for, so ``terms`` may then overwrite it.  The bins and
-    the ``_workspace()`` are made once, after the first block is drawn
-    (made per block, their pages were faulted in again every block), and
-    the bins turn into ints at the end and, between handoffs, before they
-    pass _BIN_VALUES.  The sums are exact, so they are those of binning the
-    blocks one after another.  An error of the helper is raised at the next
-    handoff, or in place of an error of the draw that it overlapped, which
-    comes later in the sequential order; the helper is joined before
-    anything leaves.
+    Two workers, this thread and one helper thread started per call, claim
+    the chunk indices in turn.  Each draws its chunk and bins every array
+    before ``terms`` yields the next (``terms`` may then overwrite it) into
+    its own bins and ``_workspace()``, made after its first draw; they turn
+    into ints before they would pass _BIN_VALUES and at the end.  The sums
+    are exact, so they are a sequential loop's, whichever worker takes which
+    chunk.  After an error no higher index is claimed, the helper is joined
+    and the error of the lowest failing index, which a sequential loop
+    meets first, is raised.
     """
-    totals, bins, work, held = [0] * k, None, None, 0
-    handoff = [None, None]  # the block handed to the helper, and its error
-    given, taken = threading.Semaphore(0), threading.Semaphore(0)
-    busy = False
+    claimed, failed, errors, results = 0, len(chunks), {}, []
+    lock = threading.Lock()  # over the claimed count and the lowest failing index
 
-    def bin_blocks():  # the helper: bins each block handed to it, until None
-        while given.acquire() and handoff[0] is not None:
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):  # refused at the end
-                    for part, values in zip(bins, terms(handoff[0]), strict=True):
-                        _binned_sum(part, values, work)
-            except BaseException as exc:  # the caller raises it
-                handoff[1] = exc
-            handoff[0] = values = None  # free both while the next block is drawn
-            taken.release()
-
-    def settle():  # wait until the helper is idle; raise the error it met
-        nonlocal busy
-        if busy:
-            taken.acquire()
-            busy = False
-        error, handoff[1] = handoff[1], None
-        if error is not None:
-            raise error
-
-    def flush():
+    def flush(totals, bins):  # a total over a non-finite value becomes None
         for t, part in enumerate(bins):
             if totals[t] is not None:
                 try:
@@ -180,34 +158,48 @@ def _exact_sums(blocks, terms, k: int) -> list:
                 except OverflowError:
                     totals[t] = None
 
-    helper = threading.Thread(target=bin_blocks, name="limitlaw-exact-sums")
+    def work():
+        nonlocal claimed, failed
+        totals, held, i, bins = [0] * k, 0, -1, None
+        try:
+            while True:
+                with lock:
+                    i, claimed = claimed, claimed + 1
+                    if i >= failed:
+                        break
+                block = chunks[i]()
+                if bins is None:  # in the memory that the first draw freed
+                    bins, workspace = np.zeros((k, 2, _BINS)), _workspace()
+                elif held + block.size > _BIN_VALUES:
+                    flush(totals, bins)
+                    bins[:], held = 0.0, 0
+                held += block.size
+                with np.errstate(over="ignore", invalid="ignore"):  # refused at the end
+                    for part, values in zip(bins, terms(block), strict=True):
+                        _binned_sum(part, values, workspace)
+                block = values = None  # free both before the next chunk is drawn
+            if bins is not None:
+                flush(totals, bins)
+        except BaseException as exc:  # raised by the caller once the helper is joined
+            with lock:
+                errors[i] = exc
+                failed = min(failed, i)
+        results.append(totals)
+
+    helper = threading.Thread(target=work, name="limitlaw-exact-sums")
     helper.start()
     try:
-        for block in blocks:
-            if bins is None:
-                bins, work = np.zeros((k, 2, _BINS)), _workspace()
-            settle()
-            if held + block.size > _BIN_VALUES:
-                flush()
-                bins[:], held = 0.0, 0
-            held += block.size
-            handoff[0], block, busy = block, None, True
-            given.release()
+        work()
     finally:
-        try:
-            settle()
-        finally:
-            handoff[0] = None
-            given.release()
-            helper.join()
-    if bins is not None:
-        flush()
-    return totals
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return [None if None in sums else sum(sums) for sums in zip(*results)]
 
 
-def _exact_means(blocks, n: int, terms, pairs, names) -> tuple[list[float], list[float]]:
-    """Means and standard errors sd/sqrt(n) over the n values that
-    ``blocks`` yields, from exact sums (``_exact_sums``) rounded once.
+def _exact_means(chunks, n: int, terms, pairs, names) -> tuple[list[float], list[float]]:
+    """Means and standard errors sd/sqrt(n) over the n values that the
+    ``chunks`` return, from exact sums (``_exact_sums``) rounded once.
 
     Mean i is the sum of the arrays that ``terms`` yields at position
     ``pairs[i][0]``, over n; the sum at ``pairs[i][1]``, which must be
@@ -221,7 +213,7 @@ def _exact_means(blocks, n: int, terms, pairs, names) -> tuple[list[float], list
     square or sum is not finite, and ArithmeticError with the first whose
     squares sum to less than rounded squares can (they underflowed).
     """
-    totals = _exact_sums(blocks, terms, 1 + max(map(max, pairs)))
+    totals = _exact_sums(chunks, terms, 1 + max(map(max, pairs)))
     means, errors = [], []
     for name, (value, square) in zip(names, pairs):
         try:
@@ -291,12 +283,10 @@ class SampleSummary:
         }
 
 
-def _chunk_generators(seed: int, n_chunks: int):
-    """Lazily, the generator of each of n_chunks chunks: child i of
-    ``SeedSequence(seed)``, spawned one at a time."""
-    root = np.random.SeedSequence(seed)
-    for _ in range(n_chunks):
-        yield np.random.default_rng(root.spawn(1)[0])
+def _chunk_rng(seed: int, i: int) -> np.random.Generator:
+    """The generator of chunk i: child i of ``SeedSequence(seed)``, the
+    spawn key that ``spawn`` gives it, made without its siblings."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
 
 
 def _chunk_sizes(n: int):
@@ -306,19 +296,20 @@ def _chunk_sizes(n: int):
     return sizes
 
 
-def _run_chunks(chunk_fn, seed: int, n: int):
-    """Lazy iterator over the chunk arrays ``chunk_fn(rng, m)`` of an n-draw
-    sample, one per chunk size m, each drawn only when it is asked for."""
-    sizes = _chunk_sizes(n)
-    for rng, m in zip(_chunk_generators(seed, len(sizes)), sizes):
+def _run_chunks(chunk_fn, seed: int, n: int) -> list:
+    """The chunks of an n-draw sample, one zero-argument callable per chunk
+    size m: chunk i returns ``chunk_fn(_chunk_rng(seed, i), m)``, drawn
+    when it is called, on whichever thread calls it."""
+
+    def draw(i, m):
         with np.errstate(all="ignore"):  # the reducer refuses the inf of an overflow
-            chunk = chunk_fn(rng, m)
-        yield chunk
-        del chunk  # free it while the next chunk is drawn
+            return chunk_fn(_chunk_rng(seed, i), m)
+
+    return [functools.partial(draw, i, m) for i, m in enumerate(_chunk_sizes(n))]
 
 
 def _rayleigh_chunks(sigma: float, n: int, seed: int):
-    """The lazy chunks of ``rayleigh_samples``."""
+    """The chunks of ``rayleigh_samples``."""
     _require_positive(sigma, "sigma")
     n = _require_order(n, "n")
     seed = _require_seed(seed)
@@ -337,24 +328,27 @@ def _rayleigh_chunks(sigma: float, n: int, seed: int):
 
 def rayleigh_samples(sigma: float, n: int, seed: int) -> np.ndarray:
     """Rayleigh draws X = sigma * sqrt(-2 ln U) with U uniform on (0, 1)."""
-    return np.concatenate(list(_rayleigh_chunks(sigma, n, seed)))
+    return np.concatenate([chunk() for chunk in _rayleigh_chunks(sigma, n, seed)])
 
 
 def _stable_chunks(alpha: float, n: int, seed: int, finish):
-    """The lazy chunks of n draws of ``finish(log S)``, applied chunk by
-    chunk to one-sided alpha-stable S drawn by Kanter's construction (see
-    ``positive_stable_samples``).  The uniforms, the exponentials and a
-    partial sum share two scratch arrays made once per sample."""
+    """The chunks of n draws of ``finish(log S)``, applied chunk by chunk
+    to one-sided alpha-stable S drawn by Kanter's construction (see
+    ``positive_stable_samples``).  The uniforms and the exponentials share
+    one scratch array made once per sample and thread; a partial sum gets a
+    fresh one, whose memory the chunk's binning then reuses."""
     _require_alpha(alpha)
     n = _require_order(n, "n")
     seed = _require_seed(seed)
     ratio = (1.0 - alpha) / alpha
-    scratch = np.empty(_CHUNK), np.empty(_CHUNK)
+    local = threading.local()
 
     def chunk(rng, m):
+        if not hasattr(local, "scratch"):
+            local.scratch = np.empty(_CHUNK)
         # ratio * (log A(u) - log e), evaluated in place: each operation
         # rounds as in the plain expression, so the draws are the same doubles
-        u, part = (a[:m] for a in scratch)
+        u, part = local.scratch[:m], np.empty(m)
         np.maximum(rng.random(out=u), _TINY, out=u)
         u *= math.pi
         log_a = np.multiply(u, alpha)
@@ -385,11 +379,11 @@ def positive_stable_samples(alpha: float, n: int, seed: int) -> np.ndarray:
     U uniform on (0, pi), E unit exponential and
     A(u) = (sin(alpha u)^alpha sin((1-alpha) u)^{1-alpha} / sin u)^{1/(1-alpha)}.
     """
-    return np.concatenate(list(_stable_chunks(alpha, n, seed, _stable_from_log)))
+    return np.concatenate([chunk() for chunk in _stable_chunks(alpha, n, seed, _stable_from_log)])
 
 
 def _mittag_leffler_chunks(alpha: float, n: int, seed: int):
-    """The lazy chunks of ``mittag_leffler_samples``."""
+    """The chunks of ``mittag_leffler_samples``."""
 
     def finish(log_s):
         # exp is finite and nonzero where |log S| <= 700, so only the logs
@@ -413,12 +407,12 @@ def mittag_leffler_samples(alpha: float, n: int, seed: int) -> np.ndarray:
     from the finite log S; S^{-alpha} would round it to 0 or inf.  Every
     other draw is the double np.power(S, -alpha).
     """
-    return np.concatenate(list(_mittag_leffler_chunks(alpha, n, seed)))
+    return np.concatenate([chunk() for chunk in _mittag_leffler_chunks(alpha, n, seed)])
 
 
-def _summary(blocks, n: int, s_max: int, seed: int, sampler: str, params) -> SampleSummary:
-    """``summarize`` over the n values that ``blocks`` yields in blocks of at
-    most _CHUNK, each reduced as it arrives.
+def _summary(chunks, n: int, s_max: int, seed: int, sampler: str, params) -> SampleSummary:
+    """``summarize`` over the n values that the ``chunks`` return in blocks
+    of at most _CHUNK, each reduced as it is drawn.
 
     The orders' values come from one power ladder per block: x**o for odd o
     (x itself for o = 1) and np.square of order s for order 2s, squared in
@@ -450,7 +444,7 @@ def _summary(blocks, n: int, s_max: int, seed: int, sampler: str, params) -> Sam
 
     pairs = [(at[s], at[2 * s]) for s in range(1, s_max + 1)]
     names = [f"moment of order {s}" for s in range(1, s_max + 1)]
-    moments, errors = _exact_means(blocks, n, terms, pairs, names)
+    moments, errors = _exact_means(chunks, n, terms, pairs, names)
     return SampleSummary(
         sampler=sampler,
         n=n,
@@ -478,10 +472,13 @@ def summarize(
     underflow.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"values must be 1-D, got shape {values.shape}")
     if values.size < 1:
         raise ValueError("values must be non-empty")
-    blocks = (values[start : start + _CHUNK] for start in range(0, values.size, _CHUNK))
-    return _summary(blocks, values.size, s_max, seed, sampler, params)
+    chunks = [functools.partial(values.__getitem__, slice(start, start + _CHUNK))
+              for start in range(0, values.size, _CHUNK)]
+    return _summary(chunks, values.size, s_max, seed, sampler, params)
 
 
 def sample_rayleigh(sigma: float, n: int, seed: int, s_max: int = 4) -> SampleSummary:
@@ -525,7 +522,8 @@ def _bucket(x: np.ndarray, m) -> np.ndarray:
     equally likely buckets.  It is non-decreasing in x, which is all the
     guide table of a table kernel relies on, so its draws and its table must
     compute it the same way."""
-    return np.minimum((x * m).astype(np.int64), m - 1)
+    b = (x * m).astype(np.int64)
+    return np.minimum(b, m - 1, out=b)
 
 
 def _layout(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -736,12 +734,14 @@ class SplitKernel:
         if start.size and start.min() < 0:
             size = int(sizes[start < 0][0])
             raise ValueError(f"split kernel has no distribution for size {size}")
+        del start  # taken again at the end: an _exact_sums worker's heap keeps its peak
         guide, cdf = self._guide, self._cdf
         at = _bucket(u, sizes - 1)
-        at += start
+        at += self._start.take(sizes, mode="clip")
         j = guide.take(at)
         at += 1
         end = guide.take(at)
+        del at
         # One step settles every bucket holding at most one CDF entry.  The
         # step cannot pass the bucket: the entry at ``end`` lies in a higher
         # bucket, so it is > u, and the entry past a row is its inf pad.
@@ -755,14 +755,14 @@ class SplitKernel:
             j[pending] = np.where(below, mid + 1, low)
             end[pending] = np.where(below, high, mid)
             pending = pending[j[pending] < end[pending]]
-        j -= start
+        j -= self._start.take(sizes, mode="clip")
         np.minimum(j, sizes - 2, out=j)
         j += 1
         return j
 
 
 def _tree_chunks(kernel: SplitKernel, a: float, n: int, reps: int, seed: int):
-    """The lazy chunks of ``tree_cost_samples``."""
+    """The chunks of ``tree_cost_samples``."""
     _require_toll(a)
     n = _require_order(n, "n")
     reps = _require_order(reps, "reps")
@@ -795,7 +795,7 @@ def tree_cost_samples(kernel: SplitKernel, a: float, n: int, reps: int, seed: in
     kept compacted in ascending order; they take the chunk's uniforms in
     that order, as a pass over every replicate would hand them out.
     """
-    return np.concatenate(list(_tree_chunks(kernel, a, n, reps, seed)))
+    return np.concatenate([chunk() for chunk in _tree_chunks(kernel, a, n, reps, seed)])
 
 
 def simulate_tree_cost(

@@ -743,7 +743,7 @@ class TestSampleCommand:
         def no_draws(*args, **kwargs):
             raise AssertionError("a chunk was drawn before the seed was checked")
 
-        monkeypatch.setattr(montecarlo, "_chunk_generators", no_draws)
+        monkeypatch.setattr(montecarlo, "_chunk_rng", no_draws)
         assert run_cli_showing_warnings(["sample", *argv]) == (
             2, "", "error: seed must be an integer >= 0, got -1\n"
         )

@@ -5,6 +5,7 @@ Seeds are fixed and were verified once; every assertion below is
 deterministic.  Statistical gates are 3 standard errors.
 """
 
+import functools
 import json
 import math
 import re
@@ -47,7 +48,7 @@ from limitlaw.montecarlo import (
     _binned_sum,
     _bins_total,
     _bucket,
-    _chunk_generators,
+    _chunk_rng,
     _exact_sums,
     _layout,
     _workspace,
@@ -199,7 +200,7 @@ class TestExactSum:
         _binned_sum(bins, x, _workspace())
         with pytest.raises(OverflowError):
             _bins_total(bins)
-        assert _exact_sums([x, x], lambda block: iter([block]), 1) == [None]
+        assert _exact_sums(chunks_returning([x, x]), lambda block: iter([block]), 1) == [None]
 
     @pytest.mark.parametrize(
         "x", [1.7976931348623157e308, -1.7976931348623157e308, -2.225073858507201e-308,
@@ -216,12 +217,14 @@ class TestExactSum:
 
     def test_bins_hold_the_bound_and_turn_into_ints_past_it(self):
         # 2**26 copies of the largest double fill its bin to just below
-        # overflow; the next block makes _exact_sums turn the bins into an
-        # int first
+        # overflow; the next block makes the worker that bins it turn its
+        # bins into an int first.  Chunk 0 is held until the last chunk is
+        # drawn, so the other worker bins all the rest
         block = np.full(_CHUNK, 1.7976931348623157e308)
         for blocks in (1024, 1025):
-            totals = _exact_sums([block] * blocks, lambda x: iter([x]), 1)
-            assert totals == [blocks * _CHUNK * exact_units(block[0])]
+            chunks = one_worker_takes_the_rest([block] * (1 + blocks))
+            totals = _exact_sums(chunks, lambda x: iter([x]), 1)
+            assert totals == [(1 + blocks) * _CHUNK * exact_units(block[0])]
 
     def test_square_is_the_second_power(self):
         # _summary's ladder squares order s to get order 2s, whose sum is
@@ -312,6 +315,17 @@ class TestSummarize:
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError, match="^values must be non-empty$"):
             summarize(np.array([]), 2, 0, "empty")
+
+    @pytest.mark.parametrize(
+        "values, shape", [(np.ones((3, 4)), r"\(3, 4\)"), (np.float64(3.0), r"\(\)")],
+        ids=["2-d", "0-d"],
+    )
+    def test_rejects_values_that_are_not_1d(self, monkeypatch, values, shape):
+        # refused before any block is summed; numpy's broadcast error and an
+        # IndexError used to name no shape
+        monkeypatch.setattr(montecarlo, "_exact_sums", None)
+        with pytest.raises(ValueError, match=rf"^values must be 1-D, got shape {shape}$"):
+            summarize(values, 2, 0, "a")
 
     @pytest.mark.parametrize(
         "moments, errors, message",
@@ -433,7 +447,8 @@ class TestOnePassSummarize:
         x = one_pass_sample("rayleigh", 2 * _CHUNK + 1)
         summarize(x, s_max, 0, "rayleigh")
         per_block = s_max + (s_max + 1) // 2
-        assert calls == [_CHUNK] * per_block * 2 + [1] * per_block
+        # the two workers bin the blocks in either order
+        assert sorted(calls) == [1] * per_block + [_CHUNK] * per_block * 2
 
     def test_constant_sample_clamps_its_error_at_zero(self):
         # 0.7**2 rounds down, so n sum(x^2) - (sum x)^2 is below 0 here
@@ -500,11 +515,13 @@ class TestStreamedSummary:
             with pytest.raises(OverflowError, match=message):
                 summarize(rayleigh_samples(1e100, n, RAYLEIGH_SEED), 4, RAYLEIGH_SEED, "r")
 
-    def test_lazy_generators_are_one_spawn(self):
-        lazy = [rng.random(3).tolist() for rng in _chunk_generators(5, 4)]
-        eager = [np.random.default_rng(ss).random(3).tolist()
-                 for ss in np.random.SeedSequence(5).spawn(4)]
-        assert lazy == eager
+    def test_chunk_generators_are_one_spawn(self):
+        # chunk i's generator, seeded from its spawn key alone, draws the
+        # stream of child i of one spawn(k)
+        by_index = [_chunk_rng(5, i).random(3).tolist() for i in range(4)]
+        spawned = [np.random.default_rng(ss).random(3).tolist()
+                   for ss in np.random.SeedSequence(5).spawn(4)]
+        assert by_index == spawned
 
     def test_memory_is_flat_in_n(self):
         def peak(n):
@@ -523,6 +540,34 @@ class TestStreamedSummary:
 
 def blocks_of(x):
     return (x[start : start + _CHUNK] for start in range(0, x.size, _CHUNK))
+
+
+def chunks_returning(blocks, delay=None):
+    """One zero-argument chunk callable per block, as ``_run_chunks`` makes
+    them; with ``delay``, chunk i sleeps ``delay(i)`` seconds first."""
+
+    def chunk(i, block):
+        if delay is not None:
+            time.sleep(delay(i))
+        return block
+
+    return [functools.partial(chunk, i, block) for i, block in enumerate(blocks)]
+
+
+def one_worker_takes_the_rest(blocks):
+    """Chunks returning ``blocks``; chunk 0 waits until the last chunk is
+    drawn, so the worker that claims it draws no other chunk."""
+    last_drawn = threading.Event()
+
+    def first():
+        assert last_drawn.wait(timeout=120)
+        return blocks[0]
+
+    def last():
+        last_drawn.set()
+        return blocks[-1]
+
+    return [first, *chunks_returning(blocks[1:-1]), last]
 
 
 def three_terms(x):
@@ -551,34 +596,44 @@ def sequential_sums(blocks, terms, k):
     return totals
 
 
+def wide_sample(seed, n):
+    """n doubles of both signs over exponents -340..340."""
+    rng = np.random.default_rng(seed)
+    return np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-340, 340, n))
+
+
 class TestPipeline:
-    """``_exact_sums`` bins block i on a helper thread while block i + 1 is
-    drawn; its sums are those of the sequential loop."""
+    """``_exact_sums`` draws and bins whole chunks on two workers, this
+    thread and one helper; its sums are those of the sequential loop."""
 
     @pytest.mark.parametrize("bin_values", [None, 3 * _CHUNK], ids=["default", "3-chunks"])
     @pytest.mark.parametrize("n", STREAM_LENGTHS)
     def test_equals_the_sequential_reduction(self, monkeypatch, n, bin_values):
-        # wide exponents over both signs; with 3 * _CHUNK values per flush,
-        # the last length flushes the bins while its third block is pending.
         # Binning is slowed past the time a draw takes, so a flush that did
-        # not wait for the helper would find it binning
-        rng = np.random.default_rng(n)
-        x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-340, 340, n))
-        binning, flushes = [], []
+        # not wait for its own worker's binning would find it binning.  Each
+        # worker that drew a chunk flushes at the end and, with 3 * _CHUNK
+        # values per flush, before a chunk that would take its bins past them
+        x = wide_sample(n, n)
+        binning, flushes, drawn_by = {}, [], {}
 
         def slow_draws():
-            for block in blocks_of(x):
+            def draw(i, block):
                 time.sleep(0.005)
-                yield block
+                drawn_by[i] = threading.get_ident()
+                return block
+
+            return [functools.partial(draw, i, b) for i, b in enumerate(blocks_of(x))]
 
         def slow(bins, block, work):
-            binning.append(block.size)
+            binning[id(bins)] = bins
             time.sleep(0.005)
             _binned_sum(bins, block, work)
-            binning.pop()
+            del binning[id(bins)]
 
         def counted(bins):
-            assert not binning, "the bins were read while a block was binned"
+            assert not any(np.shares_memory(bins, part) for part in list(binning.values())), (
+                "the bins were read while a block was binned"
+            )
             flushes.append(bins.shape)
             return _bins_total(bins)
 
@@ -589,21 +644,44 @@ class TestPipeline:
         assert _exact_sums(slow_draws(), three_terms, 3) == sequential_sums(
             blocks_of(x), three_terms, 3
         )
-        flushed_early = bin_values is not None and n > bin_values
-        assert len(flushes) == 3 * (1 + flushed_early)
+        sizes = [block.size for block in blocks_of(x)]
+        early = 0
+        for worker in set(drawn_by.values()):
+            held = 0
+            for i in sorted(i for i, ident in drawn_by.items() if ident == worker):
+                if held + sizes[i] > (bin_values or montecarlo._BIN_VALUES):
+                    early, held = early + 1, 0
+                held += sizes[i]
+        assert len(flushes) == 3 * (len(set(drawn_by.values())) + early)
+        assert early == 0 or bin_values is not None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_sequential_loop_whichever_worker_takes_a_chunk(self, seed):
+        # random sleeps in the chunk callables shuffle which worker draws
+        # which chunk; both take some, and the sums do not move
+        x = wide_sample(seed, 20 * _CHUNK + 3)
+        delays = np.random.default_rng(seed).uniform(0.0, 0.01, 21).tolist()
+        drawn_by = set()
+
+        def delay(i):
+            drawn_by.add(threading.get_ident())
+            return delays[i]
+
+        totals = _exact_sums(chunks_returning(blocks_of(x), delay), three_terms, 3)
+        assert totals == sequential_sums(blocks_of(x), three_terms, 3)
+        assert len(drawn_by) == 2
 
     def test_concurrent_callers_under_fast_switching(self, monkeypatch):
         # four callers, each with its own helper, on fewer cores; a switch
-        # every microsecond and a flush before every block but the first
-        # interleave every handoff, and a lost update would move a total
+        # every microsecond and a flush before every block but each
+        # worker's first interleave every claim, and a lost update would
+        # move a total
         monkeypatch.setattr(montecarlo, "_BIN_VALUES", _CHUNK)
-        rng = np.random.default_rng(9)
-        n = 3 * _CHUNK + 5
-        x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-340, 340, n))
+        x = wide_sample(9, 3 * _CHUNK + 5)
         results = [None] * 4
 
         def run(i):
-            results[i] = _exact_sums(blocks_of(x), three_terms, 3)
+            results[i] = _exact_sums(chunks_returning(blocks_of(x)), three_terms, 3)
 
         before = threading.enumerate()
         interval = sys.getswitchinterval()
@@ -624,7 +702,7 @@ class TestPipeline:
         # the cube of 1e200 overflows and the square of 1e300 as well
         x = np.ones(3 * _CHUNK + 5)
         x[_CHUNK + 7], x[-1] = 1e200, 1e300
-        totals = _exact_sums(blocks_of(x), three_terms, 3)
+        totals = _exact_sums(chunks_returning(blocks_of(x)), three_terms, 3)
         assert totals == sequential_sums(blocks_of(x), three_terms, 3)
         assert totals[0] is not None and totals[1:] == [None, None]
 
@@ -655,47 +733,45 @@ class TestPipeline:
 
 
 class TestPipelineFailures:
-    """Every way out of ``_exact_sums`` joins the helper thread first."""
+    """Every way out of ``_exact_sums`` joins the helper thread first and
+    raises the error of the lowest failing chunk index."""
 
     def test_draw_error_surfaces_unchanged(self):
         error = ValueError("the third block cannot be drawn")
 
-        def blocks():
-            yield np.ones(_CHUNK)
-            yield np.ones(_CHUNK)
+        def third():
             raise error
 
         before = threading.enumerate()
         with pytest.raises(ValueError) as caught:
-            _exact_sums(blocks(), three_terms, 3)
+            _exact_sums([*chunks_returning([np.ones(_CHUNK)] * 2), third], three_terms, 3)
         assert caught.value is error
         assert threading.enumerate() == before
 
     def test_binning_error_surfaces_with_one_block_drawn_past_it(self):
+        # block 2 fails in ``terms`` at once; every block before it is
+        # binned, and while it fails the other worker holds at most one
+        # chunk, which it finishes before it stops claiming
         drawn, binned = [], []
-
-        def blocks():
-            for i in range(10):
-                drawn.append(i)
-                yield np.full(_CHUNK, float(i))
 
         def terms(x):
             binned.append(x[0])
-            if len(binned) == 3:
+            if x[0] == 2.0:
                 raise RuntimeError("block 3 cannot be binned")
             yield x
 
+        blocks = [np.full(_CHUNK, float(i)) for i in range(10)]
         before = threading.enumerate()
         with pytest.raises(RuntimeError, match="^block 3 cannot be binned$"):
-            _exact_sums(blocks(), terms, 1)
-        assert binned == [0.0, 1.0, 2.0]
-        assert len(drawn) <= 4
+            _exact_sums(chunks_returning(blocks, lambda i: drawn.append(i) or 0.0), terms, 1)
+        assert sorted(binned)[:3] == [0.0, 1.0, 2.0]
+        assert len(binned) == len(drawn) <= 4
         assert threading.enumerate() == before
 
     def test_binning_error_comes_before_the_draw_error_it_overlapped(self):
-        # sequentially, block 1 is binned before block 2 is asked for
-        def blocks():
-            yield np.ones(3)
+        # sequentially, block 1 is binned before block 2 is drawn; here the
+        # other worker draws block 2 while block 1 fails
+        def second():
             raise ValueError("block 2 cannot be drawn")
 
         def terms(x):
@@ -704,7 +780,48 @@ class TestPipelineFailures:
 
         before = threading.enumerate()
         with pytest.raises(RuntimeError, match="^block 1 cannot be binned$"):
-            _exact_sums(blocks(), terms, 1)
+            _exact_sums([*chunks_returning([np.ones(3)]), second], terms, 1)
+        assert threading.enumerate() == before
+
+    def test_slow_failure_of_a_lower_chunk_wins(self):
+        # chunk 1 fails after chunk 3 has failed on the other worker; a
+        # sequential loop meets chunk 1's error first
+        failures = []
+
+        def chunk(i):
+            if i in (1, 3):
+                time.sleep(0.2 if i == 1 else 0.0)
+                failures.append(i)
+                raise RuntimeError(f"chunk {i} cannot be drawn")
+            return np.ones(5)
+
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="^chunk 1 cannot be drawn$"):
+            _exact_sums([functools.partial(chunk, i) for i in range(6)], three_terms, 3)
+        assert failures == [3, 1]
+        assert threading.enumerate() == before
+
+    def test_no_worker_draws_more_than_one_chunk_past_a_failure(self):
+        # once chunk 3 fails, its worker draws nothing more and the other
+        # finishes the chunk it claimed, at most one, then claims no index
+        drawn, failed = [], threading.Event()
+
+        def chunk(i):
+            drawn.append((i, threading.get_ident(), failed.is_set()))
+            if i == 3:
+                failed.set()
+                raise RuntimeError("chunk 3 cannot be drawn")
+            time.sleep(0.01)
+            return np.ones(5)
+
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="^chunk 3 cannot be drawn$"):
+            _exact_sums([functools.partial(chunk, i) for i in range(40)], three_terms, 3)
+        failing = next(ident for i, ident, _ in drawn if i == 3)
+        late = [(i, ident) for i, ident, after in drawn if after]
+        assert len(late) <= 1
+        assert all(i > 3 and ident != failing for i, ident in late)
+        assert sorted(i for i, _, _ in drawn)[:4] == [0, 1, 2, 3]
         assert threading.enumerate() == before
 
     def test_tree_kernel_refusal(self):
@@ -716,20 +833,22 @@ class TestPipelineFailures:
 
     def test_tree_draw_refused_while_a_block_is_binned(self, monkeypatch):
         # at n = 2 each chunk takes one split draw: the second is refused
-        # while the first chunk is with the helper
+        # while the other worker draws or bins its chunk, which it finishes
+        # before it stops claiming
         draw, calls = SplitKernel.draw, []
 
         def refused_second(self, sizes, u):
             calls.append(sizes.size)
             if len(calls) == 2:
                 raise ValueError("split draws need uniforms u in [0, 1)")
+            time.sleep(0.01)
             return draw(self, sizes, u)
 
         monkeypatch.setattr(SplitKernel, "draw", refused_second)
         before = threading.enumerate()
         with pytest.raises(ValueError, match=r"^split draws need uniforms u in \[0, 1\)$"):
-            simulate_tree_cost(SplitKernel.uniform(), 0.5, 2, 3 * _CHUNK, TREE_SEED)
-        assert calls == [_CHUNK, _CHUNK]
+            simulate_tree_cost(SplitKernel.uniform(), 0.5, 2, 8 * _CHUNK, TREE_SEED)
+        assert calls in ([_CHUNK] * 2, [_CHUNK] * 3)
         assert threading.enumerate() == before
 
 
@@ -751,7 +870,7 @@ class TestSeed:
         def no_draws(*args, **kwargs):
             raise AssertionError("a chunk was drawn before the seed was checked")
 
-        monkeypatch.setattr(montecarlo, "_chunk_generators", no_draws)
+        monkeypatch.setattr(montecarlo, "_chunk_rng", no_draws)
         with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
             entry(-1)
 
